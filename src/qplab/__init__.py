@@ -13,15 +13,15 @@ from .errors import (ConfigInvalid, DescentExhausted, DropExceeded, GateFailed,
                      HypothesisUnmet, IterationDiverged, PavingFailed,
                      PotentialConstant, QplabError, SigmaOutOfRange,
                      SingularEnergy, StripExceeded)
-from .model import (Frequency, LogScalar, ScaledMatrix2, StripNorm,
-                    TrigPotential, constant_potential, cosine_potential,
-                    eval_potential, eval_potential_complex, golden_frequency,
+from .model import (Frequency, LogScalar, StripNorm, TrigPotential,
+                    constant_potential, cosine_potential, eval_potential,
+                    eval_potential_complex, golden_frequency,
                     potential_from_json, strip_norm, system_from_json,
                     two_cosine_potential, two_torus_frequency,
                     verify_diophantine, zero_potential)
 from .transfer import (CocycleResult, DetTriple, cocycle, cocycle_batch,
                        cocycle_complex, det_recurrence, growth_envelope,
-                       step_matrix, verify_det_identity)
+                       verify_det_identity)
 from .lyapunov import (LyapunovEstimate, SamplerSpec, check_subadditivity,
                        lyapunov_limit, lyapunov_n, lyapunov_scan,
                        shift_average, upper_bound_check)

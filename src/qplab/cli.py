@@ -78,7 +78,7 @@ CONFIG_SCHEMA = {
         "sigma": {"type": "number"},
         "n_schedule": {"type": "array", "items": {"type": "integer"}},
         "schedule": {"type": "array", "items": {"type": "integer"}},
-        "theta": {"type": ["number", "array"]},
+        "theta": {"type": ["number", "array"], "items": {"type": "number"}},
         "interval": {"type": "array", "items": {"type": "integer"},
                      "minItems": 2, "maxItems": 2},
         "window": {"type": "integer", "minimum": 2},
@@ -141,6 +141,10 @@ def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
+        # mkstemp creates mode 0600; give the file the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -167,17 +171,22 @@ def validate_config(config: dict) -> None:
         raise ConfigInvalid(exc.message, tuple(exc.absolute_path)) from exc
     if config["command"] not in COMMANDS:
         raise ConfigInvalid(f"unknown command {config['command']!r}", ("command",))
+    try:
+        json.dumps(config, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigInvalid("NaN and infinite numbers are not allowed") from exc
 
 
 def _theta_of(config: dict, dim: int):
     theta = config.get("theta", 0.0)
+    if isinstance(theta, (int, float)):
+        theta = [theta] * dim
+    if len(theta) != dim:
+        raise ConfigInvalid(f"theta needs {dim} component(s) on the "
+                            f"{dim}-torus, got {len(theta)}", ("theta",))
     if dim == 2:
-        if isinstance(theta, (int, float)):
-            return np.array([float(theta), float(theta)])
         return np.asarray([float(x) for x in theta])
-    if isinstance(theta, (list, tuple)):
-        return float(theta[0])
-    return float(theta)
+    return float(theta[0])
 
 
 def _energy_values(config: dict) -> List[float]:
@@ -397,7 +406,10 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     eff_seed = int(seed if seed is not None else config.get("seed", 0))
-    v, freq = system_from_json(config["system"])
+    try:
+        v, freq = system_from_json(config["system"])
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc), ("system",)) from exc
     started = time.time()
     outputs = _HANDLERS[config["command"]](config, v, freq, eff_seed,
                                            max(1, threads), out)

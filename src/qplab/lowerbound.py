@@ -20,7 +20,7 @@ from .errors import (DescentExhausted, DropExceeded, GateFailed,
                      HypothesisUnmet, PotentialConstant)
 from .lyapunov import LyapunovEstimate, SamplerSpec, lyapunov_n
 from .model import Frequency, TrigPotential, strip_norm
-from .transfer import cocycle_batch, cocycle_complex
+from .transfer import _log_opnorm, _orbit_rows, _products, cocycle_batch
 
 STRICT_GATE_CONSTANT = 1000.0
 DROP_CONSTANT = 1000.0
@@ -129,32 +129,20 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
             "line infimum",
             f"inf |lambda v - E| = {inf_line:g} < lambda*epsilon = {lam_eps:g}")
 
-    w = omega.scalar()
     log_growth = math.log(lam_eps - 1.0)
-    u, vv = 1.0 + 0.0j, 0.0 + 0.0j
-    log_u = 0.0
-    per_step_margin = math.inf
+    # (u, v) = M_(n)(1, 0) is the first column of each renormalized product.
+    rows = _orbit_rows(omega, np.array([complex(0.0, y0)]), energy, n, scaled)
+    log_u = [0.0]
     uv_ok = True
-    for j in range(1, n + 1):
-        z = complex((j * w) % 1.0, y0)
-        a = complex(scaled.eval_complex_batch(np.asarray(z)).reshape(())) - energy
-        u_new = a * u + vv
-        v_new = -u
-        au = abs(u_new)
-        if au <= 0.0:
-            uv_ok = False
-            per_step_margin = -math.inf
-            break
-        per_step_margin = min(per_step_margin, math.log(au) - log_growth)
-        if au < abs(v_new):
-            uv_ok = False
-        log_u += math.log(au)
-        u, vv = u_new / au, v_new / au
-
-    res = cocycle_complex(omega, complex(0.0, y0), energy, n, scaled)
-    margin = res.log_norm - n * log_growth
-    return ComplexGrowthReport(margin=float(margin), log_norm=res.log_norm,
-                               per_step_margin=float(per_step_margin),
+    for m00, m01, m10, m11, ls in _products(rows):
+        u, vv = abs(m00[0]), abs(m10[0])
+        log_u.append(ls[0] + np.log(u))
+        uv_ok = uv_ok and bool(u >= vv)
+    per_step_margin = float(np.min(np.diff(log_u))) - log_growth
+    log_norm = float(_log_opnorm(m00, m01, m10, m11, ls)[0])
+    margin = log_norm - n * log_growth
+    return ComplexGrowthReport(margin=margin, log_norm=log_norm,
+                               per_step_margin=per_step_margin,
                                uv_ok=uv_ok, hypothesis_inf=inf_line, steps=n)
 
 

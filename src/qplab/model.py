@@ -23,12 +23,15 @@ KVec = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# signed-log scalar and scaled 2x2 matrix
+# signed-log scalar
 
 
 @dataclass(frozen=True)
 class LogScalar:
-    """A real number stored as (sign, log magnitude); safe for huge products."""
+    """Read-only view of one real number as (sign, log magnitude).
+
+    Arithmetic on signed logs lives in ``qplab.slog``, on arrays.
+    """
 
     sign: int
     log_mag: float
@@ -50,101 +53,6 @@ class LogScalar:
     def is_zero(self) -> bool:
         return self.sign == 0
 
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogScalar(0, -math.inf)
-        return LogScalar(s, self.log_mag + other.log_mag)
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        if other.sign == 0:
-            raise ZeroDivisionError("signed-log division by zero")
-        if self.sign == 0:
-            return LogScalar(0, -math.inf)
-        return LogScalar(self.sign * other.sign, self.log_mag - other.log_mag)
-
-    def __neg__(self) -> "LogScalar":
-        return LogScalar(-self.sign, self.log_mag)
-
-    def __add__(self, other: "LogScalar") -> "LogScalar":
-        # Factor the larger magnitude out so exp never overflows.
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        big, small = (self, other) if self.log_mag >= other.log_mag else (other, self)
-        t = 1.0 + big.sign * small.sign * math.exp(small.log_mag - big.log_mag)
-        if t == 0.0:
-            return LogScalar(0, -math.inf)
-        return LogScalar(big.sign, big.log_mag + math.log(t))
-
-    def __float__(self) -> float:
-        return self.value()
-
-
-def _fro2(entries: np.ndarray) -> float:
-    return float(np.sum((entries * entries.conj()).real))
-
-
-@dataclass
-class ScaledMatrix2:
-    """2x2 matrix as exp(log_scale) * entries, entries kept at Frobenius norm 1."""
-
-    entries: np.ndarray
-    log_scale: float = 0.0
-
-    @classmethod
-    def identity(cls) -> "ScaledMatrix2":
-        return cls(np.eye(2), 0.0).renormalized()
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "ScaledMatrix2":
-        return cls(np.array(m, copy=True), 0.0).renormalized()
-
-    def renormalized(self) -> "ScaledMatrix2":
-        f = math.sqrt(_fro2(self.entries))
-        if f == 0.0:
-            return self
-        return ScaledMatrix2(self.entries / f, self.log_scale + math.log(f))
-
-    def matmul(self, other: "ScaledMatrix2") -> "ScaledMatrix2":
-        prod = ScaledMatrix2(self.entries @ other.entries,
-                             self.log_scale + other.log_scale)
-        return prod.renormalized()
-
-    def _singulars(self) -> Tuple[float, float]:
-        # Closed-form singular values of the unit-scale entries.
-        t = _fro2(self.entries)
-        d2 = float(abs(np.linalg.det(self.entries)) ** 2)
-        disc = max(t * t - 4.0 * d2, 0.0)
-        smax2 = 0.5 * (t + math.sqrt(disc))
-        smax = math.sqrt(smax2)
-        smin = math.sqrt(d2) / smax if smax > 0 else 0.0
-        return smax, smin
-
-    def log_opnorm(self) -> float:
-        """log of the spectral norm of the represented matrix."""
-        smax, _ = self._singulars()
-        return self.log_scale + math.log(smax)
-
-    def log_inv_opnorm(self) -> float:
-        """log of the spectral norm of the inverse (via the adjugate)."""
-        e = self.entries
-        adj = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]])
-        smax_adj = ScaledMatrix2(adj, 0.0)._singulars()[0]
-        logdet = math.log(abs(np.linalg.det(e)))
-        return -self.log_scale + math.log(smax_adj) - logdet
-
-    def log_det(self) -> LogScalar:
-        d = complex(np.linalg.det(self.entries))
-        if d == 0:
-            return LogScalar(0, -math.inf)
-        sign = 1 if d.real > 0 else -1 if d.real < 0 else 0
-        return LogScalar(sign, 2.0 * self.log_scale + math.log(abs(d)))
-
-    def to_matrix(self) -> np.ndarray:
-        return np.exp(self.log_scale) * self.entries
-
 
 # ---------------------------------------------------------------------------
 # frequencies
@@ -155,13 +63,14 @@ class Frequency:
     """A point of the torus with diophantine parameters (A, c).
 
     ``verified_horizon`` is a monotone high-water mark: the largest K for
-    which the small-divisor condition has been checked exhaustively.
+    which the small-divisor condition has been checked exhaustively.  It is
+    a cache, so it takes no part in equality or hashing.
     """
 
     components: Tuple[float, ...]
     dio_A: float = 2.0
     dio_c: float = 0.1
-    verified_horizon: int = 0
+    verified_horizon: int = field(default=0, compare=False)
 
     def __post_init__(self):
         comps = tuple(float(c) for c in self.components)

@@ -27,12 +27,6 @@ def to_values(sign, logmag):
         return np.where(sign == 0, 0.0, sign * np.exp(logmag))
 
 
-def multiply(s1, l1, s2, l2):
-    s = (s1 * s2).astype(np.int8)
-    l = np.where(s == 0, LOG_ZERO, l1 + l2)
-    return s, l
-
-
 def add(signs, logs):
     """Signed sum of the stacked leading axis of (signs, logs).
 

@@ -9,29 +9,24 @@ checks to floating-point accuracy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import StripExceeded
-from .model import Frequency, LogScalar, ScaledMatrix2, TrigPotential
+from .model import Frequency, LogScalar, TrigPotential
 
 
 @dataclass(frozen=True)
 class CocycleResult:
-    """log of the spectral norm of an n-step product plus its direction."""
+    """An n-step product exp(log_scale) * entries and the log of its spectral norm."""
 
     log_norm: float
-    direction: ScaledMatrix2
+    entries: np.ndarray             # 2x2, Frobenius norm 1
+    log_scale: float
     steps: int
-
-    def log_det(self) -> LogScalar:
-        return self.direction.log_det()
-
-    def log_inv_norm(self) -> float:
-        return self.direction.log_inv_opnorm()
 
 
 @dataclass(frozen=True)
@@ -41,11 +36,6 @@ class DetTriple:
     d_n: LogScalar
     d_n1: LogScalar
     d_n2: LogScalar
-
-
-def step_matrix(v_val: float, energy: float) -> np.ndarray:
-    """One-step factor [[v - E, 1], [-1, 0]]; determinant exactly 1."""
-    return np.array([[v_val - energy, 1.0], [-1.0, 0.0]])
 
 
 def _phases(theta, omega: Frequency, j):
@@ -58,37 +48,54 @@ def _phases(theta, omega: Frequency, j):
     return (th + j[..., np.newaxis] * w) % 1.0
 
 
-def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
-                  start: int = 0, return_matrices: bool = False):
-    """Vectorized n-step cocycle over a batch of phases (and energies).
+# ---------------------------------------------------------------------------
+# the stepping kernel
 
-    ``thetas`` has shape (B,) for d=1 or (B, 2); ``energy`` is a scalar or a
-    length-B array.  Returns the array of log spectral norms, and optionally
-    the unit-scale entry arrays with their log scales.
+
+def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
+                v: TrigPotential, start: int = 0):
+    """Rows a_j = v(th + j*omega) - E for j = start+1..start+n, one per step.
+
+    Each row is evaluated when the kernel asks for it, so no (n, B) table is
+    ever held.  A complex ``th`` (d=1) runs along its line Im z = th.imag.
     """
     if n < 1:
         raise ValueError("need at least one step")
-    th = np.asarray(thetas, dtype=float)
-    if omega.dim == 1:
-        th = np.atleast_1d(th)
-        batch = th.shape[0]
-    else:
-        th = th.reshape(-1, 2)
-        batch = th.shape[0]
-    energy = np.asarray(energy, dtype=float)
-
-    m00 = np.ones(batch)
-    m01 = np.zeros(batch)
-    m10 = np.zeros(batch)
-    m11 = np.ones(batch)
-    ls = np.zeros(batch)
     w = omega.as_array()
-    for j in range(start + 1, start + n + 1):
-        if omega.dim == 1:
-            ph = (th + j * w[0]) % 1.0
-        else:
-            ph = (th + j * w) % 1.0
-        a = v.eval_batch(ph) - energy
+    step = w[0] if omega.dim == 1 else w
+    js = range(start + 1, start + n + 1)
+    if np.iscomplexobj(th):
+        return (v.eval_complex_batch((th.real + j * step) % 1.0 + 1j * th.imag)
+                - energy for j in js)
+    return (v.eval_batch((th + j * step) % 1.0) - energy for j in js)
+
+
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
+
+
+def _square_for(x):
+    """|.|^2 for arrays of x's dtype; np.square (x * x) keeps real bits unchanged."""
+    return np.square if np.isrealobj(x) else _abs2
+
+
+def _products(rows):
+    """Renormalized running products of the one-step factors [[a, 1], [-1, 0]].
+
+    ``rows`` yields one array a = v - E per step, over a batch of phases.
+    After each step this yields (m00, m01, m10, m11, log_scale): the product
+    is exp(log_scale) * [[m00, m01], [m10, m11]] with entries at Frobenius
+    norm 1.  Complex rows give complex entries and use squared moduli.
+    ``log_scale`` is one array updated in place (a fresh array per step costs
+    about 10% on large batches), so read it before asking for the next step.
+    """
+    rows = iter(rows)
+    a = next(rows)
+    m00, m01 = np.ones_like(a), np.zeros_like(a)
+    m10, m11 = np.zeros_like(a), np.ones_like(a)
+    ls = np.zeros(np.shape(a))
+    sq = _square_for(a)
+    for a in itertools.chain((a,), rows):
         n00 = a * m00 + m10
         n01 = a * m01 + m11
         n10 = -m00
@@ -102,61 +109,75 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
         s01 = n01 * inv
         s10 = n10 * inv
         s11 = n11 * inv
-        f = np.sqrt(s00 * s00 + s01 * s01 + s10 * s10 + s11 * s11)
+        f = np.sqrt(sq(s00) + sq(s01) + sq(s10) + sq(s11))
         finv = 1.0 / f
         m00 = s00 * finv
         m01 = s01 * finv
         m10 = s10 * finv
         m11 = s11 * finv
         ls += np.log(mx) + np.log(f)
+        yield m00, m01, m10, m11, ls
 
+
+def _log_opnorm(m00, m01, m10, m11, ls):
+    """log spectral norm of exp(ls) * [[m00, m01], [m10, m11]], in closed form."""
+    sq = _square_for(m00)
     det = m00 * m11 - m01 * m10
-    t = m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11
-    disc = np.maximum(t * t - 4.0 * det * det, 0.0)
-    smax = np.sqrt(0.5 * (t + np.sqrt(disc)))
-    log_norms = ls + np.log(smax)
+    t = sq(m00) + sq(m01) + sq(m10) + sq(m11)
+    disc = np.maximum(t * t - 4.0 * sq(det), 0.0)
+    return ls + np.log(np.sqrt(0.5 * (t + np.sqrt(disc))))
+
+
+def _entries(m00, m01, m10, m11):
+    return np.stack([np.stack([m00, m01], axis=-1),
+                     np.stack([m10, m11], axis=-1)], axis=-2)
+
+
+def _as_batch(omega: Frequency, thetas) -> np.ndarray:
+    th = np.asarray(thetas, dtype=float)
+    return np.atleast_1d(th) if omega.dim == 1 else th.reshape(-1, 2)
+
+
+def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
+                  start: int = 0, return_matrices: bool = False):
+    """Vectorized n-step cocycle over a batch of phases (and energies).
+
+    ``thetas`` has shape (B,) for d=1 or (B, 2); ``energy`` is a scalar or a
+    length-B array.  Returns the array of log spectral norms, and optionally
+    the unit-scale entry arrays with their log scales.
+    """
+    rows = _orbit_rows(omega, _as_batch(omega, thetas),
+                       np.asarray(energy, dtype=float), n, v, start)
+    for m00, m01, m10, m11, ls in _products(rows):
+        pass
+    log_norms = _log_opnorm(m00, m01, m10, m11, ls)
     if return_matrices:
-        entries = np.stack([np.stack([m00, m01], axis=-1),
-                            np.stack([m10, m11], axis=-1)], axis=-2)
-        return log_norms, entries, ls
+        return log_norms, _entries(m00, m01, m10, m11), ls
     return log_norms
 
 
 def cocycle(omega: Frequency, theta, energy: float, n: int, v: TrigPotential,
             start: int = 0) -> CocycleResult:
     """n-step transfer-matrix product at a single phase."""
-    th = np.asarray([theta], dtype=float) if omega.dim == 1 else \
-        np.asarray(theta, dtype=float).reshape(1, 2)
-    log_norms, entries, ls = cocycle_batch(omega, th, energy, n, v,
+    log_norms, entries, ls = cocycle_batch(omega, theta, energy, n, v,
                                            start=start, return_matrices=True)
-    direction = ScaledMatrix2(entries[0], float(ls[0]))
-    return CocycleResult(float(log_norms[0]), direction, n)
+    return CocycleResult(float(log_norms[0]), entries[0], float(ls[0]), n)
 
 
 def cocycle_complex(omega: Frequency, z: complex, energy: float, n: int,
                     v: TrigPotential, start: int = 0) -> CocycleResult:
-    """Cocycle along the complexified phase line (d=1 only)."""
+    """Cocycle along the complexified phase line (d=1 only).
+
+    Raises StripExceeded, from the potential, when |Im z| >= strip_width/10.
+    """
     if omega.dim != 1:
         raise ValueError("complexified cocycles are 1-frequency only")
-    if abs(z.imag) >= v.strip_width / 10.0:
-        raise StripExceeded(
-            f"|Im z| = {abs(z.imag):g} >= strip_width/10 = {v.strip_width / 10.0:g}"
-        )
-    w = omega.scalar()
-    m = np.eye(2, dtype=complex)
-    ls = 0.0
-    for j in range(start + 1, start + n + 1):
-        zz = complex((z.real + j * w) % 1.0, z.imag)
-        a = complex(v.eval_complex_batch(np.asarray(zz)).reshape(()))
-        step = np.array([[a - energy, 1.0], [-1.0, 0.0]], dtype=complex)
-        m = step @ m
-        mx = float(np.max(np.abs(m)))
-        m = m / mx
-        f = math.sqrt(float(np.sum((m * m.conj()).real)))
-        m = m / f
-        ls += math.log(mx) + math.log(f)
-    direction = ScaledMatrix2(m, ls)
-    return CocycleResult(direction.log_opnorm(), direction, n)
+    rows = _orbit_rows(omega, np.array([z], dtype=complex), energy, n, v, start)
+    for m00, m01, m10, m11, ls in _products(rows):
+        pass
+    log_norm = _log_opnorm(m00, m01, m10, m11, ls)
+    return CocycleResult(float(log_norm[0]), _entries(m00, m01, m10, m11)[0],
+                         float(ls[0]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +258,8 @@ def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
         (-int(s_full[n - 1]), float(l_full[n - 1])),   # bottom-left
         (-int(s_shift[n - 2]), float(l_shift[n - 2])),  # bottom-right
     ]
-    entries = res.direction.entries
-    ls = res.direction.log_scale
+    entries = res.entries
+    ls = res.log_scale
     worst = 0.0
     for (i, j), (es, el) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), expected):
         val = entries[i, j]
@@ -284,7 +305,8 @@ def growth_envelope(n: int, omega: Frequency, theta, energy: float,
     const = 2.0 * math.log(1.0 + sup + abs(energy))
 
     # Per-step trace at the base phase.
-    trace = _log_norm_trace(n, omega, theta, energy, v)
+    rows = _orbit_rows(omega, _as_batch(omega, theta), energy, n, v)
+    trace = np.array([_log_opnorm(*prod)[0] for prod in _products(rows)])
 
     shifts_arr = np.asarray(list(shifts), dtype=int)
     # Evaluate the base and shifted phases through the same code path so the
@@ -296,31 +318,3 @@ def growth_envelope(n: int, omega: Frequency, theta, energy: float,
     ok = bool(np.all(deviations <= const * np.abs(shifts_arr) / n + 1e-12))
     return GrowthEnvelope(trace, shifts_arr, deviations, const, ok)
 
-
-def _log_norm_trace(n: int, omega: Frequency, theta, energy, v) -> np.ndarray:
-    th = np.asarray([theta], dtype=float) if omega.dim == 1 else \
-        np.asarray(theta, dtype=float).reshape(1, 2)
-    w = omega.as_array()
-    m00, m01 = np.ones(1), np.zeros(1)
-    m10, m11 = np.zeros(1), np.ones(1)
-    ls = np.zeros(1)
-    trace = np.empty(n)
-    for j in range(1, n + 1):
-        ph = (th + j * w[0]) % 1.0 if omega.dim == 1 else (th + j * w) % 1.0
-        a = v.eval_batch(ph) - energy
-        n00 = a * m00 + m10
-        n01 = a * m01 + m11
-        n10, n11 = -m00, -m01
-        mx = np.maximum(np.maximum(np.abs(n00), np.abs(n01)),
-                        np.maximum(np.abs(n10), np.abs(n11)))
-        inv = 1.0 / mx
-        s00, s01, s10, s11 = n00 * inv, n01 * inv, n10 * inv, n11 * inv
-        f = np.sqrt(s00 ** 2 + s01 ** 2 + s10 ** 2 + s11 ** 2)
-        finv = 1.0 / f
-        m00, m01, m10, m11 = s00 * finv, s01 * finv, s10 * finv, s11 * finv
-        ls = ls + np.log(mx) + np.log(f)
-        det = m00 * m11 - m01 * m10
-        t = m00 ** 2 + m01 ** 2 + m10 ** 2 + m11 ** 2
-        disc = np.maximum(t * t - 4.0 * det * det, 0.0)
-        trace[j - 1] = float((ls + 0.5 * np.log(0.5 * (t + np.sqrt(disc))))[0])
-    return trace

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +160,15 @@ class TestRun:
         assert doc["half_log_ok"]
         assert len(doc["ladder"]) == 2
 
+    def test_outputs_follow_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            run(lyap_config(), out_dir=tmp_path)
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "lyapunov.csv").stat().st_mode
+        assert stat.S_IMODE(mode) == 0o640
+
     def test_module_error_maps_to_exit_one(self, tmp_path, capsys):
         # paving an in-spectrum energy fails with a named module error
         system = dict(BASE_SYSTEM, **{"lambda": 5.0})
@@ -174,7 +185,33 @@ class TestRun:
         assert "PavingFailed" in capsys.readouterr().err
 
 
+TWO_TORUS_SYSTEM = dict(FLAGSHIP_CONFIGS["recursion"]["system"])
+GREEN_2D = {"schema_version": 1, "command": "green", "system": TWO_TORUS_SYSTEM,
+            "E": 0.5, "interval": [1, 10], "seed": 0}
+NO_ENERGIES = {k: v for k, v in lyap_config().items() if k != "e_values"}
+
+
 class TestMainEntry:
+    @pytest.mark.parametrize("cfg", [
+        lyap_config(system=dict(BASE_SYSTEM, coeffs=[[1, 0.5, 0.0]])),
+        lyap_config(system=dict(BASE_SYSTEM, omega=[1.5])),
+        lyap_config(system=dict(BASE_SYSTEM, omega=[0.3, 0.4])),
+        lyap_config(e_values=[0.0, float("nan")]),
+        dict(NO_ENERGIES, E=float("inf")),
+        dict(NO_ENERGIES, e_grid={"min": float("-inf"), "max": 1.0,
+                                  "points": 3}),
+        dict(GREEN_2D, theta=[0.1]),
+    ], ids=["not-conjugate-symmetric", "omega-outside-torus",
+            "omega-dim-mismatch", "nan-energy", "inf-energy", "inf-grid",
+            "theta-shape"])
+    def test_invalid_input_exit_two(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([cfg["command"], "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+
     def test_config_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(lyap_config()))

@@ -1,0 +1,228 @@
+"""The shared stepping kernel against the four loops it replaced.
+
+Each oracle below is one of the hand-written stepping loops that preceded
+``transfer._products``, kept verbatim.  Real cocycles must agree bit for bit;
+complex and per-step paths sum in a slightly different order and must agree
+to the stated tolerances.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qplab import (complexified_growth_check, cocycle_batch, cocycle_complex,
+                   cosine_potential, epsilon_gap, golden_frequency,
+                   growth_envelope, two_cosine_potential, two_torus_frequency)
+
+from conftest import random_trig_potential
+
+
+def oracle_cocycle_batch(omega, thetas, energy, n, v, start=0):
+    th = np.asarray(thetas, dtype=float)
+    if omega.dim == 1:
+        th = np.atleast_1d(th)
+        batch = th.shape[0]
+    else:
+        th = th.reshape(-1, 2)
+        batch = th.shape[0]
+    energy = np.asarray(energy, dtype=float)
+
+    m00 = np.ones(batch)
+    m01 = np.zeros(batch)
+    m10 = np.zeros(batch)
+    m11 = np.ones(batch)
+    ls = np.zeros(batch)
+    w = omega.as_array()
+    for j in range(start + 1, start + n + 1):
+        if omega.dim == 1:
+            ph = (th + j * w[0]) % 1.0
+        else:
+            ph = (th + j * w) % 1.0
+        a = v.eval_batch(ph) - energy
+        n00 = a * m00 + m10
+        n01 = a * m01 + m11
+        n10 = -m00
+        n11 = -m01
+        # Scale by the max entry first so squaring cannot overflow even for
+        # couplings near the float ceiling.
+        mx = np.maximum(np.maximum(np.abs(n00), np.abs(n01)),
+                        np.maximum(np.abs(n10), np.abs(n11)))
+        inv = 1.0 / mx
+        s00 = n00 * inv
+        s01 = n01 * inv
+        s10 = n10 * inv
+        s11 = n11 * inv
+        f = np.sqrt(s00 * s00 + s01 * s01 + s10 * s10 + s11 * s11)
+        finv = 1.0 / f
+        m00 = s00 * finv
+        m01 = s01 * finv
+        m10 = s10 * finv
+        m11 = s11 * finv
+        ls += np.log(mx) + np.log(f)
+
+    det = m00 * m11 - m01 * m10
+    t = m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11
+    disc = np.maximum(t * t - 4.0 * det * det, 0.0)
+    smax = np.sqrt(0.5 * (t + np.sqrt(disc)))
+    log_norms = ls + np.log(smax)
+    entries = np.stack([np.stack([m00, m01], axis=-1),
+                        np.stack([m10, m11], axis=-1)], axis=-2)
+    return log_norms, entries, ls
+
+
+def oracle_log_norm_trace(n, omega, theta, energy, v):
+    th = np.asarray([theta], dtype=float) if omega.dim == 1 else \
+        np.asarray(theta, dtype=float).reshape(1, 2)
+    w = omega.as_array()
+    m00, m01 = np.ones(1), np.zeros(1)
+    m10, m11 = np.zeros(1), np.ones(1)
+    ls = np.zeros(1)
+    trace = np.empty(n)
+    for j in range(1, n + 1):
+        ph = (th + j * w[0]) % 1.0 if omega.dim == 1 else (th + j * w) % 1.0
+        a = v.eval_batch(ph) - energy
+        n00 = a * m00 + m10
+        n01 = a * m01 + m11
+        n10, n11 = -m00, -m01
+        mx = np.maximum(np.maximum(np.abs(n00), np.abs(n01)),
+                        np.maximum(np.abs(n10), np.abs(n11)))
+        inv = 1.0 / mx
+        s00, s01, s10, s11 = n00 * inv, n01 * inv, n10 * inv, n11 * inv
+        f = np.sqrt(s00 ** 2 + s01 ** 2 + s10 ** 2 + s11 ** 2)
+        finv = 1.0 / f
+        m00, m01, m10, m11 = s00 * finv, s01 * finv, s10 * finv, s11 * finv
+        ls = ls + np.log(mx) + np.log(f)
+        det = m00 * m11 - m01 * m10
+        t = m00 ** 2 + m01 ** 2 + m10 ** 2 + m11 ** 2
+        disc = np.maximum(t * t - 4.0 * det * det, 0.0)
+        trace[j - 1] = float((ls + 0.5 * np.log(0.5 * (t + np.sqrt(disc))))[0])
+    return trace
+
+
+def oracle_complex_log_norm(omega, z, energy, n, v, start=0):
+    w = omega.scalar()
+    m = np.eye(2, dtype=complex)
+    ls = 0.0
+    for j in range(start + 1, start + n + 1):
+        zz = complex((z.real + j * w) % 1.0, z.imag)
+        a = complex(v.eval_complex_batch(np.asarray(zz)).reshape(()))
+        step = np.array([[a - energy, 1.0], [-1.0, 0.0]], dtype=complex)
+        m = step @ m
+        mx = float(np.max(np.abs(m)))
+        m = m / mx
+        f = math.sqrt(float(np.sum((m * m.conj()).real)))
+        m = m / f
+        ls += math.log(mx) + math.log(f)
+    # closed-form spectral norm of the unit-scale entries
+    t = float(np.sum((m * m.conj()).real))
+    d2 = float(abs(np.linalg.det(m)) ** 2)
+    disc = max(t * t - 4.0 * d2, 0.0)
+    return ls + math.log(math.sqrt(0.5 * (t + math.sqrt(disc))))
+
+
+def oracle_uv_loop(scaled, omega, energy, y0, n, log_growth):
+    w = omega.scalar()
+    u, vv = 1.0 + 0.0j, 0.0 + 0.0j
+    log_u = 0.0
+    per_step_margin = math.inf
+    uv_ok = True
+    for j in range(1, n + 1):
+        z = complex((j * w) % 1.0, y0)
+        a = complex(scaled.eval_complex_batch(np.asarray(z)).reshape(())) - energy
+        u_new = a * u + vv
+        v_new = -u
+        au = abs(u_new)
+        if au <= 0.0:
+            uv_ok = False
+            per_step_margin = -math.inf
+            break
+        per_step_margin = min(per_step_margin, math.log(au) - log_growth)
+        if au < abs(v_new):
+            uv_ok = False
+        log_u += math.log(au)
+        u, vv = u_new / au, v_new / au
+    return per_step_margin, uv_ok
+
+
+GOLDEN = golden_frequency()
+OMEGA2 = two_torus_frequency()
+
+
+def _real_cases():
+    rng = np.random.default_rng(11)
+    th1 = rng.random(64)
+    th2 = rng.random((64, 2))
+    per_phase = rng.uniform(-4.0, 4.0, 64)
+    rand1 = random_trig_potential(rng, degree=3)
+    rand2 = random_trig_potential(rng, degree=2, dim=2, strip_width=0.5)
+    return [
+        ("d1-scalar-E", GOLDEN, th1, 0.7, 300, cosine_potential(5.0), 0),
+        ("d1-per-phase-E", GOLDEN, th1, per_phase, 300, rand1, 0),
+        ("d1-start", GOLDEN, th1, -1.3, 200, cosine_potential(2.0), 137),
+        ("d1-huge-coupling", GOLDEN, th1[:8], 0.0, 50,
+         cosine_potential(1e300), 0),
+        ("d2-scalar-E", OMEGA2, th2, 0.0, 300, two_cosine_potential(50.0), 0),
+        ("d2-per-phase-E", OMEGA2, th2, per_phase, 200, rand2, 0),
+        ("d2-start", OMEGA2, th2, 0.4, 150, two_cosine_potential(3.0), 41),
+    ]
+
+
+@pytest.mark.parametrize("name,omega,thetas,energy,n,v,start", _real_cases(),
+                         ids=[c[0] for c in _real_cases()])
+def test_cocycle_batch_bit_for_bit(name, omega, thetas, energy, n, v, start):
+    want = oracle_cocycle_batch(omega, thetas, energy, n, v, start=start)
+    got = cocycle_batch(omega, thetas, energy, n, v, start=start,
+                        return_matrices=True)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert np.array_equal(cocycle_batch(omega, thetas, energy, n, v,
+                                        start=start), want[0])
+
+
+def _c13_inputs():
+    cos1 = cosine_potential(1.0, strip_width=2.0)
+    for e1 in (0.0, 0.5):
+        gap = epsilon_gap(cos1, 0.1, e1)
+        lam = 101.0 / gap.epsilon
+        yield cos1, lam, lam * e1, gap
+
+
+def test_cocycle_complex_log_norm():
+    mathieu5 = cosine_potential(5.0)
+    cases = [(mathieu5, complex(0.37, 0.0), 1.1, 200, 0),
+             (mathieu5, complex(0.2, 0.15), -0.5, 300, 17)]
+    for cos1, lam, energy, gap in _c13_inputs():
+        cases.append((cos1.with_coupling(lam), complex(0.0, gap.y0), energy,
+                      1000, 0))
+    for v, z, energy, n, start in cases:
+        got = cocycle_complex(GOLDEN, z, energy, n, v, start=start).log_norm
+        want = oracle_complex_log_norm(GOLDEN, z, energy, n, v, start=start)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega,theta,v", [
+    (GOLDEN, 0.11, cosine_potential(5.0)),
+    (OMEGA2, np.array([0.3, 0.8]), two_cosine_potential(50.0)),
+], ids=["d1", "d2"])
+def test_growth_envelope_trace(omega, theta, v):
+    env = growth_envelope(500, omega, theta, 0.3, v, [1, 2])
+    want = oracle_log_norm_trace(500, omega, theta, 0.3, v)
+    np.testing.assert_allclose(env.log_norms, want, rtol=1e-12, atol=0.0)
+
+
+def test_complexified_growth_check_on_c13_inputs():
+    for cos1, lam, energy, gap in _c13_inputs():
+        rep = complexified_growth_check(lam, cos1, GOLDEN, energy, gap.y0,
+                                        gap.epsilon, 1000)
+        scaled = cos1.with_coupling(lam)
+        log_growth = math.log(lam * gap.epsilon - 1.0)
+        log_norm = oracle_complex_log_norm(GOLDEN, complex(0.0, gap.y0),
+                                           energy, 1000, scaled)
+        margin = log_norm - 1000 * log_growth
+        per_step, uv_ok = oracle_uv_loop(scaled, GOLDEN, energy, gap.y0, 1000,
+                                         log_growth)
+        assert rep.log_norm == pytest.approx(log_norm, rel=1e-12)
+        assert rep.margin == pytest.approx(margin, rel=1e-12)
+        assert rep.per_step_margin == pytest.approx(per_step, abs=1e-9)
+        assert rep.uv_ok is uv_ok
