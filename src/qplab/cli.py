@@ -18,15 +18,15 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numfmt
 from .errors import ConfigInvalid, QplabError
 from .greens import decay_fit, green_solve, pave
 from .ldt import ldt_scaling_table
-from .localization import (decay_profile, eigensystem, localization_scan,
+from .localization import (decay_profile, eigensystem, localization_summary,
                            profile_csv_lines, window_bound_check)
 from .lowerbound import (epsilon_gap, herman_style_bound, multiscale_recursion,
                          sublevel_measure)
@@ -50,6 +50,7 @@ _SYSTEM_SCHEMA = {
         "dio": {"type": "object",
                 "properties": {"A": {"type": "number"}, "c": {"type": "number"}}},
     },
+    "additionalProperties": False,
 }
 
 _COMMON = {
@@ -63,6 +64,7 @@ _COMMON = {
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "command", "system"],
+    "additionalProperties": False,
     "properties": {
         **_COMMON,
         "n": {"type": "integer", "minimum": 1},
@@ -136,8 +138,10 @@ FLAGSHIP_CONFIGS: Dict[str, dict] = {
 # ---------------------------------------------------------------------------
 # atomic IO
 
+_BLOCK_LINES = 1 << 16
 
-def _atomic_write(path: Path, text: str) -> None:
+
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
@@ -146,7 +150,7 @@ def _atomic_write(path: Path, text: str) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,11 +159,13 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write newline-terminated lines, joined in blocks of bounded size."""
+    _atomic_write(path, ("\n".join(lines[lo:lo + _BLOCK_LINES]) + "\n"
+                         for lo in range(0, len(lines), _BLOCK_LINES)))
 
 
 def validate_config(config: dict) -> None:
@@ -279,30 +285,31 @@ def _run_localize(config, v, freq, seed, threads, out_dir) -> List[Path]:
     theta = _theta_of(config, freq.dim)
     rate_thr = float(config.get("rate_threshold", 0.0))
     r2_thr = float(config.get("r2_threshold", 0.95))
-    summary = localization_scan(interval, freq, theta, v, rate_thr, r2_thr)
+    pairs = eigensystem(interval, freq, theta, v)
+    profiles = [decay_profile(p) for p in pairs]
+    summary = localization_summary(interval, v, profiles, rate_thr, r2_thr)
     spath = out_dir / "localization.json"
     _write_json(spath, summary)
     outputs = [spath]
+    # Eigenpairs by increasing tail mass: the best localized first.
+    ranked = sorted(range(len(pairs)), key=lambda k: profiles[k].tail_mass)
     top = int(config.get("top_profiles", 0))
-    if top > 0:
-        pairs = eigensystem(interval, freq, theta, v)
-        ranked = sorted(pairs, key=lambda p: decay_profile(p).tail_mass)[:top]
-        for i, pair in enumerate(ranked):
-            ppath = out_dir / f"profile_{i:02d}.csv"
-            _write_lines(ppath, profile_csv_lines(pair))
-            outputs.append(ppath)
-            prof = decay_profile(pair)
-            plot = emit_plot_data(
-                [(abs(s - prof.center), math.log(a) if a > 0 else float("-inf"))
-                 for s, a in zip(pair.sites(), np.abs(pair.vector)) if a > 1e-300],
-                "decay_profile", out_dir, suffix=f"_{i:02d}")
-            outputs.extend(plot)
+    for i, k in enumerate(ranked[:top]):
+        pair, center = pairs[k], profiles[k].center
+        ppath = out_dir / f"profile_{i:02d}.csv"
+        _write_lines(ppath, profile_csv_lines(pair))
+        outputs.append(ppath)
+        plot = emit_plot_data(
+            [(abs(s - center), math.log(a) if a > 0 else float("-inf"))
+             for s, a in zip(pair.sites().tolist(), np.abs(pair.vector).tolist())
+             if a > 1e-300],
+            "decay_profile", out_dir, suffix=f"_{i:02d}")
+        outputs.extend(plot)
     wc = config.get("window_check")
     if wc:
-        pairs = eigensystem(interval, freq, theta, v)
-        ranked = sorted(pairs, key=lambda p: decay_profile(p).tail_mass)
         reports = []
-        for pair in ranked[:int(wc.get("count", 5))]:
+        for k in ranked[:int(wc.get("count", 5))]:
+            pair = pairs[k]
             rep = window_bound_check(pair, int(wc["N"]), freq, theta,
                                      float(wc["delta"]), v)
             reports.append({"energy": pair.energy, "ok": rep.ok,
@@ -356,7 +363,8 @@ def _run_recursion(config, v, freq, seed, threads, out_dir) -> List[Path]:
     _write_json(path, ladder.to_json())
     plot = emit_plot_data([(r.n, r.l_value) for r in ladder.rows], "ladder",
                           out_dir,
-                          header=f"# half_log_lambda = {ladder.half_log_coupling!r}")
+                          header="# half_log_lambda = "
+                                 + numfmt.num(ladder.half_log_coupling))
     return [path, *plot]
 
 
@@ -388,7 +396,7 @@ def emit_plot_data(rows: Sequence[tuple], kind: str, out_dir: Path,
     lines = [f"# {xl} {yl}"]
     if header:
         lines.append(header)
-    lines += [f"{x!r} {y!r}" for x, y in rows]
+    lines += [numfmt.row(r, sep=" ") for r in rows]
     _write_lines(data_path, lines)
     stub_path = out_dir / f"{kind}{suffix}.gp"
     _write_lines(stub_path, [

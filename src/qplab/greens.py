@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from . import slog
+from . import numfmt, slog
 from .errors import IterationDiverged, PavingFailed, SingularEnergy
 from .model import Frequency, LogScalar, TrigPotential
 from .transfer import _phases, det_sequence
@@ -123,13 +123,16 @@ class GreenMatrix:
         return float(np.max(np.abs(prod - eye)))
 
     def csv_lines(self) -> List[str]:
+        """Header plus one ``n1,n2,sign,log_mag`` line per entry, row by row."""
         a, _ = self.interval
+        sites = range(a, a + self.size)
+        # The ",n2,sign," middle of a line, per column, indexed by the sign:
+        # 0 and 1 index directly and -1 picks the last element.
+        tails = [(f",{c},0,", f",{c},1,", f",{c},-1,") for c in sites]
         out = ["n1,n2,sign,log_mag"]
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                out.append(f"{a + i},{a + j},{int(self.signs[i, j])},"
-                           f"{self.logs[i, j]!r}")
+        for head, srow, lrow in zip(map(str, sites), self.signs, self.logs):
+            out += [f"{head}{t[s]}{x}" for t, s, x in
+                    zip(tails, srow.tolist(), numfmt.nums(lrow))]
         return out
 
 

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import numfmt
 from .errors import SigmaOutOfRange
 from .lyapunov import _phi_values, lyapunov_n
 from .model import Frequency, TrigPotential
@@ -31,8 +32,8 @@ class DeviationProfile:
     two_sided: bool
 
     def csv_row(self, bound_reference: float = float("nan")) -> str:
-        return (f"{self.n},{self.sigma!r},{self.threshold!r},{self.fraction!r},"
-                f"{self.std_error!r},{bound_reference!r}")
+        return numfmt.row((self.n, self.sigma, self.threshold, self.fraction,
+                           self.std_error, bound_reference))
 
     @staticmethod
     def csv_header() -> str:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from . import slog
+from . import numfmt, slog
 from .errors import SingularEnergy
 from .greens import DEFAULT_DET_FLOOR, build_operator, green_solve
 from .lyapunov import lyapunov_n
@@ -99,9 +99,9 @@ def decay_profile(pair: EigenPair, core_radius: int = 5,
 
 def profile_csv_lines(pair: EigenPair) -> List[str]:
     out = ["index,abs,log_abs"]
-    for site, val in zip(pair.sites(), np.abs(pair.vector)):
+    for site, val in zip(pair.sites().tolist(), np.abs(pair.vector).tolist()):
         la = math.log(val) if val > 0 else -math.inf
-        out.append(f"{site},{val!r},{la!r}")
+        out.append(numfmt.row((site, val, la)))
     return out
 
 
@@ -112,6 +112,15 @@ def localization_scan(interval: Tuple[int, int], omega: Frequency, theta,
     """Box-wide summary: fraction of well-localized eigenvectors and median rate."""
     pairs = eigensystem(interval, omega, theta, v)
     profiles = [decay_profile(p, core_radius, tail_radius) for p in pairs]
+    return localization_summary(interval, v, profiles, rate_threshold,
+                                r2_threshold)
+
+
+def localization_summary(interval: Tuple[int, int], v: TrigPotential,
+                         profiles: Sequence[DecayProfile],
+                         rate_threshold: float,
+                         r2_threshold: float = 0.95) -> dict:
+    """`localization_scan` of the box's eigenvector profiles, already fitted."""
     rates = np.array([p.rate for p in profiles])
     good = np.array([p.rate >= rate_threshold and p.r2 >= r2_threshold
                      for p in profiles])
@@ -122,7 +131,7 @@ def localization_scan(interval: Tuple[int, int], omega: Frequency, theta,
         "median_rate": float(np.median(rates)),
         "rate_threshold": rate_threshold,
         "r2_threshold": r2_threshold,
-        "count": len(pairs),
+        "count": len(profiles),
     }
 
 

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import numfmt
 from .model import Frequency, TrigPotential, strip_norm
 from .transfer import cocycle_batch, _phases
 
@@ -84,8 +85,8 @@ class LyapunovEstimate:
     energy: float = 0.0
 
     def csv_row(self) -> str:
-        return (f"{self.n},{self.energy!r},{self.value!r},{self.std_error!r},"
-                f"{self.samples},{self.quadrature}")
+        return (numfmt.row((self.n, self.energy, self.value, self.std_error,
+                            self.samples)) + f",{self.quadrature}")
 
     @staticmethod
     def csv_header() -> str:
@@ -105,6 +106,12 @@ def _phi_values(omega: Frequency, thetas: np.ndarray, energy, n: int,
     return out
 
 
+def _std_error(phi: np.ndarray) -> float:
+    """Standard error of the mean; NaN for one sample, whose spread is unknown."""
+    m = phi.shape[0]
+    return float(np.std(phi, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
+
+
 def lyapunov_n(omega: Frequency, energy: float, n: int, v: TrigPotential,
                sampler: Optional[SamplerSpec] = None) -> LyapunovEstimate:
     """Estimate L_n(E) by the configured phase quadrature."""
@@ -113,10 +120,8 @@ def lyapunov_n(omega: Frequency, energy: float, n: int, v: TrigPotential,
     sampler = sampler or default_sampler(omega.dim)
     thetas = theta_samples(omega.dim, sampler, n)
     phi = _phi_values(omega, thetas, energy, n, v)
-    m = phi.shape[0]
-    value = float(np.mean(phi))
-    std_error = float(np.std(phi, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return LyapunovEstimate(n=n, value=value, samples=m, std_error=std_error,
+    return LyapunovEstimate(n=n, value=float(np.mean(phi)),
+                            samples=phi.shape[0], std_error=_std_error(phi),
                             quadrature=sampler.quadrature, energy=float(energy))
 
 
@@ -137,9 +142,9 @@ def lyapunov_scan(omega: Frequency, energies: Sequence[float], n: int,
     out = []
     for i, e in enumerate(energies):
         block = phi[i * m:(i + 1) * m]
-        se = float(np.std(block, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
         out.append(LyapunovEstimate(n=n, value=float(np.mean(block)), samples=m,
-                                    std_error=se, quadrature=sampler.quadrature,
+                                    std_error=_std_error(block),
+                                    quadrature=sampler.quadrature,
                                     energy=float(e)))
     return out
 

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qplab.cli import (CONFIG_SCHEMA, FLAGSHIP_CONFIGS, emit_plot_data, main,
-                       run, validate_config)
+from qplab.cli import (COMMANDS, CONFIG_SCHEMA, FLAGSHIP_CONFIGS,
+                       emit_plot_data, main, run, validate_config)
 from qplab.errors import ConfigInvalid
 
 BASE_SYSTEM = {
@@ -53,6 +53,10 @@ class TestValidation:
     def test_unknown_command(self):
         with pytest.raises(ConfigInvalid):
             validate_config(lyap_config(command="frobnicate"))
+
+    def test_flagship_configs_pass(self):
+        for config in FLAGSHIP_CONFIGS.values():
+            validate_config(config)
 
 
 class TestRun:
@@ -201,9 +205,11 @@ class TestMainEntry:
         dict(NO_ENERGIES, e_grid={"min": float("-inf"), "max": 1.0,
                                   "points": 3}),
         dict(GREEN_2D, theta=[0.1]),
+        lyap_config(sampels=5),
+        lyap_config(system=dict(BASE_SYSTEM, lamda=5.0)),
     ], ids=["not-conjugate-symmetric", "omega-outside-torus",
             "omega-dim-mismatch", "nan-energy", "inf-energy", "inf-grid",
-            "theta-shape"])
+            "theta-shape", "sampels", "system-lamda"])
     def test_invalid_input_exit_two(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -263,3 +269,89 @@ class TestPlotData:
             emit_plot_data([], "ladder", tmp_path)
         with pytest.raises(ValueError):
             emit_plot_data([(1, 2)], "nope", tmp_path)
+
+
+# Every command at small size; localize also writes profiles, their plot
+# data and window checks.
+CONTRACT_CONFIGS = {
+    "lyapunov": lyap_config(),
+    "ldt": {"schema_version": 1, "command": "ldt", "system": dict(BASE_SYSTEM),
+            "E": 0.0, "sigma": 0.45, "n_schedule": [20, 40], "samples": 2000},
+    "green": {"schema_version": 1, "command": "green",
+              "system": dict(BASE_SYSTEM), "E": 9.0, "interval": [1, 30],
+              "min_sep": 5},
+    "pave": {"schema_version": 1, "command": "pave",
+             "system": dict(BASE_SYSTEM, **{"lambda": 10.0}), "E": 13.0,
+             "interval": [1, 120], "window": 50, "rate_c": 1.0},
+    "localize": {"schema_version": 1, "command": "localize",
+                 "system": dict(BASE_SYSTEM), "interval": [-100, 100],
+                 "rate_threshold": 0.7, "top_profiles": 2,
+                 "window_check": {"N": 40, "delta": 0.5, "count": 2}},
+    "lowerbound": {"schema_version": 1, "command": "lowerbound",
+                   "system": dict(BASE_SYSTEM, **{"lambda": 1.0}),
+                   "delta": 0.1, "e1_values": [0.0], "samples": 10_000},
+    "recursion": dict(FLAGSHIP_CONFIGS["recursion"], schedule=[100, 200],
+                      samples=60),
+}
+TEXT_COLUMNS = {"quadrature"}
+
+
+class TestArtifactContract:
+    def test_every_numeric_field_parses_as_float(self, tmp_path):
+        assert set(CONTRACT_CONFIGS) == set(COMMANDS)
+        for name, cfg in CONTRACT_CONFIGS.items():
+            run(cfg, out_dir=tmp_path / name)
+        bad = []
+        csvs = sorted(tmp_path.glob("*/*.csv"))
+        for path in csvs:
+            header, *rows = path.read_text().splitlines()
+            columns = header.split(",")
+            assert rows, path
+            for line in rows:
+                fields = line.split(",")
+                assert len(fields) == len(columns), (path, line)
+                bad += [(path.name, text) for col, text in zip(columns, fields)
+                        if col not in TEXT_COLUMNS and not _parses(text)]
+        dats = sorted(tmp_path.glob("*/*.dat"))
+        for path in dats:
+            for line in path.read_text().splitlines():
+                if not line.startswith("#"):
+                    assert len(line.split()) == 2, (path, line)
+                    bad += [(path.name, text) for text in line.split()
+                            if not _parses(text)]
+        assert {p.name for p in csvs} >= {
+            "lyapunov.csv", "ldt.csv", "green.csv", "paved_green.csv",
+            "profile_00.csv", "profile_01.csv"}
+        assert {p.name for p in dats} >= {
+            "lyapunov_vs_E.dat", "ldt_scaling.dat", "ladder.dat",
+            "decay_profile_00.dat", "decay_profile_01.dat"}
+        assert (tmp_path / "localize/window_checks.json").exists()
+        assert not bad, bad[:5]
+
+    def test_localize_fits_each_eigenvector_once(self, tmp_path, monkeypatch):
+        from qplab import cli, localization
+
+        calls = {"eigensystem": 0, "decay_profile": 0}
+
+        def counted(name):
+            original = getattr(localization, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            monkeypatch.setattr(localization, name, wrapper)
+            monkeypatch.setattr(cli, name, wrapper)
+        run(CONTRACT_CONFIGS["localize"], out_dir=tmp_path)
+        assert calls == {"eigensystem": 1, "decay_profile": 201}
+
+
+def _parses(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

@@ -136,6 +136,17 @@ class TestGreenSolve:
         assert lines[0] == "n1,n2,sign,log_mag"
         assert len(lines) == 10
 
+    def test_csv_lines_match_entrywise_reference(self, golden, mathieu5):
+        g = green_solve((-4, 7), golden, 0.2, 0.5, mathieu5)
+        g.signs[0, 11] = g.signs[11, 0] = 0
+        g.logs[0, 11] = g.logs[11, 0] = -math.inf
+        assert {-1, 0, 1} <= set(g.signs.ravel().tolist())
+        a, n = -4, 12
+        want = ["n1,n2,sign,log_mag"] + [
+            f"{a + i},{a + j},{int(g.signs[i, j])},{float(g.logs[i, j])!r}"
+            for i in range(n) for j in range(n)]
+        assert g.csv_lines() == want
+
 
 class TestDecayFit:
     def test_free_offdiagonal_rate(self, golden, free):

@@ -46,6 +46,15 @@ class TestLyapunovN:
         assert est.value == pytest.approx(math.log(50.0) - math.log(2.0),
                                           abs=0.05)
 
+    def test_one_sample_error_bar_is_nan(self, golden, mathieu5):
+        est = lyapunov_n(golden, 0.0, 50, mathieu5, SamplerSpec("grid", 1))
+        assert est.samples == 1
+        assert math.isfinite(est.value)
+        assert math.isnan(est.std_error)
+        scan = lyapunov_scan(golden, [0.0, 1.0], 50, mathieu5,
+                             SamplerSpec("grid", 1))
+        assert all(math.isnan(e.std_error) for e in scan)
+
     def test_scan_matches_single(self, golden, mathieu5):
         scan = lyapunov_scan(golden, [0.0, 1.0], 100, mathieu5,
                              SamplerSpec("grid", 64))
