@@ -158,8 +158,22 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
+def _finite_or_null(obj):
+    """obj with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(val) for val in obj]
+    return obj
+
+
 def _write_json(path: Path, payload) -> None:
-    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    """Strict JSON: an undefined number (NaN, infinity) is written as null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    _atomic_write(path, [text + "\n"])
 
 
 def _write_lines(path: Path, lines: Sequence[str]) -> None:

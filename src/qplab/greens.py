@@ -237,21 +237,35 @@ class DecayFit:
 
 
 def decay_fit(green: GreenMatrix, min_sep: int) -> DecayFit:
-    """Least-squares slope of -log|G(i,j)| against |i - j| at separation >= min_sep."""
+    """Least-squares slope of -log|G(i,j)| against |i - j| at separation >= min_sep.
+
+    Entries count when their sign is nonzero and their log finite.  All
+    entries of one diagonal share x = |i - j|, so the fit is assembled from
+    each diagonal's count, mean and centred sum of squares; no n x n table of
+    separations is built.
+    """
     n = green.size
     if n < 4 * min_sep:
         raise ValueError("box too small for the requested separation")
-    idx = np.arange(n)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    mask = (sep >= min_sep) & (green.signs != 0) & np.isfinite(green.logs)
-    if np.count_nonzero(mask) < 2:
+    ok = (green.signs != 0) & np.isfinite(green.logs)
+    stats = []          # (separation, count, mean, centred sum of squares)
+    for off in [*range(-n + 1, -max(min_sep, 1) + 1), *range(min_sep, n)]:
+        y = -np.diagonal(green.logs, off)[np.diagonal(ok, off)]
+        if y.size:
+            mean = np.mean(y)
+            stats.append((abs(off), y.size, mean, np.sum((y - mean) ** 2)))
+    if len({d for d, *_ in stats}) < 2:
         return DecayFit(rate=0.0, intercept=0.0, residual=math.inf, pairs=0)
-    x = sep[mask].astype(float)
-    y = -green.logs[mask]
-    rate, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (rate * x + intercept)) ** 2)))
+    x, cnt, mean, m2 = (np.array(col, dtype=float) for col in zip(*stats))
+    pairs = float(np.sum(cnt))
+    x_bar = np.dot(cnt, x) / pairs
+    y_bar = np.dot(cnt, mean) / pairs
+    dx = x - x_bar
+    rate = np.dot(cnt * dx, mean - y_bar) / np.dot(cnt * dx, dx)
+    intercept = y_bar - rate * x_bar
+    sq = np.sum(m2) + np.dot(cnt, (mean - (rate * x + intercept)) ** 2)
     return DecayFit(rate=float(rate), intercept=float(intercept),
-                    residual=resid, pairs=int(mask.sum()))
+                    residual=math.sqrt(sq / pairs), pairs=int(pairs))
 
 
 # ---------------------------------------------------------------------------

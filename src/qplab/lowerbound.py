@@ -20,7 +20,8 @@ from .errors import (DescentExhausted, DropExceeded, GateFailed,
                      HypothesisUnmet, PotentialConstant)
 from .lyapunov import LyapunovEstimate, SamplerSpec, lyapunov_n
 from .model import Frequency, TrigPotential, strip_norm
-from .transfer import _log_opnorm, _orbit_rows, _products, cocycle_batch
+from .transfer import (_LOG2, _log_norm, _orbit_rows, _products,
+                       cocycle_batch)
 
 STRICT_GATE_CONSTANT = 1000.0
 DROP_CONSTANT = 1000.0
@@ -131,15 +132,16 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
 
     log_growth = math.log(lam_eps - 1.0)
     # (u, v) = M_(n)(1, 0) is the first column of each renormalized product.
+    # The bottom row is minus the previous top row, so |v| = |prev[0]|.
     rows = _orbit_rows(omega, np.array([complex(0.0, y0)]), energy, n, scaled)
     log_u = [0.0]
     uv_ok = True
-    for m00, m01, m10, m11, ls in _products(rows):
-        u, vv = abs(m00[0]), abs(m10[0])
-        log_u.append(ls[0] + np.log(u))
+    for top, prev, exps in _products(rows):
+        u, vv = abs(top[0, 0]), abs(prev[0, 0])
+        log_u.append(exps[0] * _LOG2 + np.log(u))
         uv_ok = uv_ok and bool(u >= vv)
     per_step_margin = float(np.min(np.diff(log_u))) - log_growth
-    log_norm = float(_log_opnorm(m00, m01, m10, m11, ls)[0])
+    log_norm = float(_log_norm(top, prev, exps)[0])
     margin = log_norm - n * log_growth
     return ComplexGrowthReport(margin=margin, log_norm=log_norm,
                                per_step_margin=per_step_margin,

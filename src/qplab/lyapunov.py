@@ -95,14 +95,20 @@ class LyapunovEstimate:
 
 def _phi_values(omega: Frequency, thetas: np.ndarray, energy, n: int,
                 v: TrigPotential) -> np.ndarray:
-    """(1/n) log ||M_n|| over a batch, chunked to bound memory."""
+    """(1/n) log ||M_n|| over a batch, chunked to at most _CHUNK results a call.
+
+    ``energy`` is a scalar, one energy per phase, or an (E, 1) column that
+    runs every phase at every energy and gives an (E, B) table.
+    """
     total = thetas.shape[0]
-    out = np.empty(total)
     e_arr = np.asarray(energy, dtype=float)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        e_part = e_arr if e_arr.ndim == 0 else e_arr[lo:hi]
-        out[lo:hi] = cocycle_batch(omega, thetas[lo:hi], e_part, n, v) / n
+    out = np.empty(np.broadcast_shapes(e_arr.shape, (total,)))
+    per_phase = e_arr.shape[0] if e_arr.ndim == 2 else 1
+    step = max(1, _CHUNK // max(1, per_phase))
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        e_part = e_arr[lo:hi] if e_arr.ndim == 1 else e_arr
+        out[..., lo:hi] = cocycle_batch(omega, thetas[lo:hi], e_part, n, v) / n
     return out
 
 
@@ -128,25 +134,19 @@ def lyapunov_n(omega: Frequency, energy: float, n: int, v: TrigPotential,
 def lyapunov_scan(omega: Frequency, energies: Sequence[float], n: int,
                   v: TrigPotential,
                   sampler: Optional[SamplerSpec] = None) -> List[LyapunovEstimate]:
-    """L_n over an energy grid, batching (energy, theta) pairs jointly."""
+    """L_n over an energy grid.
+
+    The energies run as one (E, 1) column against the sampled phases, so the
+    potential along each phase's orbit is evaluated once for all of them.
+    """
     sampler = sampler or default_sampler(omega.dim)
     thetas = theta_samples(omega.dim, sampler, n)
-    m = thetas.shape[0]
     energies = np.asarray(list(energies), dtype=float)
-    if omega.dim == 1:
-        th_all = np.tile(thetas, energies.shape[0])
-    else:
-        th_all = np.tile(thetas, (energies.shape[0], 1))
-    e_all = np.repeat(energies, m)
-    phi = _phi_values(omega, th_all, e_all, n, v)
-    out = []
-    for i, e in enumerate(energies):
-        block = phi[i * m:(i + 1) * m]
-        out.append(LyapunovEstimate(n=n, value=float(np.mean(block)), samples=m,
-                                    std_error=_std_error(block),
-                                    quadrature=sampler.quadrature,
-                                    energy=float(e)))
-    return out
+    phi = _phi_values(omega, thetas, energies[:, np.newaxis], n, v)
+    return [LyapunovEstimate(n=n, value=float(np.mean(row)),
+                             samples=row.shape[0], std_error=_std_error(row),
+                             quadrature=sampler.quadrature, energy=float(e))
+            for e, row in zip(energies, phi)]
 
 
 @dataclass(frozen=True)

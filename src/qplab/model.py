@@ -244,15 +244,31 @@ class TrigPotential:
     # -- evaluation on the real torus
 
     def eval_batch(self, thetas) -> np.ndarray:
-        """Evaluate at points of shape (..., d) (or (...,) when d=1)."""
+        """Evaluate at points of shape (..., d) (or (...,) when d=1).
+
+        Sums c0 + a_k cos + b_k sin harmonic by harmonic, skipping zero
+        halves, so a cosine-only potential never computes a sine.
+        """
         th = np.asarray(thetas, dtype=float)
+        shape = th.shape if self.dim == 1 else th.shape[:-1]
+        val = np.full(shape, self._c0)
         if self.dim == 1:
-            th = th[..., np.newaxis]
-        if self._k_half.size == 0:
-            return np.broadcast_to(self.coupling * self._c0, th.shape[:-1]).copy()
-        ang = TWO_PI * (th @ self._k_half.T)
-        val = self._c0 + np.cos(ang) @ self._a_half + np.sin(ang) @ self._b_half
+            angs = (TWO_PI * (th * k) for k in self._k_half[:, 0])
+        else:
+            table = TWO_PI * (th @ self._k_half.T)
+            angs = (table[..., h] for h in range(table.shape[-1]))
+        for ang, a, b in zip(angs, self._a_half, self._b_half):
+            if a:
+                val += a * np.cos(ang)
+            if b:
+                val += b * np.sin(ang)
         return self.coupling * val
+
+    def coefficient_bound(self, rho: float = 0.0) -> float:
+        """Upper bound sum |v_k| exp(2 pi |k|_1 rho) for |v| on |Im z_j| <= rho."""
+        k1 = np.sum(np.abs(self._k_all), axis=1)
+        return abs(self.coupling) * float(
+            np.sum(np.abs(self._c_all) * np.exp(TWO_PI * k1 * rho)))
 
     def eval_complex_batch(self, zs) -> np.ndarray:
         """Analytic continuation at complex points of shape (..., d)."""
@@ -294,12 +310,9 @@ def strip_norm(v: TrigPotential, rho_eff: Optional[float] = None,
         rho_eff = v.strip_width / 10.0
     if rho_eff < 0:
         raise ValueError("rho_eff must be >= 0")
-    lam = abs(v.coupling)
+    bound = v.coefficient_bound(rho_eff)
     if v._k_all.size == 0:
-        b = lam * abs(v._c0)
-        return StripNorm(bound=b, estimate=b)
-    k1 = np.sum(np.abs(v._k_all), axis=1)
-    bound = lam * float(np.sum(np.abs(v._c_all) * np.exp(TWO_PI * k1 * rho_eff)))
+        return StripNorm(bound=bound, estimate=bound)
     if rho_eff == 0.0:
         estimate = _real_sup(v, grid)
         return StripNorm(bound=bound, estimate=min(estimate, bound))

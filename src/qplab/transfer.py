@@ -1,10 +1,10 @@
 """Transfer-matrix cocycles, tridiagonal determinants, and their exact link.
 
-The one-step matrix is [[v - E, 1], [-1, 0]].  Products are renormalized
-every step so norms of order exp(c n) never overflow; accumulated log scales
-carry the growth.  The entries of the n-step product coincide with signed
-determinants of trailing tridiagonal truncations, which `verify_det_identity`
-checks to floating-point accuracy.
+The one-step matrix is [[v - E, 1], [-1, 0]].  Products are rescaled by
+powers of two often enough that norms of order exp(c n) never overflow; the
+accumulated exponents carry the growth.  The entries of the n-step product
+coincide with signed determinants of trailing tridiagonal truncations, which
+`verify_det_identity` checks to floating-point accuracy.
 """
 
 from __future__ import annotations
@@ -38,18 +38,28 @@ class DetTriple:
     d_n2: LogScalar
 
 
+def _frac(x):
+    """x mod 1 as x - floor(x): the same bits as x % 1.0, at less cost."""
+    return x - np.floor(x)
+
+
 def _phases(theta, omega: Frequency, j):
     """Torus points theta + j*omega for integer (array) j."""
     w = omega.as_array()
     th = np.asarray(theta, dtype=float)
     j = np.asarray(j, dtype=float)
     if omega.dim == 1:
-        return (th + j * w[0]) % 1.0
-    return (th + j[..., np.newaxis] * w) % 1.0
+        return _frac(th + j * w[0])
+    return _frac(th + j[..., np.newaxis] * w)
 
 
 # ---------------------------------------------------------------------------
 # the stepping kernel
+
+_LOG2 = math.log(2.0)
+# Entries may grow by this factor (in log) between two rescales; exp(600)
+# leaves room below the float ceiling near exp(709).
+_LOG_GROWTH = 600.0
 
 
 def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
@@ -57,7 +67,9 @@ def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
     """Rows a_j = v(th + j*omega) - E for j = start+1..start+n, one per step.
 
     Each row is evaluated when the kernel asks for it, so no (n, B) table is
-    ever held.  A complex ``th`` (d=1) runs along its line Im z = th.imag.
+    ever held.  The potential is evaluated once per phase and step; ``energy``
+    broadcasts against it, so an (E, 1) column gives (E, B) rows.  A complex
+    ``th`` (d=1) runs along its line Im z = th.imag.
     """
     if n < 1:
         raise ValueError("need at least one step")
@@ -65,9 +77,64 @@ def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
     step = w[0] if omega.dim == 1 else w
     js = range(start + 1, start + n + 1)
     if np.iscomplexobj(th):
-        return (v.eval_complex_batch((th.real + j * step) % 1.0 + 1j * th.imag)
+        return (v.eval_complex_batch(_frac(th.real + j * step) + 1j * th.imag)
                 - energy for j in js)
-    return (v.eval_batch((th + j * step) % 1.0) - energy for j in js)
+    return (v.eval_batch(_frac(th + j * step)) - energy for j in js)
+
+
+def _period(v: TrigPotential, energy, imag: float = 0.0) -> int:
+    """Steps between rescales for rows of v - E on the line |Im z| = imag.
+
+    Each step multiplies the largest entry by at most 1 + |a| < 2 + bound,
+    with bound >= |v - E| read from the coefficients, so k steps grow it by
+    at most exp(_LOG_GROWTH).
+    """
+    bound = (v.coefficient_bound(imag)
+             + float(np.max(np.abs(energy), initial=0.0)))
+    if not math.isfinite(bound):
+        return 1
+    return max(1, int(_LOG_GROWTH / math.log(2.0 + bound)))
+
+
+def _rescale(top, prev, exps):
+    """Divide both rows by the power of two of their largest entry (exact)."""
+    mx = np.maximum(np.max(np.abs(top), axis=0), np.max(np.abs(prev), axis=0))
+    e = np.frexp(mx)[1]
+    scale = np.ldexp(1.0, -e)
+    top *= scale
+    prev *= scale
+    exps += e
+
+
+def _products(rows, period: int = 1):
+    """Running products of the one-step factors [[a, 1], [-1, 0]].
+
+    ``rows`` yields one array a = v - E per step, over a batch.  The product
+    after step j is 2**exps * [[u_j], [-u_(j-1)]]: its top row follows the
+    two-term recurrence u_j = a_j u_(j-1) - u_(j-2), and its bottom row is
+    minus the previous top row.  After each step this yields (top, prev,
+    exps), with top = u_j and prev = u_(j-1) as (2, ...) arrays.  Every
+    ``period`` steps both rows are rescaled by a power of two, which is exact,
+    so the products do not depend on the period; ``_period`` picks one that
+    cannot overflow.  Complex rows give complex entries.  The buffers are
+    updated in place, so read them before asking for the next step.
+    """
+    rows = iter(rows)
+    a = next(rows)
+    shape = (2,) + np.shape(a)
+    top = np.zeros(shape, dtype=a.dtype)
+    prev = np.zeros(shape, dtype=a.dtype)
+    tmp = np.empty(shape, dtype=a.dtype)
+    top[0] = 1.0            # the identity: top row (1, 0), bottom row (0, 1)
+    prev[1] = -1.0
+    exps = np.zeros(shape[1:], dtype=np.int64)
+    for j, a in enumerate(itertools.chain((a,), rows), 1):
+        np.multiply(a, top, out=tmp)
+        np.subtract(tmp, prev, out=prev)
+        top, prev = prev, top
+        if j % period == 0:
+            _rescale(top, prev, exps)
+        yield top, prev, exps
 
 
 def _abs2(x):
@@ -79,53 +146,41 @@ def _square_for(x):
     return np.square if np.isrealobj(x) else _abs2
 
 
-def _products(rows):
-    """Renormalized running products of the one-step factors [[a, 1], [-1, 0]].
-
-    ``rows`` yields one array a = v - E per step, over a batch of phases.
-    After each step this yields (m00, m01, m10, m11, log_scale): the product
-    is exp(log_scale) * [[m00, m01], [m10, m11]] with entries at Frobenius
-    norm 1.  Complex rows give complex entries and use squared moduli.
-    ``log_scale`` is one array updated in place (a fresh array per step costs
-    about 10% on large batches), so read it before asking for the next step.
-    """
-    rows = iter(rows)
-    a = next(rows)
-    m00, m01 = np.ones_like(a), np.zeros_like(a)
-    m10, m11 = np.zeros_like(a), np.ones_like(a)
-    ls = np.zeros(np.shape(a))
-    sq = _square_for(a)
-    for a in itertools.chain((a,), rows):
-        n00 = a * m00 + m10
-        n01 = a * m01 + m11
-        n10 = -m00
-        n11 = -m01
-        # Scale by the max entry first so squaring cannot overflow even for
-        # couplings near the float ceiling.
-        mx = np.maximum(np.maximum(np.abs(n00), np.abs(n01)),
-                        np.maximum(np.abs(n10), np.abs(n11)))
-        inv = 1.0 / mx
-        s00 = n00 * inv
-        s01 = n01 * inv
-        s10 = n10 * inv
-        s11 = n11 * inv
-        f = np.sqrt(sq(s00) + sq(s01) + sq(s10) + sq(s11))
-        finv = 1.0 / f
-        m00 = s00 * finv
-        m01 = s01 * finv
-        m10 = s10 * finv
-        m11 = s11 * finv
-        ls += np.log(mx) + np.log(f)
-        yield m00, m01, m10, m11, ls
+def _unit(top, prev, exps):
+    """Frobenius-1 entries (m00, m01, m10, m11) of a product and its log scale."""
+    m = (top[0], top[1], -prev[0], -prev[1])
+    mx = np.maximum(np.maximum(np.abs(m[0]), np.abs(m[1])),
+                    np.maximum(np.abs(m[2]), np.abs(m[3])))
+    s = [x / mx for x in m]
+    sq = _square_for(s[0])
+    f = np.sqrt(sq(s[0]) + sq(s[1]) + sq(s[2]) + sq(s[3]))
+    # mx = mant * 2**e; the log scale is assembled from the exact exponent
+    # so it does not depend on where the kernel rescaled.
+    mant, e = np.frexp(mx)
+    ls = (exps + e) * _LOG2 + np.log(mant) + np.log(f)
+    return tuple(x / f for x in s), ls
 
 
 def _log_opnorm(m00, m01, m10, m11, ls):
-    """log spectral norm of exp(ls) * [[m00, m01], [m10, m11]], in closed form."""
+    """log spectral norm of exp(ls) * [[m00, m01], [m10, m11]], in closed form.
+
+    The entries must be of order one (unit or max-entry scale) so that
+    squaring them cannot overflow.
+    """
     sq = _square_for(m00)
     det = m00 * m11 - m01 * m10
     t = sq(m00) + sq(m01) + sq(m10) + sq(m11)
     disc = np.maximum(t * t - 4.0 * sq(det), 0.0)
     return ls + np.log(np.sqrt(0.5 * (t + np.sqrt(disc))))
+
+
+def _log_norm(top, prev, exps):
+    """log spectral norm of a product as ``_products`` yields it at period 1.
+
+    Negating the bottom row leaves the norm unchanged, so ``prev`` stands in
+    for it; after a rescale the entries are of order one.
+    """
+    return _log_opnorm(*top, *prev, exps * _LOG2)
 
 
 def _entries(m00, m01, m10, m11):
@@ -138,21 +193,27 @@ def _as_batch(omega: Frequency, thetas) -> np.ndarray:
     return np.atleast_1d(th) if omega.dim == 1 else th.reshape(-1, 2)
 
 
+def _final(rows, period: int):
+    for top, prev, exps in _products(rows, period):
+        pass
+    return _unit(top, prev, exps)
+
+
 def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
                   start: int = 0, return_matrices: bool = False):
     """Vectorized n-step cocycle over a batch of phases (and energies).
 
-    ``thetas`` has shape (B,) for d=1 or (B, 2); ``energy`` is a scalar or a
-    length-B array.  Returns the array of log spectral norms, and optionally
-    the unit-scale entry arrays with their log scales.
+    ``thetas`` has shape (B,) for d=1 or (B, 2); ``energy`` is a scalar, a
+    length-B array (one energy per phase) or an (E, 1) column (every phase at
+    every energy, giving (E, B) results).  Returns the array of log spectral
+    norms, and optionally the Frobenius-1 entry arrays with their log scales.
     """
-    rows = _orbit_rows(omega, _as_batch(omega, thetas),
-                       np.asarray(energy, dtype=float), n, v, start)
-    for m00, m01, m10, m11, ls in _products(rows):
-        pass
-    log_norms = _log_opnorm(m00, m01, m10, m11, ls)
+    energy = np.asarray(energy, dtype=float)
+    rows = _orbit_rows(omega, _as_batch(omega, thetas), energy, n, v, start)
+    m, ls = _final(rows, _period(v, energy))
+    log_norms = _log_opnorm(*m, ls)
     if return_matrices:
-        return log_norms, _entries(m00, m01, m10, m11), ls
+        return log_norms, _entries(*m), ls
     return log_norms
 
 
@@ -172,11 +233,10 @@ def cocycle_complex(omega: Frequency, z: complex, energy: float, n: int,
     """
     if omega.dim != 1:
         raise ValueError("complexified cocycles are 1-frequency only")
-    rows = _orbit_rows(omega, np.array([z], dtype=complex), energy, n, v, start)
-    for m00, m01, m10, m11, ls in _products(rows):
-        pass
-    log_norm = _log_opnorm(m00, m01, m10, m11, ls)
-    return CocycleResult(float(log_norm[0]), _entries(m00, m01, m10, m11)[0],
+    z = complex(z)
+    rows = _orbit_rows(omega, np.array([z]), energy, n, v, start)
+    m, ls = _final(rows, _period(v, energy, abs(z.imag)))
+    return CocycleResult(float(_log_opnorm(*m, ls)[0]), _entries(*m)[0],
                          float(ls[0]), n)
 
 
@@ -306,7 +366,7 @@ def growth_envelope(n: int, omega: Frequency, theta, energy: float,
 
     # Per-step trace at the base phase.
     rows = _orbit_rows(omega, _as_batch(omega, theta), energy, n, v)
-    trace = np.array([_log_opnorm(*prod)[0] for prod in _products(rows)])
+    trace = np.array([_log_norm(*prod)[0] for prod in _products(rows)])
 
     shifts_arr = np.asarray(list(shifts), dtype=int)
     # Evaluate the base and shifted phases through the same code path so the

@@ -296,11 +296,23 @@ CONTRACT_CONFIGS = {
 TEXT_COLUMNS = {"quadrature"}
 
 
+@pytest.fixture(scope="class")
+def contract_run(tmp_path_factory):
+    """Output directory holding one run of every contract config."""
+    out = tmp_path_factory.mktemp("contract")
+    for name, cfg in CONTRACT_CONFIGS.items():
+        run(cfg, out_dir=out / name)
+    return out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 class TestArtifactContract:
-    def test_every_numeric_field_parses_as_float(self, tmp_path):
+    def test_every_numeric_field_parses_as_float(self, contract_run):
         assert set(CONTRACT_CONFIGS) == set(COMMANDS)
-        for name, cfg in CONTRACT_CONFIGS.items():
-            run(cfg, out_dir=tmp_path / name)
+        tmp_path = contract_run
         bad = []
         csvs = sorted(tmp_path.glob("*/*.csv"))
         for path in csvs:
@@ -327,6 +339,19 @@ class TestArtifactContract:
             "decay_profile_00.dat", "decay_profile_01.dat"}
         assert (tmp_path / "localize/window_checks.json").exists()
         assert not bad, bad[:5]
+
+    def test_every_json_artifact_is_strict(self, contract_run, tmp_path):
+        # One sample makes every std_error undefined (NaN in memory).
+        cfg = dict(FLAGSHIP_CONFIGS["recursion"], schedule=[100, 200],
+                   samples=1)
+        run(cfg, out_dir=tmp_path / "recursion")
+        paths = sorted(contract_run.glob("*/*.json")) + sorted(
+            tmp_path.glob("*/*.json"))
+        assert len(paths) >= 2 * len(CONTRACT_CONFIGS)
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        ladder = json.loads((tmp_path / "recursion/ladder.json").read_text())
+        assert all(row["std_error"] is None for row in ladder["ladder"])
 
     def test_localize_fits_each_eigenvector_once(self, tmp_path, monkeypatch):
         from qplab import cli, localization

@@ -8,7 +8,8 @@ from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    build_operator, cocycle, cosine_potential, decay_fit,
                    det_recurrence, eval_potential, green_cramer,
                    green_cramer_matrix, green_solve, pave, zero_potential)
-from qplab.greens import MultiscaleParams, default_window_candidates
+from qplab.greens import (GreenMatrix, MultiscaleParams,
+                          default_window_candidates)
 from qplab.transfer import _phases
 
 
@@ -171,6 +172,37 @@ class TestDecayFit:
         limit = lyapunov_limit(golden, 0.0, mathieu5, [250, 500, 1000],
                                sampler=None)
         assert fit.rate >= 0.8 * limit.estimate
+
+    @pytest.mark.parametrize("case", ["random", "mathieu-box"])
+    def test_matches_polyfit_formula(self, golden, mathieu5, case):
+        rng = np.random.default_rng(12)
+        if case == "random":
+            n = 160
+            idx = np.arange(n)
+            sep = np.abs(idx[:, None] - idx[None, :])
+            logs = -(0.7 * sep + 3.0 + rng.normal(size=(n, n)))
+            signs = rng.choice(np.array([-1, 1], dtype=np.int8), (n, n))
+            zero = rng.random((n, n)) < 0.05
+            signs[zero], logs[zero] = 0, -math.inf
+            logs[rng.random((n, n)) < 0.02] = -math.inf
+            g = GreenMatrix((1, n), signs, logs, 0.0)
+            min_sep = 12
+        else:
+            g = green_solve((-150, 150), golden, 0.2, 0.5, mathieu5)
+            min_sep = 20
+        n = g.size
+        idx = np.arange(n)
+        sep = np.abs(idx[:, None] - idx[None, :])
+        mask = (sep >= min_sep) & (g.signs != 0) & np.isfinite(g.logs)
+        x = sep[mask].astype(float)
+        y = -g.logs[mask]
+        rate, intercept = np.polyfit(x, y, 1)
+        resid = float(np.sqrt(np.mean((y - (rate * x + intercept)) ** 2)))
+        fit = decay_fit(g, min_sep)
+        assert fit.rate == pytest.approx(rate, rel=1e-10)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-10)
+        assert fit.residual == pytest.approx(resid, rel=1e-10)
+        assert fit.pairs == int(mask.sum())
 
     def test_min_sep_guard(self, golden, free):
         g = green_solve((1, 8), golden, 0.0, 3.0, free)

@@ -6,6 +6,7 @@ import pytest
 from qplab import (SamplerSpec, check_subadditivity, cosine_potential,
                    lyapunov_limit, lyapunov_n, lyapunov_scan, shift_average,
                    strip_norm, upper_bound_check)
+from qplab.lyapunov import _CHUNK
 
 CONST_TARGET = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -62,6 +63,27 @@ class TestLyapunovN:
             single = lyapunov_n(golden, est.energy, 100, mathieu5,
                                 SamplerSpec("grid", 64))
             assert est.value == pytest.approx(single.value, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["d1-grid-over-chunk", "d2-monte-carlo"])
+    def test_scan_bit_for_bit_with_single(self, golden, mathieu5, omega2,
+                                          two_cos, case):
+        # n exceeds the rescaling period of the grid and of each energy
+        # alone, which differ, so the kernel rescales at different steps.
+        if case == "d1-grid-over-chunk":
+            omega, v, n = golden, mathieu5, 260
+            sampler = SamplerSpec("grid", 20_000)
+            energies = [-6.5, 0.3, 2.0]
+            assert len(energies) * 20_000 > _CHUNK   # the scan splits phases
+        else:
+            omega, v, n = omega2, two_cos, 450
+            sampler = SamplerSpec("monte_carlo", 500, seed=3)
+            energies = [-1.0, 0.0, 2.5]
+        scan = lyapunov_scan(omega, energies, n, v, sampler)
+        for est, e in zip(scan, energies):
+            single = lyapunov_n(omega, e, n, v, sampler)
+            assert est.value == single.value
+            assert est.std_error == single.std_error
+            assert est.samples == single.samples
 
 
 class TestSubadditivity:

@@ -16,6 +16,16 @@ from qplab import slog
 from qplab.model import potential_to_json, system_to_json
 
 
+def matmul_eval(v, thetas):
+    """The earlier evaluation: every harmonic's cos and sin through matmuls."""
+    th = np.asarray(thetas, dtype=float)
+    if v.dim == 1:
+        th = th[..., np.newaxis]
+    ang = 2.0 * math.pi * (th @ v._k_half.T)
+    val = v._c0 + np.cos(ang) @ v._a_half + np.sin(ang) @ v._b_half
+    return v.coupling * val
+
+
 def slog_sum(*terms):
     """Sum of LogScalar views through slog.add."""
     s, l = slog.add([t.sign for t in terms], [t.log_mag for t in terms])
@@ -104,6 +114,34 @@ class TestEvalPotential:
         assert np.max(np.abs(direct.imag)) <= 1e-12 * (1 + np.max(np.abs(direct)))
         assert np.allclose(v.eval_batch(thetas), direct.real, rtol=1e-12,
                            atol=1e-12)
+
+    @pytest.mark.parametrize("v", [
+        cosine_potential(5.0),
+        cosine_potential(1e300),
+        two_cosine_potential(50.0),
+        TrigPotential(dim=1, coeffs={(0,): 0.7, (2,): 0.3 + 0.4j,
+                                     (-2,): 0.3 - 0.4j}, coupling=2.5),
+        TrigPotential(dim=2, coeffs={(0, 0): -0.2, (1, -1): 0.1 - 0.6j,
+                                     (-1, 1): 0.1 + 0.6j}, coupling=3.0),
+    ], ids=["cos", "cos-huge", "two-cos", "d1-one-harmonic",
+            "d2-one-harmonic"])
+    def test_bit_for_bit_with_matmul_formula(self, v):
+        rng = np.random.default_rng(8)
+        thetas = rng.random(1000) if v.dim == 1 else rng.random((1000, 2))
+        assert np.array_equal(v.eval_batch(thetas), matmul_eval(v, thetas))
+
+    @pytest.mark.parametrize("dim,degree", [(1, 3), (2, 2)])
+    def test_random_potentials_match_matmul_formula(self, dim, degree):
+        from conftest import random_trig_potential
+
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            v = random_trig_potential(rng, degree=degree, dim=dim,
+                                      strip_width=0.5)
+            thetas = rng.random(500) if dim == 1 else rng.random((500, 2))
+            tol = 1e-14 * (1.0 + np.sum(np.abs(v._c_all)))
+            assert np.max(np.abs(v.eval_batch(thetas)
+                                 - matmul_eval(v, thetas))) <= tol
 
     def test_conjugate_symmetry_enforced(self):
         with pytest.raises(ValueError):

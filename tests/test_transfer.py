@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from conftest import random_trig_potential
 from qplab import (LogScalar, StripExceeded, cocycle, cocycle_batch,
                    cocycle_complex, cosine_potential, det_recurrence,
-                   growth_envelope, strip_norm, verify_det_identity,
-                   zero_potential)
-from qplab.transfer import _entries, _log_opnorm, _products, det_sequence
+                   golden_frequency, growth_envelope, strip_norm,
+                   two_torus_frequency, verify_det_identity, zero_potential)
+from qplab.transfer import (_entries, _log_opnorm, _orbit_rows, _period,
+                            _phases, _products, det_sequence)
 
 
 def dense_box(interval, omega, theta, energy, v):
@@ -63,17 +64,50 @@ class TestKernel:
             rows = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-3, 4, (12, 1))
             if dtype is complex:
                 rows = rows + 1j * rng.normal(size=rows.shape)
-            direct = np.broadcast_to(np.eye(2, dtype=dtype), (3, 2, 2))
-            for a, (m00, m01, m10, m11, ls) in zip(rows, _products(rows)):
-                step = np.zeros((3, 2, 2), dtype=dtype)
-                step[:, 0, 0], step[:, 0, 1], step[:, 1, 0] = a, 1.0, -1.0
-                direct = step @ direct
-                entries = _entries(m00, m01, m10, m11)
-                assert np.allclose(np.sum(np.abs(entries) ** 2, axis=(1, 2)),
-                                   1.0, rtol=1e-14, atol=0)
-                for k in range(3):
-                    err = np.abs(math.exp(ls[k]) * entries[k] - direct[k])
-                    assert np.max(err) <= 1e-13 * np.linalg.norm(direct[k])
+            for period in (1, 4):
+                direct = np.broadcast_to(np.eye(2, dtype=dtype), (3, 2, 2))
+                for a, (top, prev, exps) in zip(rows, _products(rows, period)):
+                    step = np.zeros((3, 2, 2), dtype=dtype)
+                    step[:, 0, 0], step[:, 0, 1], step[:, 1, 0] = a, 1.0, -1.0
+                    direct = step @ direct
+                    entries = _entries(top[0], top[1], -prev[0], -prev[1])
+                    for k in range(3):
+                        err = np.abs(2.0 ** exps[k] * entries[k] - direct[k])
+                        assert np.max(err) <= 1e-13 * np.linalg.norm(direct[k])
+
+    def test_returned_entries_have_unit_frobenius_norm(self, golden, mathieu5):
+        thetas = np.linspace(0.0, 1.0, 7, endpoint=False)
+        for n in (1, 5, 300):
+            _, entries, _ = cocycle_batch(golden, thetas, 0.4, n, mathieu5,
+                                          return_matrices=True)
+            assert np.allclose(np.sum(entries ** 2, axis=(1, 2)), 1.0,
+                               rtol=1e-14, atol=0)
+        res = cocycle_complex(golden, complex(0.2, 0.1), 0.4, 300, mathieu5)
+        assert np.sum(np.abs(res.entries) ** 2) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_orbit_rows_and_phases_match_mod_one(self, dim):
+        rng = np.random.default_rng(4)
+        if dim == 1:
+            omega, v = golden_frequency(), random_trig_potential(rng, degree=3)
+            th = rng.uniform(-2.0, 2.0, 50)
+        else:
+            omega = two_torus_frequency()
+            v = random_trig_potential(rng, degree=2, dim=2, strip_width=0.5)
+            th = rng.uniform(-2.0, 2.0, (50, 2))
+        w = omega.as_array()
+        step = w[0] if dim == 1 else w
+        energy = rng.uniform(-3.0, 3.0, 50)
+        start, n = 37, 25
+        rows = _orbit_rows(omega, th, energy, n, v, start=start)
+        for j, row in zip(range(start + 1, start + n + 1), rows):
+            want = v.eval_batch((th + j * step) % 1.0) - energy
+            assert np.array_equal(row, want)
+        js = np.arange(-300, 301, 7)
+        for theta in th[:5]:
+            want = ((theta + js * w[0]) % 1.0 if dim == 1
+                    else (theta + js[:, None] * w) % 1.0)
+            assert np.array_equal(_phases(theta, omega, js), want)
 
     def test_opnorm_matches_svd(self):
         rng = np.random.default_rng(1)
@@ -166,6 +200,17 @@ class TestCocycle:
         for t, ln in zip(thetas, batch):
             assert cocycle(golden, t, 0.7, 50, mathieu5).log_norm == \
                 pytest.approx(ln, rel=1e-12)
+
+    @pytest.mark.parametrize("lam,period", [(1e300, 1), (1e150, 1),
+                                            (1e100, 2)])
+    def test_overflow_at_the_period(self, golden, lam, period):
+        v = cosine_potential(lam)
+        energy = 0.5 * lam
+        assert _period(v, energy) == period
+        n = 60
+        res = cocycle(golden, 0.3, energy, n, v)
+        assert math.isfinite(res.log_norm)
+        assert abs(res.log_norm - n * (math.log(lam) - math.log(2.0))) <= 0.5 * n
 
     def test_huge_coupling_no_overflow(self, golden):
         v = cosine_potential(1e300)
