@@ -90,7 +90,7 @@ CONFIG_SCHEMA = {
         "rate_threshold": {"type": "number"},
         "r2_threshold": {"type": "number"},
         "top_profiles": {"type": "integer", "minimum": 0},
-        "window_check": {"type": "object"},
+        "window_check": {"type": "object", "required": ["N", "delta"]},
         "delta": {"type": "number"},
         "e1_values": {"type": "array", "items": {"type": "number"}},
         "herman": {"type": "boolean"},
@@ -98,6 +98,16 @@ CONFIG_SCHEMA = {
         "lambda": {"type": "number"},
         "gate_constant": {"type": "number"},
     },
+    # Keys a command cannot run without.
+    "allOf": [
+        {"if": {"properties": {"command": {"enum": ["green", "pave",
+                                                    "localize"]}}},
+         "then": {"required": ["interval"]}},
+        {"if": {"properties": {"command": {"const": "pave"}}},
+         "then": {"required": ["window"]}},
+        {"if": {"properties": {"command": {"const": "recursion"}}},
+         "then": {"required": ["schedule"]}},
+    ],
 }
 
 FLAGSHIP_CONFIGS: Dict[str, dict] = {
@@ -282,6 +292,10 @@ def _run_green(config, v, freq, seed, threads, out_dir) -> List[Path]:
 
 
 def _run_pave(config, v, freq, seed, threads, out_dir) -> List[Path]:
+    # Checked here rather than in CONFIG_SCHEMA: perfbench times set-up by
+    # validating a pave config that has no rate_c.
+    if "rate_c" not in config:
+        raise ConfigInvalid("'rate_c' is a required property")
     interval = tuple(config["interval"])
     energy = float(config.get("E", 0.0))
     theta = _theta_of(config, freq.dim)
@@ -463,7 +477,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ldt": "CSV columns: n,sigma,threshold,fraction,std_error,bound_reference",
         "green": "CSV columns: n1,n2,sign,log_mag (plus green_fit.json with min_sep)",
         "pave": "CSV columns: n1,n2,sign,log_mag; certificate JSON: rate, "
-                "intercept, windows_used, failures, contraction",
+                "intercept, windows_used (the strided window cover), "
+                "failures, contraction (largest summed hop weight of a "
+                "row), iterations (edge-row sweeps)",
         "localize": "JSON summary: box, lambda, pct_localized, median_rate; "
                     "profile CSV columns: index,abs,log_abs",
         "lowerbound": "JSON: epsilon_gap {y0, epsilon}, herman bounds, "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -334,40 +334,21 @@ def _window_admissible(gw: GreenMatrix, c: float, budget: float,
     return bool(worst <= 0.0)
 
 
-def default_window_candidates(x: int, interval: Tuple[int, int], n: int,
-                              margin: int) -> List[Tuple[int, int]]:
-    """Centered size-n window clipped into the interval, plus trimmed variants.
-
-    Every candidate still covers the protected neighborhood of x, mirroring
-    the family of one-site trims used near interval endpoints.
-    """
-    a, b = interval
-    lo = min(max(x - n // 2, a), max(b - n + 1, a))
-    hi = min(lo + n - 1, b)
-    cands = [(lo, hi), (lo + 1, hi), (lo, hi - 1), (lo + 1, hi - 1)]
-    need_lo = max(a, x - margin + 1)
-    need_hi = min(b, x + margin - 1)
-    out = []
-    for w in cands:
-        if w[0] <= need_lo and w[1] >= need_hi and w[1] > w[0]:
-            out.append(w)
-    return out
-
-
 def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
-         energy: float, v: TrigPotential, c: float,
-         window_oracle: Optional[Callable[[int], Sequence[Tuple[int, int]]]] = None,
-         beta: float = 0.1, det_floor: float = DEFAULT_DET_FLOOR,
-         multiscale: Optional[MultiscaleParams] = None,
-         max_iterations: Optional[int] = None,
-         tol: float = 1e-12) -> PaveResult:
-    """Assemble G on a long interval from size-n windows with decay rate c.
+         energy: float, v: TrigPotential, c: float, beta: float = 0.1,
+         det_floor: float = DEFAULT_DET_FLOOR,
+         multiscale: Optional[MultiscaleParams] = None) -> PaveResult:
+    """Assemble G on [a, b] from size-n windows with decay rate c.
 
-    Each window's Green's function must obey log|G(i,j)| <= -c|i-j| + beta*n
-    at separations past n/10; the assembled entries come from iterating the
-    resolvent identity (direct window term plus hops through window edges)
-    until the fixed point, and the certificate reports the fitted decay rate
-    against the halved target c/2.
+    Windows start every max(1, n // 4) sites, the last ending at b; each site
+    belongs to the window with the nearest centre, which covers the site's
+    protected neighbourhood [x-m+1, x+m-1] within [a, b], m = max(1, n // 10).
+    A window needs log|G(i,j)| <= -c|i-j| + beta*n at separations >= m; a
+    failing or singular one gives way to a one-site trim that passes.  By the
+    resolvent identity each row is its window's row minus hops through rows
+    lo - 1 and hi + 1: those edge rows are swept to their fixed point, then
+    one sweep builds every row.  The certificate checks the fitted rate
+    against c/2.
     """
     a, b = int(interval[0]), int(interval[1])
     big = b - a + 1
@@ -380,99 +361,91 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
         cert = _certificate(g, c, beta, n, [(a, b)], 0.0, 0, multiscale)
         return PaveResult(green=g, certificate=cert)
 
-    oracle = window_oracle or (
-        lambda x: default_window_candidates(x, (a, b), n, margin))
+    starts = [*range(a, b - n + 1, max(1, n // 4)), b - n + 1]
+    # Sites up to the midpoint of two neighbouring centres go to the left one.
+    firsts = [a] + [(lo + nxt + n - 1) // 2 + 1
+                    for lo, nxt in zip(starts, starts[1:])]
+    lasts = [f - 1 for f in firsts[1:]] + [b]
 
-    cache: Dict[Tuple[int, int], Optional[GreenMatrix]] = {}
-    assignment: List[Optional[Tuple[int, int]]] = [None] * big
+    # Per row: the window's row of G, and the hops to rows lo - 1 and hi + 1
+    # (row `big` stands for "no hop" and reads as zero).
+    d_signs = np.zeros((big, big), dtype=np.int8)
+    d_logs = np.full((big, big), slog.LOG_ZERO)
+    hop = np.full((big, 2), big)
+    hop_sign = np.zeros((big, 2), dtype=np.int8)
+    hop_log = np.full((big, 2), slog.LOG_ZERO)
+    windows: List[Tuple[int, int]] = []
     failures: List[int] = []
-    for x in range(a, b + 1):
-        found = None
-        for w in oracle(x):
-            gw = cache.get(w, False)
-            if gw is False:
-                try:
-                    cand = green_solve(w, omega, theta, energy, v, det_floor)
-                    ok = _window_admissible(cand, c, beta * n, margin)
-                    gw = cand if ok else None
-                except SingularEnergy:
-                    gw = None
-                cache[w] = gw
-            if gw is not None:
-                found = w
+    for start, x0, x1 in zip(starts, firsts, lasts):
+        need_lo, need_hi = max(a, x0 - margin + 1), min(b, x1 + margin - 1)
+        gw = None
+        for lo, hi in ((start, start + n - 1), (start + 1, start + n - 1),
+                       (start, start + n - 2), (start + 1, start + n - 2)):
+            if not (lo <= need_lo and hi >= need_hi and hi > lo):
+                continue
+            try:
+                cand = green_solve((lo, hi), omega, theta, energy, v, det_floor)
+            except SingularEnergy:
+                continue
+            if _window_admissible(cand, c, beta * n, margin):
+                gw = cand
                 break
-        if found is None:
-            failures.append(x)
-        assignment[x - a] = found
+        if gw is None:
+            failures.extend(range(x0, x1 + 1))
+            continue
+        windows.append((lo, hi))
+        rows, own = slice(x0 - a, x1 - a + 1), slice(x0 - lo, x1 - lo + 1)
+        d_signs[rows, lo - a:hi - a + 1] = gw.signs[own]
+        d_logs[rows, lo - a:hi - a + 1] = gw.logs[own]
+        for side, (edge, col) in enumerate(((lo - 1, 0), (hi + 1, -1))):
+            if a <= edge <= b:
+                hop[rows, side] = edge - a
+                hop_sign[rows, side] = gw.signs[own, col]
+                hop_log[rows, side] = gw.logs[own, col]
     if failures:
         raise PavingFailed(failures)
 
-    # Row-wise data: direct window term and up to two edge hops.
-    d_signs = np.zeros((big, big), dtype=np.int8)
-    d_logs = np.full((big, big), slog.LOG_ZERO)
-    hop_idx = np.full((big, 2), -1, dtype=int)
-    hop_sign = np.zeros((big, 2), dtype=np.int8)
-    hop_log = np.full((big, 2), slog.LOG_ZERO)
-    for r in range(big):
-        x = a + r
-        w = assignment[r]
-        gw = cache[w]
-        lo, hi = w
-        row = x - lo
-        d_signs[r, lo - a:hi - a + 1] = gw.signs[row, :]
-        d_logs[r, lo - a:hi - a + 1] = gw.logs[row, :]
-        if lo > a:
-            hop_idx[r, 0] = lo - 1 - a
-            hop_sign[r, 0] = gw.signs[row, 0]
-            hop_log[r, 0] = gw.logs[row, 0]
-        if hi < b:
-            hop_idx[r, 1] = hi + 1 - a
-            hop_sign[r, 1] = gw.signs[row, hi - lo]
-            hop_log[r, 1] = gw.logs[row, hi - lo]
-
     with np.errstate(over="ignore"):
-        weights = np.where(hop_idx >= 0, np.exp(hop_log), 0.0)
-    contraction = float(np.max(np.sum(weights, axis=1)))
+        contraction = float(np.max(np.sum(np.exp(hop_log), axis=1)))
     if contraction >= 0.5:
         raise IterationDiverged(contraction)
 
-    g_signs = d_signs.copy()
-    g_logs = d_logs.copy()
-    hops = hop_idx >= 0
-    idx_safe = np.where(hops, hop_idx, 0)
-    cap = max_iterations or (8 * math.ceil(big / max(margin, 1)) + 100)
-    iterations = 0
+    # Edge rows of G, plus a zero row that the missing hops read.
+    edges = np.unique(hop[hop < big])
+    at = np.full(big + 1, edges.size)
+    at[edges] = np.arange(edges.size)
+    e_signs = np.vstack([d_signs[edges], np.zeros((1, big), dtype=np.int8)])
+    e_logs = np.vstack([d_logs[edges], np.full((1, big), slog.LOG_ZERO)])
+
+    def resolvent(rows):
+        """Window term plus both hops for `rows`, through the edge rows."""
+        src = at[hop[rows]]
+        return slog.add(
+            np.stack([d_signs[rows], *(-hop_sign[rows, side, None]
+                                       * e_signs[src[:, side]]
+                                       for side in (0, 1))]),
+            np.stack([d_logs[rows], *(hop_log[rows, side, None]
+                                      + e_logs[src[:, side]]
+                                      for side in (0, 1))]))
+
+    cap = 8 * math.ceil(big / margin) + 100
     for iterations in range(1, cap + 1):
-        term_signs = []
-        term_logs = []
-        for side in (0, 1):
-            rows = idx_safe[:, side]
-            s = (-hop_sign[:, side, None] * g_signs[rows, :]).astype(np.int8)
-            l = hop_log[:, side, None] + g_logs[rows, :]
-            s[~hops[:, side], :] = 0
-            l[~hops[:, side], :] = slog.LOG_ZERO
-            term_signs.append(s)
-            term_logs.append(l)
-        new_signs, new_logs = slog.add(
-            np.stack([d_signs, term_signs[0], term_signs[1]]),
-            np.stack([d_logs, term_logs[0], term_logs[1]]))
-        both = (new_signs != 0) & (g_signs != 0)
-        flipped = np.any(new_signs != g_signs)
-        if both.any():
-            delta = float(np.max(np.abs(new_logs[both] - g_logs[both])))
-        else:
-            delta = 0.0
-        g_signs, g_logs = new_signs, new_logs
-        if not flipped and delta < tol:
+        new_signs, new_logs = resolvent(edges)
+        both = (new_signs != 0) & (e_signs[:-1] != 0)
+        flipped = np.any(new_signs != e_signs[:-1])
+        delta = float(np.max(np.abs(new_logs[both] - e_logs[:-1][both]),
+                             initial=0.0))
+        e_signs[:-1], e_logs[:-1] = new_signs, new_logs
+        if not flipped and delta < 1e-12:
             break
     else:
         raise IterationDiverged(
             contraction,
             f"no fixed point after {cap} sweeps (contraction {contraction:.3g})")
 
+    g_signs, g_logs = resolvent(np.arange(big))
     green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs,
                         energy=float(energy))
-    windows = sorted({w for w in assignment if w is not None})
     cert = _certificate(green, c, beta, n, windows, contraction, iterations,
                         multiscale)
     return PaveResult(green=green, certificate=cert)

@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import (DescentExhausted, DropExceeded, GateFailed,
                      HypothesisUnmet, PotentialConstant)
+from .greens import MultiscaleParams
 from .lyapunov import LyapunovEstimate, SamplerSpec, lyapunov_n
 from .model import Frequency, TrigPotential, strip_norm
-from .transfer import (_LOG2, _log_norm, _orbit_rows, _products,
+from .transfer import (_LOG2, _log_norm, _orbit_rows, _phases, _products,
                        cocycle_batch)
 
 STRICT_GATE_CONSTANT = 1000.0
@@ -314,13 +315,8 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
     threshold = math.exp(-threshold_exponent * log_lam)
     rng = np.random.default_rng(seed + 1)
     thetas = rng.random(samples) if omega.dim == 1 else rng.random((samples, 2))
-    js = np.arange(1, n1 + 1)
-    if omega.dim == 1:
-        phases = (thetas[:, None] + js[None, :] * omega.scalar()) % 1.0
-    else:
-        phases = (thetas[:, None, :] + js[None, :, None]
-                  * omega.as_array()[None, None, :]) % 1.0
-    vals = v0.eval_batch(phases)
+    vals = v0.eval_batch(_phases(thetas[:, None], omega,
+                                 np.arange(1, n1 + 1)[None, :]))
     worst_fraction = 0.0
     for e1 in e1_values:
         mins = np.min(np.abs(vals - e1), axis=1)
@@ -554,8 +550,6 @@ def multiscale_paving_params(l_n0: float, rho: float, n0: int,
     70 * rho * log(1 + sup|v|); at desk scales this is typically negative, so
     the paver's report is informational there (and says so via the margins).
     """
-    from .greens import MultiscaleParams
-
     gamma = l_n0 - GAMMA_LOSS_CONSTANT * rho * log_norm_bound
     return MultiscaleParams(rho=rho, gamma=gamma, n0=int(n0),
                             log_norm_bound=log_norm_bound)
@@ -596,9 +590,8 @@ def shift_deviation_fraction(omega: Frequency, v: TrigPotential, energy: float,
                          SamplerSpec("monte_carlo" if omega.dim == 2 else "grid",
                                      2048, seed)).value
         for j in js:
-            shifted = ((thetas + j * omega.scalar()) % 1.0 if omega.dim == 1
-                       else (thetas + j * omega.as_array()) % 1.0)
-            phi = cocycle_batch(omega, shifted, energy, m, v) / m
+            phi = cocycle_batch(omega, _phases(thetas, omega, j), energy, m,
+                                v) / m
             bad |= np.abs(phi - ref) > threshold
     frac = float(np.count_nonzero(bad)) / samples
     return ShiftDeviationReport(

@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .model import Frequency, LogScalar, TrigPotential
+from .model import Frequency, LogScalar, TrigPotential, strip_norm
 
 
 @dataclass(frozen=True)
@@ -359,8 +359,6 @@ def growth_envelope(n: int, omega: Frequency, theta, energy: float,
     """Check that one-step conjugations move the finite-scale exponent by at most C|r|/n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    from .model import strip_norm  # local import to avoid cycle at module load
-
     sup = strip_norm(v, rho_eff=0.0).bound
     const = 2.0 * math.log(1.0 + sup + abs(energy))
 

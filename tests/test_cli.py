@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qplab
 from qplab.cli import (COMMANDS, CONFIG_SCHEMA, FLAGSHIP_CONFIGS,
                        emit_plot_data, main, run, validate_config)
 from qplab.errors import ConfigInvalid
@@ -193,6 +194,16 @@ TWO_TORUS_SYSTEM = dict(FLAGSHIP_CONFIGS["recursion"]["system"])
 GREEN_2D = {"schema_version": 1, "command": "green", "system": TWO_TORUS_SYSTEM,
             "E": 0.5, "interval": [1, 10], "seed": 0}
 NO_ENERGIES = {k: v for k, v in lyap_config().items() if k != "e_values"}
+PAVE = {"schema_version": 1, "command": "pave",
+        "system": dict(BASE_SYSTEM, **{"lambda": 10.0}), "E": 13.0,
+        "interval": [1, 120], "window": 50, "rate_c": 1.0}
+LOCALIZE_CHECK = {"schema_version": 1, "command": "localize",
+                  "system": dict(BASE_SYSTEM), "interval": [-20, 20],
+                  "window_check": {"N": 10, "delta": 0.5}}
+
+
+def without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
 
 
 class TestMainEntry:
@@ -207,9 +218,14 @@ class TestMainEntry:
         dict(GREEN_2D, theta=[0.1]),
         lyap_config(sampels=5),
         lyap_config(system=dict(BASE_SYSTEM, lamda=5.0)),
+        without(PAVE, "rate_c"),
+        without(PAVE, "window"),
+        without(GREEN_2D, "interval"),
+        dict(LOCALIZE_CHECK, window_check={"delta": 0.5}),
     ], ids=["not-conjugate-symmetric", "omega-outside-torus",
             "omega-dim-mismatch", "nan-energy", "inf-energy", "inf-grid",
-            "theta-shape", "sampels", "system-lamda"])
+            "theta-shape", "sampels", "system-lamda", "pave-no-rate_c",
+            "pave-no-window", "green-no-interval", "window_check-no-N"])
     def test_invalid_input_exit_two(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -255,8 +271,13 @@ class TestMainEntry:
         assert [row["n"] for row in doc["ladder"]] == [100, 200]
 
     def test_console_script_help(self):
+        # The child imports qplab from wherever this process found it.
+        path = [str(Path(qplab.__file__).parents[1]),
+                *filter(None, [os.environ.get("PYTHONPATH")])]
         proc = subprocess.run([sys.executable, "-m", "qplab.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ,
+                                       PYTHONPATH=os.pathsep.join(path)))
         assert proc.returncode == 0
         assert "lyapunov" in proc.stdout
 
@@ -280,9 +301,7 @@ CONTRACT_CONFIGS = {
     "green": {"schema_version": 1, "command": "green",
               "system": dict(BASE_SYSTEM), "E": 9.0, "interval": [1, 30],
               "min_sep": 5},
-    "pave": {"schema_version": 1, "command": "pave",
-             "system": dict(BASE_SYSTEM, **{"lambda": 10.0}), "E": 13.0,
-             "interval": [1, 120], "window": 50, "rate_c": 1.0},
+    "pave": PAVE,
     "localize": {"schema_version": 1, "command": "localize",
                  "system": dict(BASE_SYSTEM), "interval": [-100, 100],
                  "rate_threshold": 0.7, "top_profiles": 2,

@@ -8,8 +8,7 @@ from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    build_operator, cocycle, cosine_potential, decay_fit,
                    det_recurrence, eval_potential, green_cramer,
                    green_cramer_matrix, green_solve, pave, zero_potential)
-from qplab.greens import (GreenMatrix, MultiscaleParams,
-                          default_window_candidates)
+from qplab.greens import GreenMatrix, MultiscaleParams
 from qplab.transfer import _phases
 
 
@@ -269,12 +268,32 @@ class TestPave:
         assert ms["refined_rate_target"] == pytest.approx(-1.0 * (1 - 6.0))
         assert ms["sup_ok"]
 
-    def test_window_candidates_cover_neighborhood(self):
-        cands = default_window_candidates(7, (1, 100), 20, 2)
-        for lo, hi in cands:
-            assert lo <= 6 and hi >= 8
-        edge = default_window_candidates(1, (1, 100), 20, 2)
-        assert all(lo == 1 for lo, _ in edge)
+    def test_cover_protects_every_site(self, golden):
+        a, b = -40, 79
+        big = b - a + 1
+        for n in (2, 3, 7, 50):
+            res = pave((a, b), n, golden, 0.0, 13.0, cosine_potential(10.0),
+                       c=1.0)
+            cover = res.certificate.windows
+            assert min(lo for lo, _ in cover) == a
+            assert max(hi for _, hi in cover) == b
+            margin = max(1, n // 10)
+            for x in range(a, b + 1):
+                need = (max(a, x - margin + 1), min(b, x + margin - 1))
+                assert any(lo <= need[0] and hi >= need[1]
+                           for lo, hi in cover)
+            assert len(cover) <= math.ceil(big / max(1, n // 4)) + 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 50])
+    def test_assembly_matches_dense_solve(self, golden, n):
+        v = cosine_potential(10.0)
+        for big in sorted({n + 1, 2 * n - 1, 2 * n + 1, 300}):
+            res = pave((1, big), n, golden, 0.0, 13.0, v, c=1.0)
+            direct = green_solve((1, big), golden, 0.0, 13.0, v)
+            assert np.array_equal(res.green.signs, direct.signs)
+            live = direct.signs != 0
+            assert np.max(np.abs(res.green.logs[live]
+                                 - direct.logs[live])) <= 1e-9
 
     def test_certificate_json_round_trip(self, golden):
         import json
