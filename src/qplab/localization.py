@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import numfmt, slog
 from .errors import SingularEnergy
-from .greens import DEFAULT_DET_FLOOR, build_operator, green_solve
+from .greens import (DEFAULT_DET_FLOOR, _scipy_linalg, build_operator,
+                     green_solve)
 from .lyapunov import lyapunov_n
 from .model import Frequency, TrigPotential
 from .transfer import _phases, cocycle_batch
@@ -56,7 +56,7 @@ def eigensystem(interval: Tuple[int, int], omega: Frequency, theta,
     if n == 1:
         return [EigenPair(float(op.diagonal[0]), np.ones(1), op.interval)]
     off = np.ones(n - 1)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(op.diagonal, off)
+    vals, vecs = _scipy_linalg().eigh_tridiagonal(op.diagonal, off)
     return [EigenPair(float(vals[k]), vecs[:, k], op.interval) for k in range(n)]
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import qplab
@@ -37,6 +38,30 @@ def lyap_config(**overrides):
     return cfg
 
 
+TWO_TORUS_SYSTEM = dict(FLAGSHIP_CONFIGS["recursion"]["system"])
+GREEN_2D = {"schema_version": 1, "command": "green", "system": TWO_TORUS_SYSTEM,
+            "E": 0.5, "interval": [1, 10], "seed": 0}
+NO_ENERGIES = {k: v for k, v in lyap_config().items() if k != "e_values"}
+PAVE = {"schema_version": 1, "command": "pave",
+        "system": dict(BASE_SYSTEM, **{"lambda": 10.0}), "E": 13.0,
+        "interval": [1, 120], "window": 50, "rate_c": 1.0}
+LOCALIZE_CHECK = {"schema_version": 1, "command": "localize",
+                  "system": dict(BASE_SYSTEM), "interval": [-20, 20],
+                  "window_check": {"N": 10, "delta": 0.5}}
+
+
+def child_env():
+    """Environment for a child interpreter that imports qplab from wherever
+    this process found it."""
+    path = [str(Path(qplab.__file__).parents[1]),
+            *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
 class TestValidation:
     def test_valid_config_passes(self):
         validate_config(lyap_config())
@@ -58,6 +83,45 @@ class TestValidation:
     def test_flagship_configs_pass(self):
         for config in FLAGSHIP_CONFIGS.values():
             validate_config(config)
+
+    def test_schema_is_valid(self):
+        # validate_config does not check the constant schema on every run.
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
+            CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("cfg", [
+        without(lyap_config(), "system"),
+        lyap_config(schema_version=99),
+        lyap_config(command="frobnicate"),
+        lyap_config(sampels=5),
+        lyap_config(system=dict(BASE_SYSTEM, lamda=5.0)),
+        lyap_config(n="100", samples=0, quadrature="simpson"),
+        lyap_config(e_grid={"min": 0.0, "points": 0}),
+        without(PAVE, "window"),
+        without(GREEN_2D, "interval"),
+        dict(LOCALIZE_CHECK, window_check={"delta": 0.5}),
+    ])
+    def test_error_matches_jsonschema_validate(self, cfg):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        with pytest.raises(ConfigInvalid) as got:
+            validate_config(cfg)
+        want = ConfigInvalid(expected.value.message,
+                             tuple(expected.value.absolute_path))
+        assert str(got.value) == str(want)
+        assert got.value.path == want.path
+
+    def test_import_and_validate_skip_scipy(self):
+        code = ("import json, sys\n"
+                "import qplab.cli\n"
+                "qplab.cli.validate_config(json.loads(sys.argv[1]))\n"
+                "print([m for m in sys.modules if m.startswith('scipy')])\n")
+        proc = subprocess.run([sys.executable, "-c", code,
+                               json.dumps(lyap_config())],
+                              capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestRun:
@@ -190,22 +254,6 @@ class TestRun:
         assert "PavingFailed" in capsys.readouterr().err
 
 
-TWO_TORUS_SYSTEM = dict(FLAGSHIP_CONFIGS["recursion"]["system"])
-GREEN_2D = {"schema_version": 1, "command": "green", "system": TWO_TORUS_SYSTEM,
-            "E": 0.5, "interval": [1, 10], "seed": 0}
-NO_ENERGIES = {k: v for k, v in lyap_config().items() if k != "e_values"}
-PAVE = {"schema_version": 1, "command": "pave",
-        "system": dict(BASE_SYSTEM, **{"lambda": 10.0}), "E": 13.0,
-        "interval": [1, 120], "window": 50, "rate_c": 1.0}
-LOCALIZE_CHECK = {"schema_version": 1, "command": "localize",
-                  "system": dict(BASE_SYSTEM), "interval": [-20, 20],
-                  "window_check": {"N": 10, "delta": 0.5}}
-
-
-def without(cfg, key):
-    return {k: v for k, v in cfg.items() if k != key}
-
-
 class TestMainEntry:
     @pytest.mark.parametrize("cfg", [
         lyap_config(system=dict(BASE_SYSTEM, coeffs=[[1, 0.5, 0.0]])),
@@ -271,13 +319,8 @@ class TestMainEntry:
         assert [row["n"] for row in doc["ladder"]] == [100, 200]
 
     def test_console_script_help(self):
-        # The child imports qplab from wherever this process found it.
-        path = [str(Path(qplab.__file__).parents[1]),
-                *filter(None, [os.environ.get("PYTHONPATH")])]
         proc = subprocess.run([sys.executable, "-m", "qplab.cli", "--help"],
-                              capture_output=True, text=True,
-                              env=dict(os.environ,
-                                       PYTHONPATH=os.pathsep.join(path)))
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "lyapunov" in proc.stdout
 

@@ -1,4 +1,5 @@
 import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from conftest import random_trig_potential
 from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    build_operator, cocycle, cosine_potential, decay_fit,
                    det_recurrence, eval_potential, green_cramer,
-                   green_cramer_matrix, green_solve, pave, zero_potential)
-from qplab.greens import GreenMatrix, MultiscaleParams
+                   green_cramer_matrix, green_solve, pave, slog,
+                   zero_potential)
+from qplab.greens import (DEFAULT_DET_FLOOR, GreenMatrix, MultiscaleParams,
+                          PaveResult, _certificate, _window_admissible)
+from qplab.model import Frequency, TrigPotential
 from qplab.transfer import _phases
 
 
@@ -304,3 +308,193 @@ class TestPave:
         assert doc["rate_ok"]
         assert doc["failures"] == []
         assert doc["windows_used"]
+
+
+# ---------------------------------------------------------------------------
+# Ordered edge-row sweeps against the Jacobi sweeps they replaced.
+#
+# The oracles below are `_window_admissible` (with its n x n separation table)
+# and `pave` (with its Jacobi loop) as they were before, kept verbatim.  Both
+# pavers stop once a sweep moves no log-magnitude by 1e-12 and flips no sign,
+# but reach that point along different paths, so assembled logs must agree
+# within 1e-12 (measured at most 1.1e-13) and signs exactly.
+
+
+def oracle_window_admissible(gw: GreenMatrix, c: float, budget: float,
+                             sep_min: int) -> bool:
+    n = gw.size
+    idx = np.arange(n)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    mask = sep >= sep_min
+    if not mask.any():
+        return True
+    worst = np.max(gw.logs[mask] + c * sep[mask]) - budget
+    return bool(worst <= 0.0)
+
+
+def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
+                energy: float, v: TrigPotential, c: float, beta: float = 0.1,
+                det_floor: float = DEFAULT_DET_FLOOR,
+                multiscale: Optional[MultiscaleParams] = None) -> PaveResult:
+    """`pave` as it was before ordered sweeps: Jacobi edge-row sweeps."""
+    a, b = int(interval[0]), int(interval[1])
+    big = b - a + 1
+    if n < 2:
+        raise ValueError("window size must be >= 2")
+    margin = max(1, n // 10)
+
+    if n >= big:
+        g = green_solve((a, b), omega, theta, energy, v, det_floor)
+        cert = _certificate(g, c, beta, n, [(a, b)], 0.0, 0, multiscale)
+        return PaveResult(green=g, certificate=cert)
+
+    starts = [*range(a, b - n + 1, max(1, n // 4)), b - n + 1]
+    # Sites up to the midpoint of two neighbouring centres go to the left one.
+    firsts = [a] + [(lo + nxt + n - 1) // 2 + 1
+                    for lo, nxt in zip(starts, starts[1:])]
+    lasts = [f - 1 for f in firsts[1:]] + [b]
+
+    # Per row: the window's row of G, and the hops to rows lo - 1 and hi + 1
+    # (row `big` stands for "no hop" and reads as zero).
+    d_signs = np.zeros((big, big), dtype=np.int8)
+    d_logs = np.full((big, big), slog.LOG_ZERO)
+    hop = np.full((big, 2), big)
+    hop_sign = np.zeros((big, 2), dtype=np.int8)
+    hop_log = np.full((big, 2), slog.LOG_ZERO)
+    windows: List[Tuple[int, int]] = []
+    failures: List[int] = []
+    for start, x0, x1 in zip(starts, firsts, lasts):
+        need_lo, need_hi = max(a, x0 - margin + 1), min(b, x1 + margin - 1)
+        gw = None
+        for lo, hi in ((start, start + n - 1), (start + 1, start + n - 1),
+                       (start, start + n - 2), (start + 1, start + n - 2)):
+            if not (lo <= need_lo and hi >= need_hi and hi > lo):
+                continue
+            try:
+                cand = green_solve((lo, hi), omega, theta, energy, v, det_floor)
+            except SingularEnergy:
+                continue
+            if oracle_window_admissible(cand, c, beta * n, margin):
+                gw = cand
+                break
+        if gw is None:
+            failures.extend(range(x0, x1 + 1))
+            continue
+        windows.append((lo, hi))
+        rows, own = slice(x0 - a, x1 - a + 1), slice(x0 - lo, x1 - lo + 1)
+        d_signs[rows, lo - a:hi - a + 1] = gw.signs[own]
+        d_logs[rows, lo - a:hi - a + 1] = gw.logs[own]
+        for side, (edge, col) in enumerate(((lo - 1, 0), (hi + 1, -1))):
+            if a <= edge <= b:
+                hop[rows, side] = edge - a
+                hop_sign[rows, side] = gw.signs[own, col]
+                hop_log[rows, side] = gw.logs[own, col]
+    if failures:
+        raise PavingFailed(failures)
+
+    with np.errstate(over="ignore"):
+        contraction = float(np.max(np.sum(np.exp(hop_log), axis=1)))
+    if contraction >= 0.5:
+        raise IterationDiverged(contraction)
+
+    # Edge rows of G, plus a zero row that the missing hops read.
+    edges = np.unique(hop[hop < big])
+    at = np.full(big + 1, edges.size)
+    at[edges] = np.arange(edges.size)
+    e_signs = np.vstack([d_signs[edges], np.zeros((1, big), dtype=np.int8)])
+    e_logs = np.vstack([d_logs[edges], np.full((1, big), slog.LOG_ZERO)])
+
+    def resolvent(rows):
+        """Window term plus both hops for `rows`, through the edge rows."""
+        src = at[hop[rows]]
+        return slog.add(
+            np.stack([d_signs[rows], *(-hop_sign[rows, side, None]
+                                       * e_signs[src[:, side]]
+                                       for side in (0, 1))]),
+            np.stack([d_logs[rows], *(hop_log[rows, side, None]
+                                      + e_logs[src[:, side]]
+                                      for side in (0, 1))]))
+
+    cap = 8 * math.ceil(big / margin) + 100
+    for iterations in range(1, cap + 1):
+        new_signs, new_logs = resolvent(edges)
+        both = (new_signs != 0) & (e_signs[:-1] != 0)
+        flipped = np.any(new_signs != e_signs[:-1])
+        delta = float(np.max(np.abs(new_logs[both] - e_logs[:-1][both]),
+                             initial=0.0))
+        e_signs[:-1], e_logs[:-1] = new_signs, new_logs
+        if not flipped and delta < 1e-12:
+            break
+    else:
+        raise IterationDiverged(
+            contraction,
+            f"no fixed point after {cap} sweeps (contraction {contraction:.3g})")
+
+    g_signs, g_logs = resolvent(np.arange(big))
+    green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs,
+                        energy=float(energy))
+    cert = _certificate(green, c, beta, n, windows, contraction, iterations,
+                        multiscale)
+    return PaveResult(green=green, certificate=cert)
+
+
+C10 = cosine_potential(10.0)
+
+
+@pytest.fixture(scope="module")
+def c10_rate(golden):
+    """The survey rate c on the c10 input: the worst fitted rate of the
+    50-site windows starting at 1, 101, ..., 901 (E = 13)."""
+    return min(decay_fit(green_solve((lo, lo + 49), golden, 0.0, 13.0, C10),
+                         5).rate for lo in range(1, 1000, 100))
+
+
+class TestOrderedSweeps:
+    @pytest.mark.parametrize("big, n", [(1000, 50), (300, 2), (300, 3),
+                                        (300, 7), (300, 12)])
+    def test_matches_jacobi_oracle(self, golden, c10_rate, big, n):
+        c = c10_rate if big == 1000 else 1.0
+        res = pave((1, big), n, golden, 0.0, 13.0, C10, c=c)
+        ref = oracle_pave((1, big), n, golden, 0.0, 13.0, C10, c=c)
+        assert np.array_equal(res.green.signs, ref.green.signs)
+        live = ref.green.signs != 0
+        assert np.max(np.abs(res.green.logs[live]
+                             - ref.green.logs[live])) <= 1e-12
+        got, want = res.certificate.to_json(), ref.certificate.to_json()
+        assert got.keys() == want.keys()
+        assert got["windows_used"] == want["windows_used"]
+        assert got["contraction"] == want["contraction"]
+        assert got["iterations"] <= want["iterations"]
+
+    def test_c10_takes_at_most_three_sweeps(self, golden, c10_rate):
+        res = pave((1, 1000), 50, golden, 0.0, 13.0, C10, c=c10_rate)
+        assert res.certificate.iterations <= 3
+
+    def test_window_admissible_matches_separation_table(self, golden,
+                                                        c10_rate):
+        cases = [(1000, 50, c10_rate)] + [
+            (big, n, 1.0) for n in (2, 3, 4, 7, 12, 50)
+            for big in sorted({n + 1, 2 * n - 1, 2 * n + 1, 300})]
+        seen = set()
+        for big, n, c in cases:
+            margin = max(1, n // 10)
+            for start in [*range(1, big - n + 1, max(1, n // 4)), big - n + 1]:
+                gw = green_solve((start, start + n - 1), golden, 0.0, 13.0,
+                                 C10)
+                for rate in (c, 2 * c, 4 * c):
+                    want = oracle_window_admissible(gw, rate, 0.1 * n, margin)
+                    assert _window_admissible(gw, rate, 0.1 * n,
+                                              margin) == want
+                    seen.add(want)
+        assert seen == {True, False}
+        # Unsymmetric random logs, with -inf entries and empty separations.
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            logs = 5.0 * rng.normal(size=(n, n))
+            logs[rng.random((n, n)) < 0.1] = -math.inf
+            gw = GreenMatrix((1, n), np.ones((n, n), dtype=np.int8), logs, 0.0)
+            args = (rng.uniform(0.0, 2.0), 5.0 * rng.normal(),
+                    int(rng.integers(1, n + 1)))
+            assert _window_admissible(gw, *args) == \
+                oracle_window_admissible(gw, *args)

@@ -8,6 +8,7 @@ from qplab import (EigenPair, SingularEnergy, build_operator, decay_profile,
                    localization_scan, lyapunov_n, resonance_scan,
                    window_bound_check, zero_potential)
 from qplab.localization import profile_csv_lines
+from qplab.transfer import det_sequence
 
 
 class TestEigensystem:
@@ -44,6 +45,21 @@ class TestEigensystem:
         for k in range(39):
             assert outer[k] <= inner[k] + 1e-12
             assert inner[k] <= outer[k + 1] + 1e-12
+
+    @pytest.mark.parametrize("energy", [-3.0, 0.1, 2.2])
+    def test_sturm_count_matches_eigenvalues_below(self, golden, mathieu5,
+                                                   energy):
+        # Exact identity, zero tolerance: the leading minors det(H_k - E),
+        # k = 0..n, change sign once per eigenvalue of H_n below E.  It ties
+        # the continuant route to the eigensolver.
+        signs, _ = det_sequence((1, 1000), golden, 0.0, energy, mathieu5)
+        assert np.all(signs != 0)
+        changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+        below = sum(p.energy < energy
+                    for p in eigensystem((1, 1000), golden, 0.0, mathieu5))
+        print(f"E = {energy}: {changes} sign changes, {below} eigenvalues "
+              f"below")
+        assert changes == below
 
 
 class TestDecayProfile:
