@@ -2,8 +2,8 @@
 
 Each run validates its JSON config against a schema, dispatches to the
 corresponding module, writes CSV/JSON artifacts atomically, and drops a
-manifest recording the config hash, package versions, seed and wall time so
-seeded single-threaded runs reproduce byte for byte.
+manifest recording the config hash, package versions, seed, thread cap and
+wall time.  Seeded runs reproduce byte for byte at every thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -31,7 +30,8 @@ from .localization import (decay_profile, eigensystem, localization_summary,
                            profile_csv_lines, window_bound_check)
 from .lowerbound import (epsilon_gap, herman_style_bound, multiscale_recursion,
                          sublevel_measure)
-from .lyapunov import LyapunovEstimate, SamplerSpec, lyapunov_scan
+from .lyapunov import (THREADS, LyapunovEstimate, SamplerSpec, lyapunov_scan,
+                       thread_cap)
 from .model import system_from_json
 
 COMMANDS = ("lyapunov", "ldt", "green", "pave", "localize", "lowerbound",
@@ -237,23 +237,14 @@ def _energy_values(config: dict) -> List[float]:
 # command handlers: each returns {artifact name: payload description}
 
 
-def _run_lyapunov(config, v, freq, seed, threads, out_dir) -> List[Path]:
+def _run_lyapunov(config, v, freq, seed, out_dir) -> List[Path]:
     energies = _energy_values(config)
     n = int(config.get("n", 1000))
     sampler = SamplerSpec(
         quadrature=config.get("quadrature",
                               "grid" if freq.dim == 1 else "monte_carlo"),
         samples=config.get("samples"), seed=seed)
-
-    if threads > 1 and len(energies) > 1:
-        chunks = np.array_split(np.asarray(energies, dtype=float), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda es: lyapunov_scan(freq, list(es), n, v, sampler)
-                if len(es) else [], chunks))
-        estimates: List[LyapunovEstimate] = [e for part in parts for e in part]
-    else:
-        estimates = lyapunov_scan(freq, energies, n, v, sampler)
+    estimates = lyapunov_scan(freq, energies, n, v, sampler)
     lines = [LyapunovEstimate.csv_header()] + [e.csv_row() for e in estimates]
     path = out_dir / "lyapunov.csv"
     _write_lines(path, lines)
@@ -262,7 +253,7 @@ def _run_lyapunov(config, v, freq, seed, threads, out_dir) -> List[Path]:
     return [path, *plot]
 
 
-def _run_ldt(config, v, freq, seed, threads, out_dir) -> List[Path]:
+def _run_ldt(config, v, freq, seed, out_dir) -> List[Path]:
     energy = float(config.get("E", 0.0))
     sigma = float(config.get("sigma", 0.3))
     schedule = [int(x) for x in config.get("n_schedule", [50, 100, 200, 400])]
@@ -276,7 +267,7 @@ def _run_ldt(config, v, freq, seed, threads, out_dir) -> List[Path]:
     return [path, *plot]
 
 
-def _run_green(config, v, freq, seed, threads, out_dir) -> List[Path]:
+def _run_green(config, v, freq, seed, out_dir) -> List[Path]:
     interval = tuple(config["interval"])
     energy = float(config.get("E", 0.0))
     theta = _theta_of(config, freq.dim)
@@ -294,7 +285,7 @@ def _run_green(config, v, freq, seed, threads, out_dir) -> List[Path]:
     return outputs
 
 
-def _run_pave(config, v, freq, seed, threads, out_dir) -> List[Path]:
+def _run_pave(config, v, freq, seed, out_dir) -> List[Path]:
     # Checked here rather than in CONFIG_SCHEMA: perfbench times set-up by
     # validating a pave config that has no rate_c.
     if "rate_c" not in config:
@@ -311,7 +302,7 @@ def _run_pave(config, v, freq, seed, threads, out_dir) -> List[Path]:
     return [gpath, cpath]
 
 
-def _run_localize(config, v, freq, seed, threads, out_dir) -> List[Path]:
+def _run_localize(config, v, freq, seed, out_dir) -> List[Path]:
     interval = tuple(config["interval"])
     theta = _theta_of(config, freq.dim)
     rate_thr = float(config.get("rate_threshold", 0.0))
@@ -351,7 +342,7 @@ def _run_localize(config, v, freq, seed, threads, out_dir) -> List[Path]:
     return outputs
 
 
-def _run_lowerbound(config, v, freq, seed, threads, out_dir) -> List[Path]:
+def _run_lowerbound(config, v, freq, seed, out_dir) -> List[Path]:
     delta = float(config.get("delta", 0.1))
     e1_values = [float(x) for x in config.get("e1_values", [0.0])]
     payload: dict = {"delta": delta}
@@ -382,7 +373,7 @@ def _run_lowerbound(config, v, freq, seed, threads, out_dir) -> List[Path]:
     return [path]
 
 
-def _run_recursion(config, v, freq, seed, threads, out_dir) -> List[Path]:
+def _run_recursion(config, v, freq, seed, out_dir) -> List[Path]:
     lam = float(config.get("lambda", 50.0))
     schedule = [int(x) for x in config["schedule"]]
     ladder = multiscale_recursion(
@@ -439,8 +430,14 @@ def emit_plot_data(rows: Sequence[tuple], kind: str, out_dir: Path,
 
 
 def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
-        threads: int = 1) -> List[Path]:
-    """Validate, dispatch, and write artifacts plus a provenance manifest."""
+        threads: Optional[int] = None) -> List[Path]:
+    """Validate, dispatch, and write artifacts plus a provenance manifest.
+
+    ``threads`` caps the worker threads of phase averages (default: every CPU
+    this process may use); artifacts are the same bytes at every value.
+    """
+    if threads is not None and threads < 1:
+        raise ConfigInvalid(f"threads must be at least 1, got {threads}")
     validate_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -449,9 +446,14 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         v, freq = system_from_json(config["system"])
     except ValueError as exc:
         raise ConfigInvalid(str(exc), ("system",)) from exc
-    started = time.time()
-    outputs = _HANDLERS[config["command"]](config, v, freq, eff_seed,
-                                           max(1, threads), out)
+    token = THREADS.set(threads)
+    try:
+        cap = thread_cap()
+        started = time.time()
+        outputs = _HANDLERS[config["command"]](config, v, freq, eff_seed, out)
+        wall = time.time() - started
+    finally:
+        THREADS.reset(token)
     manifest = {
         "schema_version": 1,
         "command": config["command"],
@@ -459,8 +461,8 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "seed": eff_seed,
-        "threads": threads,
-        "wall_time_s": time.time() - started,
+        "threads": cap,
+        "wall_time_s": wall,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "outputs": [p.name for p in outputs],
@@ -499,7 +501,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "the built-in flagship config where available")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=None,
+                       help="most worker threads for phase averages "
+                            "(default: every CPU this process may use); "
+                            "output is byte-identical at every value")
         p.add_argument("--out", type=str, default="qplab_out")
         p.add_argument("--schedule", type=str, default=None,
                        help="comma-separated scale list (recursion only)")

@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +32,29 @@ def mathieu5():
 @pytest.fixture(scope="session")
 def two_cos():
     return two_cosine_potential(1.0)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the pools ``_phi_values`` starts, and the threads
+    that ran its parts."""
+    from qplab import lyapunov
+
+    record = {"workers": [], "threads": set()}
+    cocycle_batch = lyapunov.cocycle_batch
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            record["workers"].append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def counted(*args, **kwargs):
+        record["threads"].add(threading.get_ident())
+        return cocycle_batch(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(lyapunov, "cocycle_batch", counted)
+    return record
 
 
 def random_trig_potential(rng, degree=3, amplitude=1.0, dim=1, strip_width=2.0):

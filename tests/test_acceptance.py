@@ -242,3 +242,25 @@ def test_c13_complexified_growth():
         details.append(f"E={energy:.1f}: margin {rep.margin:.1f}, uv {rep.uv_ok}")
     report(13, "complexified cocycle growth", ok, "; ".join(details), 30.0,
            time.time() - start)
+
+
+def test_c14_exponent_on_spectrum():
+    # L(E) = log(lambda/2) on the spectrum of the almost-Mathieu operator
+    # with lambda > 2 (Bourgain-Jitomirskaya, J. Stat. Phys. 108 (2002)).
+    # L_n decreases to it at rate about 1/n, so 0 < L_n - log 2.5 <= 2/n.
+    start = time.time()
+    pairs = eigensystem((1, 1000), GOLDEN, 0.0, MATHIEU5)
+    energies = [pairs[k].energy
+                for k in np.round(np.linspace(0, 999, 9)).astype(int)]
+    ok = True
+    details = []
+    for n in (500, 2000):
+        scan = lyapunov_scan(GOLDEN, energies, n, MATHIEU5,
+                             SamplerSpec("grid", 400))
+        excess = [e.value - math.log(2.5) for e in scan]
+        ok = ok and 0.0 < min(excess) and max(excess) <= 2.0 / n
+        details.append(f"n={n}: L_n - log 2.5 in [{min(excess):.2e}, "
+                       f"{max(excess):.2e}], margins {min(excess):.2e} > 0 "
+                       f"and {2.0 / n - max(excess):.2e} below 2/n")
+    report(14, "exponent on the spectrum equals log(lambda/2)", ok,
+           "; ".join(details), 10.0, time.time() - start)

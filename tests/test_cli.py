@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import qplab
+from qplab import lyapunov
 from qplab.cli import (COMMANDS, CONFIG_SCHEMA, FLAGSHIP_CONFIGS,
                        emit_plot_data, main, run, validate_config)
 from qplab.errors import ConfigInvalid
@@ -60,6 +61,15 @@ def child_env():
 
 def without(cfg, key):
     return {k: v for k, v in cfg.items() if k != key}
+
+
+def artifacts(out_dir):
+    """Every artifact's bytes; the manifest without its thread cap and wall
+    time, which differ from run to run."""
+    found = {p.name: p.read_bytes() for p in Path(out_dir).iterdir()}
+    mani = json.loads(found.pop("manifest.json"))
+    del mani["threads"], mani["wall_time_s"]
+    return found, mani
 
 
 class TestValidation:
@@ -147,12 +157,34 @@ class TestRun:
         assert (tmp_path / "a/lyapunov.csv").read_bytes() == \
             (tmp_path / "b/lyapunov.csv").read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path):
+    def test_threads_do_not_change_results(self, tmp_path, pools,
+                                           monkeypatch):
+        monkeypatch.setattr(lyapunov, "_SPLIT_FLOOR", 16)
         cfg = lyap_config(e_values=[-1.0, 0.0, 1.0, 2.0])
         run(cfg, out_dir=tmp_path / "one", threads=1)
         run(cfg, out_dir=tmp_path / "four", threads=4)
-        assert (tmp_path / "one/lyapunov.csv").read_text() == \
-            (tmp_path / "four/lyapunov.csv").read_text()
+        assert pools["workers"] == [4]
+        assert artifacts(tmp_path / "one") == artifacts(tmp_path / "four")
+
+    @pytest.mark.parametrize("command", ["ldt", "recursion"])
+    def test_threads_byte_identical_artifacts(self, tmp_path, pools,
+                                              monkeypatch, command):
+        # A low split floor sends these small runs through the thread pool.
+        monkeypatch.setattr(lyapunov, "_SPLIT_FLOOR", 16)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(CONTRACT_CONFIGS[command]))
+        for threads in ("1", "2"):
+            assert main([command, "--config", str(path), "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+        assert 2 in pools["workers"]
+        assert artifacts(tmp_path / "1") == artifacts(tmp_path / "2")
+
+    def test_manifest_records_thread_cap(self, tmp_path):
+        run(lyap_config(), out_dir=tmp_path / "three", threads=3)
+        run(lyap_config(), out_dir=tmp_path / "default")
+        for name, cap in (("three", 3), ("default", lyapunov.thread_cap())):
+            mani = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert mani["threads"] == cap
 
     def test_manifest_reruns_to_identical_results(self, tmp_path):
         run(lyap_config(quadrature="monte_carlo", samples=200),
@@ -317,6 +349,22 @@ class TestMainEntry:
         assert code == 0
         doc = json.loads((tmp_path / "out/ladder.json").read_text())
         assert [row["n"] for row in doc["ladder"]] == [100, 200]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(lyap_config()))
+        code = main(["lyapunov", "--config", str(path), "--threads", threads,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_python_dash_m_help(self):
+        proc = subprocess.run([sys.executable, "-m", "qplab", "ldt", "--help"],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert "--threads" in proc.stdout
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "qplab.cli", "--help"],

@@ -1,4 +1,6 @@
+import contextvars
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from qplab import (SamplerSpec, check_subadditivity, cosine_potential,
                    lyapunov_limit, lyapunov_n, lyapunov_scan, shift_average,
                    strip_norm, upper_bound_check)
-from qplab.lyapunov import _CHUNK
+from qplab.lyapunov import THREADS, _CHUNK, _SPLIT_FLOOR, _phi_values
+from qplab.transfer import cocycle_batch
 
 CONST_TARGET = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -189,3 +192,81 @@ class TestUpperBound:
         rep = upper_bound_check(omega2, 0.0, 100, v, grid=900)
         assert rep.sigma == pytest.approx(0.1)
         assert rep.max_excess <= rep.reference
+
+
+def with_thread_cap(cap, fn, *args):
+    """fn(*args) with the phase-batch thread cap set to ``cap``."""
+    def call():
+        THREADS.set(cap)
+        return fn(*args)
+    return contextvars.copy_context().run(call)
+
+
+# A coupling of 1e4 makes the kernel rescale every ~65 steps, so n = 70
+# crosses a rescale; per-phase energies this wide give each part of a split
+# batch its own rescale period.
+STRONG = 1e4
+PARALLEL_N = 70
+
+
+def parallel_case(case, size, golden, omega2, two_cos):
+    """(omega, thetas, energy, v) with just under or just over two split
+    floors of results, the least batch that two workers may split."""
+    per = 3 if case == "column" else 1
+    target = 2 * _SPLIT_FLOOR
+    m = (target - 1) // per if size == "below" else target // per + 1
+    rng = np.random.default_rng(m)
+    v = cosine_potential(STRONG)
+    omega, thetas = golden, rng.random(m)
+    if case == "scalar":
+        energy = 0.3
+    elif case == "per-phase":
+        energy = rng.uniform(-3 * STRONG, 3 * STRONG, m)
+    elif case == "column":
+        energy = np.array([[-STRONG], [0.0], [2.5 * STRONG]])
+    else:
+        omega, thetas, energy = omega2, rng.random((m, 2)), 1.0
+        v = two_cos.with_coupling(STRONG)
+    assert (m * per < target) == (size == "below")
+    return omega, thetas, energy, v
+
+
+class TestParallelPhases:
+    @pytest.mark.parametrize("size", ["below", "above"])
+    @pytest.mark.parametrize("case", ["scalar", "per-phase", "column", "d2"])
+    def test_bit_identical_at_every_cap(self, golden, omega2, two_cos, pools,
+                                        case, size):
+        omega, thetas, energy, v = parallel_case(case, size, golden, omega2,
+                                                 two_cos)
+        want = cocycle_batch(omega, thetas, energy, PARALLEL_N, v) / PARALLEL_N
+        for cap in (1, 2, 3):
+            got = with_thread_cap(cap, _phi_values, omega, thetas, energy,
+                                  PARALLEL_N, v)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (case, size, cap)
+        # Just over the floor two workers split it; a third would sit below.
+        # Below it every part runs in the calling thread.
+        if size == "below":
+            assert pools["workers"] == []
+            assert pools["threads"] == {threading.get_ident()}
+        else:
+            assert pools["workers"] == [2, 2]
+
+    def test_large_cap_starts_no_more_threads_than_parts(self, golden, pools):
+        # Two phases at a floor's worth of energies each: two parts.
+        energy = np.linspace(-6.0, 6.0, _SPLIT_FLOOR)[:, np.newaxis]
+        thetas = np.array([0.1, 0.7])
+        v = cosine_potential(5.0)
+        got = with_thread_cap(64, _phi_values, golden, thetas, energy, 10, v)
+        assert pools["workers"] == [2]
+        assert len(pools["threads"]) <= 2
+        assert threading.get_ident() not in pools["threads"]
+        assert np.array_equal(got, cocycle_batch(golden, thetas, energy, 10,
+                                                 v) / 10)
+
+    def test_no_thread_outlives_the_call(self, golden):
+        before = threading.active_count()
+        thetas = np.linspace(0.0, 1.0, 4 * _SPLIT_FLOOR, endpoint=False)
+        with_thread_cap(4, _phi_values, golden, thetas, 0.0, 10,
+                        cosine_potential(5.0))
+        assert threading.active_count() == before
