@@ -13,22 +13,20 @@ from .errors import (ConfigInvalid, DescentExhausted, DropExceeded, GateFailed,
                      HypothesisUnmet, IterationDiverged, PavingFailed,
                      PotentialConstant, QplabError, SigmaOutOfRange,
                      SingularEnergy, StripExceeded)
-from .model import (Frequency, LogScalar, StripNorm, TrigPotential,
-                    constant_potential, cosine_potential, eval_potential,
-                    eval_potential_complex, golden_frequency,
+from .model import (Frequency, StripNorm, TrigPotential, constant_potential,
+                    cosine_potential, golden_frequency,
                     potential_from_json, strip_norm, system_from_json,
                     two_cosine_potential, two_torus_frequency,
                     verify_diophantine, zero_potential)
-from .transfer import (CocycleResult, DetTriple, cocycle, cocycle_batch,
-                       cocycle_complex, det_recurrence, growth_envelope,
-                       verify_det_identity)
+from .transfer import (CocycleResult, cocycle, cocycle_batch, cocycle_complex,
+                       growth_envelope, verify_det_identity)
 from .lyapunov import (LyapunovEstimate, SamplerSpec, check_subadditivity,
                        lyapunov_limit, lyapunov_n, lyapunov_scan,
                        shift_average, upper_bound_check)
 from .ldt import (DeviationProfile, FourierDecay, deviation_measure,
                   fourier_decay_check, ldt_scaling_table)
 from .greens import (DecayFit, FiniteOperator, GreenMatrix, PaveResult,
-                     MultiscaleParams, build_operator, decay_fit, green_cramer,
+                     MultiscaleParams, build_operator, decay_fit,
                      green_cramer_matrix, green_solve, pave)
 from .localization import (DecayProfile, EigenPair, decay_profile,
                            eigensystem, growth_pair_search, localization_scan,

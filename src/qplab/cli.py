@@ -49,7 +49,8 @@ _SYSTEM_SCHEMA = {
         "omega": {"type": "array", "items": {"type": "number"},
                   "minItems": 1, "maxItems": 2},
         "dio": {"type": "object",
-                "properties": {"A": {"type": "number"}, "c": {"type": "number"}}},
+                "properties": {"A": {"type": "number"}, "c": {"type": "number"}},
+                "additionalProperties": False},
     },
     "additionalProperties": False,
 }
@@ -75,7 +76,8 @@ CONFIG_SCHEMA = {
                    "required": ["min", "max", "points"],
                    "properties": {"min": {"type": "number"},
                                   "max": {"type": "number"},
-                                  "points": {"type": "integer", "minimum": 1}}},
+                                  "points": {"type": "integer", "minimum": 1}},
+                   "additionalProperties": False},
         "e_values": {"type": "array", "items": {"type": "number"}},
         "E": {"type": "number"},
         "sigma": {"type": "number"},
@@ -91,7 +93,13 @@ CONFIG_SCHEMA = {
         "rate_threshold": {"type": "number"},
         "r2_threshold": {"type": "number"},
         "top_profiles": {"type": "integer", "minimum": 0},
-        "window_check": {"type": "object", "required": ["N", "delta"]},
+        "window_check": {"type": "object",
+                         "required": ["N", "delta"],
+                         "properties": {"N": {"type": "integer", "minimum": 1},
+                                        "delta": {"type": "number"},
+                                        "count": {"type": "integer",
+                                                  "minimum": 0}},
+                         "additionalProperties": False},
         "delta": {"type": "number"},
         "e1_values": {"type": "array", "items": {"type": "number"}},
         "herman": {"type": "boolean"},
@@ -452,6 +460,10 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         started = time.time()
         outputs = _HANDLERS[config["command"]](config, v, freq, eff_seed, out)
         wall = time.time() - started
+    except ValueError as exc:
+        # A value the schema admits but the library rejects, such as a
+        # decreasing scale ladder or too few samples.
+        raise ConfigInvalid(str(exc)) from exc
     finally:
         THREADS.reset(token)
     manifest = {
@@ -470,6 +482,37 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
     mpath = out / "manifest.json"
     _write_json(mpath, manifest)
     return outputs + [mpath]
+
+
+def _load_config(args) -> dict:
+    """The config the command line names, with ``--schedule`` applied."""
+    try:
+        if args.config is None:
+            if args.command not in FLAGSHIP_CONFIGS:
+                raise ConfigInvalid(
+                    f"command {args.command!r} has no built-in config; pass --config")
+            config = json.loads(json.dumps(FLAGSHIP_CONFIGS[args.command]))
+        elif args.config == "-":
+            config = json.load(sys.stdin)
+        else:
+            with open(args.config) as fh:
+                config = json.load(fh)
+    except ValueError as exc:       # not JSON, or not UTF-8 text
+        raise ConfigInvalid(f"malformed JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigInvalid(str(exc)) from exc
+    if not isinstance(config, dict):
+        raise ConfigInvalid("config must be a JSON object")
+    config.setdefault("command", args.command)
+    if config["command"] != args.command:
+        raise ConfigInvalid(f"config command {config['command']!r} does not "
+                            f"match subcommand {args.command!r}")
+    if args.schedule:
+        try:
+            config["schedule"] = [int(x) for x in args.schedule.split(",")]
+        except ValueError as exc:
+            raise ConfigInvalid(f"--schedule: {exc}") from exc
+    return config
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -511,38 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config is None:
-            if args.command not in FLAGSHIP_CONFIGS:
-                raise ConfigInvalid(
-                    f"command {args.command!r} has no built-in config; pass --config")
-            config = json.loads(json.dumps(FLAGSHIP_CONFIGS[args.command]))
-        elif args.config == "-":
-            config = json.load(sys.stdin)
-        else:
-            with open(args.config) as fh:
-                config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        print(f"ConfigInvalid: malformed JSON: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"ConfigInvalid: {exc}", file=sys.stderr)
-        return 2
-    except ConfigInvalid as exc:
-        print(f"ConfigInvalid: {exc}", file=sys.stderr)
-        return 2
-
-    if not isinstance(config, dict):
-        print("ConfigInvalid: config must be a JSON object", file=sys.stderr)
-        return 2
-    config.setdefault("command", args.command)
-    if config["command"] != args.command:
-        print(f"ConfigInvalid: config command {config['command']!r} does not "
-              f"match subcommand {args.command!r}", file=sys.stderr)
-        return 2
-    if args.schedule:
-        config["schedule"] = [int(x) for x in args.schedule.split(",")]
-
-    try:
+        config = _load_config(args)
         outputs = run(config, out_dir=args.out, seed=args.seed,
                       threads=args.threads)
     except ConfigInvalid as exc:

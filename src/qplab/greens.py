@@ -4,7 +4,7 @@ Green's function entries are kept in signed-log form throughout: with a
 positive Lyapunov exponent the off-diagonal entries of a few-hundred-site box
 underflow doubles, while their logs stay perfectly representable.  Two
 independent routes produce the entries: the minor/continuant factorization
-(`green_cramer*`) and a pivoted banded solve (`green_solve`).  `pave`
+(`green_cramer_matrix`) and a pivoted banded solve (`green_solve`).  `pave`
 assembles the Green's function of a long interval from overlapping good
 windows by iterating the resolvent identity to its fixed point.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numfmt, slog
 from .errors import IterationDiverged, PavingFailed, SingularEnergy
-from .model import Frequency, LogScalar, TrigPotential
+from .model import Frequency, TrigPotential
 from .transfer import _phases, det_sequence
 
 DEFAULT_DET_FLOOR = -700.0
@@ -98,16 +98,6 @@ class GreenMatrix:
     def size(self) -> int:
         return self.interval[1] - self.interval[0] + 1
 
-    def _local(self, site: int) -> int:
-        a, b = self.interval
-        if not a <= site <= b:
-            raise IndexError(f"site {site} outside box {self.interval}")
-        return site - a
-
-    def entry(self, site1: int, site2: int) -> LogScalar:
-        i, j = self._local(site1), self._local(site2)
-        return LogScalar(int(self.signs[i, j]), float(self.logs[i, j]))
-
     def values(self) -> np.ndarray:
         return slog.to_values(self.signs, self.logs)
 
@@ -153,51 +143,28 @@ class GreenMatrix:
 # Cramer route: minors are products of leading/trailing continuants
 
 
-def _continuants(interval, omega, theta, energy, v):
-    lead_s, lead_l = det_sequence(interval, omega, theta, energy, v)
-    trail_s, trail_l = det_sequence(interval, omega, theta, energy, v, trailing=True)
-    return lead_s, lead_l, trail_s, trail_l
-
-
 def _check_det(interval, sign: int, logmag: float, det_floor: float):
     if sign == 0 or logmag < det_floor:
         raise SingularEnergy(interval, logmag if sign != 0 else -math.inf)
 
 
-def green_cramer(interval: Tuple[int, int], omega: Frequency, theta,
-                 energy: float, v: TrigPotential, site1: int, site2: int,
-                 det_floor: float = DEFAULT_DET_FLOOR) -> LogScalar:
-    """Single Green's function entry from the minor factorization.
+def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
+                        energy: float, v: TrigPotential,
+                        det_floor: float = DEFAULT_DET_FLOOR) -> GreenMatrix:
+    """Every Green's function entry from the minor factorization.
 
     The (i, j) minor of a unit-off-diagonal tridiagonal box splits into the
     leading continuant before i and the trailing continuant after j, so the
     entry is their product over the full determinant with the checkerboard
-    sign from Cramer's rule.
+    sign from Cramer's rule.  One leading and one trailing continuant
+    sequence serve every entry of the upper triangle, i <= j; the box is
+    symmetric, so the lower triangle mirrors it.
     """
     a, b = int(interval[0]), int(interval[1])
     n = b - a + 1
-    i = site1 - a + 1
-    j = site2 - a + 1
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError("requested sites outside the box")
-    if i > j:
-        i, j = j, i
-    lead_s, lead_l, trail_s, trail_l = _continuants((a, b), omega, theta, energy, v)
-    _check_det((a, b), int(lead_s[n]), float(lead_l[n]), det_floor)
-    sign = (-1) ** (i + j) * int(lead_s[i - 1]) * int(trail_s[n - j]) * int(lead_s[n])
-    if sign == 0:
-        return LogScalar(0, -math.inf)
-    logmag = float(lead_l[i - 1] + trail_l[n - j] - lead_l[n])
-    return LogScalar(sign, logmag)
-
-
-def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
-                        energy: float, v: TrigPotential,
-                        det_floor: float = DEFAULT_DET_FLOOR) -> GreenMatrix:
-    """All entries of the Cramer route at once (shared continuant arrays)."""
-    a, b = int(interval[0]), int(interval[1])
-    n = b - a + 1
-    lead_s, lead_l, trail_s, trail_l = _continuants((a, b), omega, theta, energy, v)
+    lead_s, lead_l = det_sequence((a, b), omega, theta, energy, v)
+    trail_s, trail_l = det_sequence((a, b), omega, theta, energy, v,
+                                    trailing=True)
     _check_det((a, b), int(lead_s[n]), float(lead_l[n]), det_floor)
     i = np.arange(1, n + 1)
     lg_i = lead_l[i - 1]

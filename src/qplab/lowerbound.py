@@ -20,7 +20,7 @@ from .errors import (DescentExhausted, DropExceeded, GateFailed,
                      HypothesisUnmet, PotentialConstant)
 from .greens import MultiscaleParams
 from .lyapunov import LyapunovEstimate, SamplerSpec, lyapunov_n
-from .model import Frequency, TrigPotential, strip_norm
+from .model import Frequency, TrigPotential
 from .transfer import (_LOG2, _log_norm, _orbit_rows, _phases, _products,
                        cocycle_batch)
 
@@ -193,7 +193,7 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
     analytic = (delta / 16.0) * log_lam
     intermediate = (delta / 4.0) * ((1.0 - strip_constant * delta / rho_strip)
                                     * log_lam - 2.0 * math.log(1.0 / epsilon))
-    sup0 = strip_norm(v, rho_eff=0.0).bound
+    sup0 = v.coefficient_bound(0.0)
     ceiling = math.log(lam * (1.0 + sup0) + abs(energy) + 1.0)
     measured = None
     sound = None
@@ -480,8 +480,10 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
         raise ValueError("schedule must be nonempty and strictly increasing")
     if lam <= 0:
         raise ValueError("coupling must be positive")
+    if rho_eff < 0:
+        raise ValueError("rho_eff must be >= 0")
     v = v0.with_coupling(lam * v0.coupling)
-    log1v = math.log(1.0 + strip_norm(v, rho_eff=rho_eff).bound)
+    log1v = math.log(1.0 + v.coefficient_bound(rho_eff))
     log_lam = math.log(lam)
     quad = sampler_quadrature or ("monte_carlo" if omega.dim == 2 else "grid")
 
@@ -577,7 +579,7 @@ def shift_deviation_fraction(omega: Frequency, v: TrigPotential, energy: float,
     j <= 2 big_n sees |phi_m - L_m| above n0^(-sigma/2) * log(1 + sup|v|).
     Compared against exp(-n0^(sigma/5)) as a report.
     """
-    log1v = math.log(1.0 + strip_norm(v, rho_eff=0.0).bound)
+    log1v = math.log(1.0 + v.coefficient_bound(0.0))
     threshold = n0 ** (-sigma / 2.0) * log1v
     lo = int(math.sqrt(n0)) + 1
     ms = sorted({int(x) for x in np.linspace(lo, n0, scales)})

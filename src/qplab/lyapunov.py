@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numfmt
-from .model import Frequency, TrigPotential, strip_norm
+from .model import Frequency, TrigPotential
 from .transfer import cocycle_batch, _phases
 
 DEFAULT_SIGMA_1D = 1.0 / 3.0
@@ -281,7 +281,7 @@ def upper_bound_check(omega: Frequency, energy: float, n: int, v: TrigPotential,
     thetas = theta_samples(omega.dim, probe, n)
     phi = _phi_values(omega, thetas, energy, n, v)
     excess = float(np.max(phi - ref_est.value))
-    const = 2.0 * math.log(1.0 + strip_norm(v, rho_eff=0.0).bound + abs(energy))
+    const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0) + abs(energy))
     reference = const * n ** (-sigma)
     return UpperBoundReport(max_excess=excess, sigma=sigma, reference=reference,
                             margin=reference - excess, l_n=ref_est.value)

@@ -1,4 +1,4 @@
-"""Core domain types: torus frequencies, trigonometric potentials, signed-log scalars.
+"""Core domain types: torus frequencies and trigonometric potentials.
 
 Conventions: the torus is [0,1)^d and a wave index k contributes the phase
 exp(2*pi*i*k.theta), so "cos theta" means cos(2*pi*theta) internally.
@@ -23,54 +23,16 @@ KVec = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# signed-log scalar
-
-
-@dataclass(frozen=True)
-class LogScalar:
-    """Read-only view of one real number as (sign, log magnitude).
-
-    Arithmetic on signed logs lives in ``qplab.slog``, on arrays.
-    """
-
-    sign: int
-    log_mag: float
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogScalar":
-        if x == 0.0:
-            return cls(0, -math.inf)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_mag)
-        except OverflowError:
-            return self.sign * math.inf
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-
-# ---------------------------------------------------------------------------
 # frequencies
 
 
 @dataclass(frozen=True)
 class Frequency:
-    """A point of the torus with diophantine parameters (A, c).
-
-    ``verified_horizon`` is a monotone high-water mark: the largest K for
-    which the small-divisor condition has been checked exhaustively.  It is
-    a cache, so it takes no part in equality or hashing.
-    """
+    """A point of the torus with diophantine parameters (A, c)."""
 
     components: Tuple[float, ...]
     dio_A: float = 2.0
     dio_c: float = 0.1
-    verified_horizon: int = field(default=0, compare=False)
 
     def __post_init__(self):
         comps = tuple(float(c) for c in self.components)
@@ -113,8 +75,7 @@ def _torus_dist(x: np.ndarray) -> np.ndarray:
 def verify_diophantine(freq: Frequency, horizon: int):
     """Scan all 0 < |k| <= horizon; return the largest violating k, or None.
 
-    Uses the sup norm for |k|.  On success the frequency's verified horizon
-    is raised (a monotone cache update on an otherwise immutable value).
+    Uses the sup norm for |k|.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -138,8 +99,6 @@ def verify_diophantine(freq: Frequency, horizon: int):
         if bad.any():
             worst = np.argmax(np.where(bad, norm, -1.0))
             return (int(K1[worst]), int(K2[worst]))
-    if horizon > freq.verified_horizon:
-        object.__setattr__(freq, "verified_horizon", int(horizon))
     return None
 
 
@@ -286,18 +245,6 @@ class TrigPotential:
         return self.coupling * (phase @ self._c_all)
 
 
-def eval_potential(v: TrigPotential, theta) -> float:
-    """Value of the (coupled) potential at a real torus point."""
-    out = v.eval_batch(np.asarray(theta, dtype=float))
-    return float(np.asarray(out).reshape(()))
-
-
-def eval_potential_complex(v: TrigPotential, z) -> complex:
-    """Holomorphic extension; requires |Im z_j| < strip_width/10."""
-    out = v.eval_complex_batch(np.asarray(z, dtype=complex))
-    return complex(np.asarray(out).reshape(()))
-
-
 def strip_norm(v: TrigPotential, rho_eff: Optional[float] = None,
                grid: int = 512) -> StripNorm:
     """Sup of |v| over the strip |Im z_j| <= rho_eff.
@@ -392,14 +339,6 @@ def two_cosine_potential(coupling: float = 1.0,
 #                    omega: [...], dio: {A, c}}
 
 
-def potential_to_json(v: TrigPotential) -> dict:
-    rows = []
-    for k, c in sorted(v.coeffs.items()):
-        rows.append([*k, float(c.real), float(c.imag)])
-    return {"dim": v.dim, "coeffs": rows, "rho": v.strip_width,
-            "lambda": v.coupling}
-
-
 def potential_from_json(doc: Mapping) -> TrigPotential:
     dim = int(doc["dim"])
     coeffs = {}
@@ -420,11 +359,6 @@ def frequency_from_json(doc: Mapping) -> Frequency:
                      dio_c=float(dio.get("c", 0.1)))
 
 
-def frequency_to_json(freq: Frequency) -> dict:
-    return {"omega": list(freq.components),
-            "dio": {"A": freq.dio_A, "c": freq.dio_c}}
-
-
 def system_from_json(doc: Union[str, Mapping]) -> Tuple[TrigPotential, Frequency]:
     """Parse the combined potential+frequency document."""
     if isinstance(doc, str):
@@ -434,9 +368,3 @@ def system_from_json(doc: Union[str, Mapping]) -> Tuple[TrigPotential, Frequency
     if freq.dim != v.dim:
         raise ValueError("omega dimension does not match potential dimension")
     return v, freq
-
-
-def system_to_json(v: TrigPotential, freq: Frequency) -> dict:
-    out = potential_to_json(v)
-    out.update(frequency_to_json(freq))
-    return out

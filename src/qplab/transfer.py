@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .model import Frequency, LogScalar, TrigPotential, strip_norm
+from .model import Frequency, TrigPotential
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,6 @@ class CocycleResult:
     entries: np.ndarray             # 2x2, Frobenius norm 1
     log_scale: float
     steps: int
-
-
-@dataclass(frozen=True)
-class DetTriple:
-    """Determinants of a box operator minus E and its two trailing truncations."""
-
-    d_n: LogScalar
-    d_n1: LogScalar
-    d_n2: LogScalar
 
 
 def _frac(x):
@@ -285,20 +276,6 @@ def det_sequence(interval: Tuple[int, int], omega: Frequency, theta,
     return signs, logs
 
 
-def det_recurrence(interval: Tuple[int, int], omega: Frequency, theta,
-                   energy: float, v: TrigPotential) -> DetTriple:
-    """det(A - E) over [a,b] plus the determinants with the last 1 or 2 rows dropped."""
-    signs, logs = det_sequence(interval, omega, theta, energy, v)
-    n = signs.shape[0] - 1
-
-    def pick(i: int) -> LogScalar:
-        if i < 0:
-            return LogScalar(0, -math.inf)
-        return LogScalar(int(signs[i]), float(logs[i]))
-
-    return DetTriple(pick(n), pick(n - 1), pick(n - 2))
-
-
 def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
                         v: TrigPotential) -> float:
     """Max signed-log residual between cocycle entries and recurrence determinants.
@@ -359,8 +336,7 @@ def growth_envelope(n: int, omega: Frequency, theta, energy: float,
     """Check that one-step conjugations move the finite-scale exponent by at most C|r|/n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    sup = strip_norm(v, rho_eff=0.0).bound
-    const = 2.0 * math.log(1.0 + sup + abs(energy))
+    const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0) + abs(energy))
 
     # Per-step trace at the base phase.
     rows = _orbit_rows(omega, _as_batch(omega, theta), energy, n, v)

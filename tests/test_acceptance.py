@@ -20,7 +20,8 @@ from qplab import (SamplerSpec, complexified_growth_check, cosine_potential,
                    sublevel_measure, two_cosine_potential,
                    two_torus_frequency, verify_det_identity,
                    window_bound_check, zero_potential)
-from qplab.transfer import det_recurrence
+from qplab.transfer import (_final, _log_opnorm, _orbit_rows, _period,
+                            det_sequence)
 
 GOLDEN = golden_frequency()
 OMEGA2 = two_torus_frequency()
@@ -158,7 +159,7 @@ def test_c09_cramer_vs_solve():
         size = int(rng.integers(4, 201))
         theta = float(rng.random())
         energy = float(rng.uniform(-10.0, 10.0))
-        if det_recurrence((1, size), GOLDEN, theta, energy, v).d_n.log_mag < -50:
+        if det_sequence((1, size), GOLDEN, theta, energy, v)[1][-1] < -50:
             continue
         gc = green_cramer_matrix((1, size), GOLDEN, theta, energy, v)
         gs = green_solve((1, size), GOLDEN, theta, energy, v)
@@ -244,14 +245,19 @@ def test_c13_complexified_growth():
            time.time() - start)
 
 
+def spectrum_sample():
+    """9 evenly spaced eigenvalues of the 1000-site almost-Mathieu box."""
+    pairs = eigensystem((1, 1000), GOLDEN, 0.0, MATHIEU5)
+    return np.array([pairs[k].energy
+                     for k in np.round(np.linspace(0, 999, 9)).astype(int)])
+
+
 def test_c14_exponent_on_spectrum():
     # L(E) = log(lambda/2) on the spectrum of the almost-Mathieu operator
     # with lambda > 2 (Bourgain-Jitomirskaya, J. Stat. Phys. 108 (2002)).
     # L_n decreases to it at rate about 1/n, so 0 < L_n - log 2.5 <= 2/n.
     start = time.time()
-    pairs = eigensystem((1, 1000), GOLDEN, 0.0, MATHIEU5)
-    energies = [pairs[k].energy
-                for k in np.round(np.linspace(0, 999, 9)).astype(int)]
+    energies = spectrum_sample()
     ok = True
     details = []
     for n in (500, 2000):
@@ -263,4 +269,35 @@ def test_c14_exponent_on_spectrum():
                        f"{max(excess):.2e}], margins {min(excess):.2e} > 0 "
                        f"and {2.0 / n - max(excess):.2e} below 2/n")
     report(14, "exponent on the spectrum equals log(lambda/2)", ok,
+           "; ".join(details), 10.0, time.time() - start)
+
+
+def test_c15_quantized_acceleration():
+    # Avila's global theory (Acta Math. 215 (2015)): for the almost-Mathieu
+    # operator with lambda > 2 and E on the spectrum, L(E, eps) grows with
+    # the imaginary part of the phase at the integer rate 1, that is
+    # L(E, eps) = L(E, 0) + 2 pi eps for small eps >= 0.  c14 states the
+    # 1/n rate of L_n, so |L_n(E, eps) - L_n(E, 0) - 2 pi eps| <= 2/n.  Each
+    # line Im z = eps runs as one complex batch of every energy and phase.
+    start = time.time()
+    n, column = 1000, spectrum_sample()[:, None]
+    xs = (np.arange(64) + 0.5) / 64
+
+    def line(eps):
+        rows = _orbit_rows(GOLDEN, xs + 1j * eps, column, n, MATHIEU5)
+        m, ls = _final(rows, _period(MATHIEU5, column, eps))
+        return np.mean(_log_opnorm(*m, ls), axis=1) / n
+
+    base = line(0.0)
+    ok = True
+    details = []
+    for eps in (0.01, 0.02, 0.05):
+        rise = line(eps) - base
+        worst = float(np.max(np.abs(rise - 2.0 * math.pi * eps)))
+        accel = rise / (2.0 * math.pi * eps)
+        ok = ok and worst <= 2.0 / n
+        details.append(f"eps={eps}: acceleration in [{accel.min():.4f}, "
+                       f"{accel.max():.4f}], worst {worst * n:.2f}/n, margin "
+                       f"{2.0 / n - worst:.2e} below 2/n")
+    report(15, "quantized acceleration on the spectrum", ok,
            "; ".join(details), 10.0, time.time() - start)

@@ -46,6 +46,10 @@ NO_ENERGIES = {k: v for k, v in lyap_config().items() if k != "e_values"}
 PAVE = {"schema_version": 1, "command": "pave",
         "system": dict(BASE_SYSTEM, **{"lambda": 10.0}), "E": 13.0,
         "interval": [1, 120], "window": 50, "rate_c": 1.0}
+GREEN_1D = {"schema_version": 1, "command": "green",
+            "system": dict(BASE_SYSTEM), "E": 0.5, "interval": [1, 10]}
+LDT = {"schema_version": 1, "command": "ldt", "system": dict(BASE_SYSTEM),
+       "n_schedule": [20, 40], "samples": 1000}
 LOCALIZE_CHECK = {"schema_version": 1, "command": "localize",
                   "system": dict(BASE_SYSTEM), "interval": [-20, 20],
                   "window_check": {"N": 10, "delta": 0.5}}
@@ -302,17 +306,49 @@ class TestMainEntry:
         without(PAVE, "window"),
         without(GREEN_2D, "interval"),
         dict(LOCALIZE_CHECK, window_check={"delta": 0.5}),
+        lyap_config(system=dict(BASE_SYSTEM, dio={"A": 2.0, "C": 0.2})),
+        dict(NO_ENERGIES, e_grid={"min": 0.0, "max": 1.0, "points": 3,
+                                  "pionts": 4}),
+        dict(LOCALIZE_CHECK, window_check={"N": 5, "delta": 0.5,
+                                           "cuont": 2}),
+        dict(LOCALIZE_CHECK, window_check={"N": 5, "delta": 0.5,
+                                           "count": -1}),
+        dict(LOCALIZE_CHECK, window_check={"N": "abc", "delta": 0.5}),
+        # Values the schema admits but the library rejects.
+        dict(LDT, samples=10),
+        dict(LDT, n_schedule=[100, 50]),
+        dict(GREEN_1D, interval=[1, 20], min_sep=10),
+        dict(GREEN_1D, interval=[20, 1]),
+        dict(FLAGSHIP_CONFIGS["recursion"], schedule=[400, 200]),
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "delta": 5.0},
+        dict(LOCALIZE_CHECK, interval=[-100, 100],
+             window_check={"N": 1000, "delta": 0.5}),
     ], ids=["not-conjugate-symmetric", "omega-outside-torus",
             "omega-dim-mismatch", "nan-energy", "inf-energy", "inf-grid",
             "theta-shape", "sampels", "system-lamda", "pave-no-rate_c",
-            "pave-no-window", "green-no-interval", "window_check-no-N"])
+            "pave-no-window", "green-no-interval", "window_check-no-N",
+            "dio-C", "e_grid-pionts", "window_check-cuont",
+            "window_check-negative-count", "window_check-N-string",
+            "ldt-samples", "ldt-decreasing-schedule", "green-min_sep",
+            "green-reversed-interval", "recursion-decreasing-schedule",
+            "lowerbound-delta", "window_check-N-too-large"])
     def test_invalid_input_exit_two(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code = main([cfg["command"], "--config", str(path), "--out",
                      str(tmp_path / "out")])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "ConfigInvalid" in capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: ")
+        assert "Traceback" not in err
+
+    def test_schedule_flag_not_integers_exit_two(self, tmp_path, capsys):
+        code = main(["recursion", "--schedule", "100,abc", "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ConfigInvalid: --schedule")
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -324,10 +360,11 @@ class TestMainEntry:
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code = main(["lyapunov", "--config", str(path)])
-        assert code == 2
-        assert "ConfigInvalid" in capsys.readouterr().err
+        for data in (b"{not json", b"\xff\xfe{}"):     # the second is not UTF-8
+            path.write_bytes(data)
+            code = main(["lyapunov", "--config", str(path)])
+            assert code == 2
+            assert "ConfigInvalid: malformed JSON" in capsys.readouterr().err
 
     def test_command_mismatch_exit_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -7,13 +7,12 @@ import pytest
 from conftest import random_trig_potential
 from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    build_operator, cocycle, cosine_potential, decay_fit,
-                   det_recurrence, eval_potential, green_cramer,
                    green_cramer_matrix, green_solve, pave, slog,
                    zero_potential)
 from qplab.greens import (DEFAULT_DET_FLOOR, GreenMatrix, MultiscaleParams,
                           PaveResult, _certificate, _window_admissible)
 from qplab.model import Frequency, TrigPotential
-from qplab.transfer import _phases
+from qplab.transfer import _phases, det_sequence
 
 
 def dense_green(interval, omega, theta, energy, v):
@@ -45,10 +44,10 @@ class TestBuildOperator:
 
 class TestGreenCramer:
     def test_single_site_inverse(self, golden, mathieu5):
-        val = green_cramer((4, 4), golden, 0.3, 1.5, mathieu5, 4, 4)
+        g = green_cramer_matrix((4, 4), golden, 0.3, 1.5, mathieu5)
         ph = (0.3 + 4 * golden.scalar()) % 1.0
-        expect = 1.0 / (eval_potential(mathieu5, ph) - 1.5)
-        assert val.value() == pytest.approx(expect, rel=1e-12)
+        expect = 1.0 / (float(mathieu5.eval_batch(ph)) - 1.5)
+        assert g.values()[0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_matches_dense_inverse_oracle(self, golden):
         rng = np.random.default_rng(10)
@@ -78,14 +77,14 @@ class TestGreenCramer:
                         np.delete(np.delete(dense, i - 1, axis=0), j - 1,
                                   axis=1))
                     want = (-1.0) ** (i + j) * minor / full
-                    got = g.entry(i, j).value()
+                    got = g.values()[i - 1, j - 1]
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_cramer_bound_by_cocycle_norms(self, golden, mathieu5):
         # |G(i,j)| <= ||M_(i-1)|| * ||M_(n-j) at shifted phase|| / |det|
         n, theta, energy = 24, 0.37, 0.9
         g = green_cramer_matrix((1, n), golden, theta, energy, mathieu5)
-        det = det_recurrence((1, n), golden, theta, energy, mathieu5).d_n
+        det_log = det_sequence((1, n), golden, theta, energy, mathieu5)[1][-1]
         rng = np.random.default_rng(12)
         for _ in range(30):
             i = int(rng.integers(1, n + 1))
@@ -94,12 +93,12 @@ class TestGreenCramer:
                 if i > 1 else 0.0
             right = cocycle(golden, theta, energy, n - j, mathieu5,
                             start=j).log_norm if j < n else 0.0
-            assert g.entry(i, j).log_mag <= left + right - det.log_mag + 1e-9
+            assert g.logs[i - 1, j - 1] <= left + right - det_log + 1e-9
 
     def test_singular_energy(self, golden, free):
         # 1x1 free box at E = 0 is exactly singular
         with pytest.raises(SingularEnergy):
-            green_cramer((1, 1), golden, 0.0, 0.0, free, 1, 1)
+            green_cramer_matrix((1, 1), golden, 0.0, 0.0, free)
 
 
 class TestGreenSolve:
@@ -123,8 +122,7 @@ class TestGreenSolve:
                                       amplitude=float(rng.uniform(0.3, 2.0)))
             size = int(rng.integers(10, 200))
             theta, energy = rng.random(), rng.uniform(-10, 10)
-            trip = det_recurrence((1, size), golden, theta, energy, v)
-            if trip.d_n.log_mag < -50:
+            if det_sequence((1, size), golden, theta, energy, v)[1][-1] < -50:
                 continue
             gc = green_cramer_matrix((1, size), golden, theta, energy, v)
             gs = green_solve((1, size), golden, theta, energy, v)

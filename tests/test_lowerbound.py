@@ -191,6 +191,10 @@ class TestMultiscaleRecursion:
             multiscale_recursion(1.0, two_cos, omega2, [200], samples=100,
                                  seed=8)
 
+    def test_negative_rho_eff_rejected(self, omega2, two_cos):
+        with pytest.raises(ValueError, match="rho_eff"):
+            multiscale_recursion(50.0, two_cos, omega2, [200], rho_eff=-0.1)
+
     def test_json_keys(self, omega2, two_cos):
         ladder = multiscale_recursion(50.0, two_cos, omega2, [200, 400],
                                       samples=100, seed=9)

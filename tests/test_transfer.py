@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_trig_potential
-from qplab import (LogScalar, StripExceeded, cocycle, cocycle_batch,
-                   cocycle_complex, cosine_potential, det_recurrence,
-                   golden_frequency, growth_envelope, strip_norm,
-                   two_torus_frequency, verify_det_identity, zero_potential)
+from qplab import (StripExceeded, cocycle, cocycle_batch, cocycle_complex,
+                   cosine_potential, golden_frequency, growth_envelope,
+                   slog, strip_norm, two_torus_frequency,
+                   verify_det_identity, zero_potential)
 from qplab.transfer import (_entries, _log_opnorm, _orbit_rows, _period,
                             _phases, _products, det_sequence)
 
@@ -44,9 +44,9 @@ def cofactor_det(m):
 
 
 def log_det(res):
-    """Signed log determinant of a cocycle product, from its entries."""
+    """(sign, log|det|) of a cocycle product, from its entries."""
     d = float(np.linalg.det(res.entries))
-    return LogScalar(1 if d > 0 else -1, 2.0 * res.log_scale + math.log(abs(d)))
+    return (1 if d > 0 else -1), 2.0 * res.log_scale + math.log(abs(d))
 
 
 def log_inv_norm(res):
@@ -153,13 +153,13 @@ class TestCocycle:
         # noise floor: small n at strong coupling, large n at critical
         # coupling where norms grow subexponentially.
         res = cocycle(golden, 0.41, 1.7, 10, mathieu5)
-        d = log_det(res)
-        assert d.sign == 1
-        assert abs(d.log_mag) <= 1e-6
+        sign, log_mag = log_det(res)
+        assert sign == 1
+        assert abs(log_mag) <= 1e-6
         res = cocycle(golden, 0.41, 0.0, 500, cosine_potential(2.0))
-        d = log_det(res)
-        assert d.sign == 1
-        assert abs(d.log_mag) <= 1e-8
+        sign, log_mag = log_det(res)
+        assert sign == 1
+        assert abs(log_mag) <= 1e-8
 
     def test_norm_bounds_both_sides(self, golden, mathieu5):
         n = 300
@@ -252,18 +252,20 @@ class TestCocycleComplex:
 
 class TestDetRecurrence:
     def test_single_site(self, golden, mathieu5):
-        trip = det_recurrence((4, 4), golden, 0.2, 1.5, mathieu5)
+        dets = slog.to_values(*det_sequence((4, 4), golden, 0.2, 1.5, mathieu5))
         ph = (0.2 + 4 * golden.scalar()) % 1.0
         expected = float(mathieu5.eval_batch(np.asarray([ph]))[0]) - 1.5
-        assert trip.d_n.value() == pytest.approx(expected, rel=1e-13)
-        assert trip.d_n1.value() == 1.0
-        assert trip.d_n2.is_zero()
+        # The empty determinant, then the one site.
+        assert dets.shape == (2,)
+        assert dets[0] == 1.0
+        assert dets[1] == pytest.approx(expected, rel=1e-13)
 
     def test_two_sites_closed_form(self, golden, mathieu5):
-        trip = det_recurrence((2, 3), golden, 0.61, -0.4, mathieu5)
+        dets = slog.to_values(*det_sequence((2, 3), golden, 0.61, -0.4,
+                                            mathieu5))
         m = dense_box((2, 3), golden, 0.61, -0.4, mathieu5)
-        expected = m[0, 0] * m[1, 1] - 1.0
-        assert trip.d_n.value() == pytest.approx(expected, rel=1e-12)
+        assert dets[1] == pytest.approx(m[0, 0], rel=1e-12)
+        assert dets[2] == pytest.approx(m[0, 0] * m[1, 1] - 1.0, rel=1e-12)
 
     def test_matches_cofactor_oracle(self, golden):
         rng = np.random.default_rng(5)
@@ -273,10 +275,13 @@ class TestDetRecurrence:
             a = int(rng.integers(-20, 20))
             theta = rng.random()
             energy = rng.uniform(-5, 5)
-            trip = det_recurrence((a, a + size - 1), golden, theta, energy, v)
-            oracle = cofactor_det(dense_box((a, a + size - 1), golden, theta,
-                                            energy, v))
-            assert trip.d_n.value() == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+            dets = slog.to_values(*det_sequence((a, a + size - 1), golden,
+                                                theta, energy, v))
+            box = dense_box((a, a + size - 1), golden, theta, energy, v)
+            # Every leading truncation, not only the whole box.
+            oracle = [1.0] + [cofactor_det(box[:k, :k])
+                              for k in range(1, size + 1)]
+            assert dets == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_trailing_sequence_matches_leading_of_reverse(self, golden, mathieu5):
         s_lead, l_lead = det_sequence((3, 12), golden, 0.4, 0.9, mathieu5)
@@ -307,9 +312,9 @@ class TestDetIdentity:
     def test_det_bounded_by_cocycle_norm(self, golden, mathieu5):
         # |det(A_n - E)| is one matrix entry, so it cannot exceed the norm
         for n in (5, 20, 60):
-            trip = det_recurrence((1, n), golden, 0.3, 0.8, mathieu5)
+            det_log = det_sequence((1, n), golden, 0.3, 0.8, mathieu5)[1][-1]
             res = cocycle(golden, 0.3, 0.8, n, mathieu5)
-            assert trip.d_n.log_mag <= res.log_norm + 1e-9
+            assert det_log <= res.log_norm + 1e-9
 
 
 class TestGrowthEnvelope:
