@@ -1,9 +1,12 @@
 """Batch experiment driver: `qplab <command> --config <file>`.
 
-Each run validates its JSON config against a schema, dispatches to the
-corresponding module, writes CSV/JSON artifacts atomically, and drops a
-manifest recording the config hash, package versions, seed, thread cap and
-wall time.  Seeded runs reproduce byte for byte at every thread count.
+Each run validates its JSON config against a schema.  The command's handler
+computes: it returns every artifact, the lines of a CSV/plot file or the
+payload of a JSON file by file name, and touches no file.  `run` writes: it
+adds a manifest recording the config hash, package versions, seed, thread cap
+and wall time, and only then creates the output directory and writes each
+file atomically, so a command that fails writes nothing.  Seeded runs
+reproduce byte for byte at every thread count.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from .errors import ConfigInvalid, QplabError
 from .greens import decay_fit, green_solve, pave
 from .ldt import ldt_scaling_table
 from .localization import (decay_profile, eigensystem, localization_summary,
-                           profile_csv_lines, window_bound_check)
+                           window_bound_check)
 from .lowerbound import (epsilon_gap, herman_style_bound, multiscale_recursion,
                          sublevel_measure)
-from .lyapunov import (THREADS, LyapunovEstimate, SamplerSpec, lyapunov_scan,
-                       thread_cap)
+from .lyapunov import THREADS, SamplerSpec, lyapunov_scan, thread_cap
 from .model import system_from_json
 
 COMMANDS = ("lyapunov", "ldt", "green", "pave", "localize", "lowerbound",
@@ -60,7 +62,6 @@ _COMMON = {
     "command": {"type": "string", "enum": list(COMMANDS)},
     "system": _SYSTEM_SCHEMA,
     "seed": {"type": "integer"},
-    "format": {"type": "string", "enum": ["csv", "json"]},
 }
 
 CONFIG_SCHEMA = {
@@ -165,7 +166,6 @@ _BLOCK_LINES = 1 << 16
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         # mkstemp creates mode 0600; give the file the mode open() would.
@@ -210,8 +210,11 @@ def validate_config(config: dict) -> None:
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
     if error is not None:
         raise ConfigInvalid(error.message, tuple(error.absolute_path)) from error
-    if config["command"] not in COMMANDS:
-        raise ConfigInvalid(f"unknown command {config['command']!r}", ("command",))
+    command = config["command"]
+    unread = sorted(config.keys() - _COMMON.keys() - _READS[command])
+    if unread:
+        raise ConfigInvalid(f"{unread[0]!r} is not read by command {command!r}",
+                            (unread[0],))
     try:
         json.dumps(config, allow_nan=False)
     except ValueError as exc:
@@ -231,21 +234,52 @@ def _theta_of(config: dict, dim: int):
 
 
 def _energy_values(config: dict) -> List[float]:
+    named = [key for key in ("e_values", "e_grid", "E") if key in config]
+    if len(named) != 1:
+        raise ConfigInvalid("give exactly one of e_values, e_grid, E; "
+                            f"got {named}")
     if "e_values" in config:
         return [float(e) for e in config["e_values"]]
     if "e_grid" in config:
         g = config["e_grid"]
         return list(np.linspace(g["min"], g["max"], g["points"]))
-    if "E" in config:
-        return [float(config["E"])]
-    raise ConfigInvalid("one of e_values, e_grid, E is required", ("e_values",))
+    return [float(config["E"])]
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns {artifact name: payload description}
+# command handlers: each returns {file name: lines or JSON payload}
+
+_LYAPUNOV_COLUMNS = "n,E,value,std_error,samples,quadrature"
+_LDT_COLUMNS = "n,sigma,threshold,fraction,std_error,bound_reference"
+_PROFILE_COLUMNS = "index,abs,log_abs"
 
 
-def _run_lyapunov(config, v, freq, seed, out_dir) -> List[Path]:
+def _plot(rows: Sequence[tuple], kind: str, suffix: str = "",
+          header: Optional[str] = None) -> dict:
+    """Two-column whitespace data plus a gnuplot stub (no rendering)."""
+    kinds = {"lyapunov_vs_E": ("E", "L_n"),
+             "decay_profile": ("distance", "log_abs"),
+             "ldt_scaling": ("n", "fraction"),
+             "ladder": ("n", "L")}
+    if kind not in kinds:
+        raise ValueError(f"unknown plot kind {kind!r}")
+    if not rows:
+        raise ValueError("refusing to emit empty plot data")
+    xl, yl = kinds[kind]
+    data_name = f"{kind}{suffix}.dat"
+    lines = [f"# {xl} {yl}"]
+    if header:
+        lines.append(header)
+    lines += [numfmt.row(r, sep=" ") for r in rows]
+    return {data_name: lines,
+            f"{kind}{suffix}.gp": [
+                f"set xlabel '{xl}'",
+                f"set ylabel '{yl}'",
+                f"plot '{data_name}' using 1:2 with linespoints title '{kind}'",
+            ]}
+
+
+def _run_lyapunov(config, v, freq, seed) -> dict:
     energies = _energy_values(config)
     n = int(config.get("n", 1000))
     sampler = SamplerSpec(
@@ -253,47 +287,43 @@ def _run_lyapunov(config, v, freq, seed, out_dir) -> List[Path]:
                               "grid" if freq.dim == 1 else "monte_carlo"),
         samples=config.get("samples"), seed=seed)
     estimates = lyapunov_scan(freq, energies, n, v, sampler)
-    lines = [LyapunovEstimate.csv_header()] + [e.csv_row() for e in estimates]
-    path = out_dir / "lyapunov.csv"
-    _write_lines(path, lines)
-    plot = emit_plot_data(
-        [(e.energy, e.value) for e in estimates], "lyapunov_vs_E", out_dir)
-    return [path, *plot]
+    lines = [_LYAPUNOV_COLUMNS] + [
+        numfmt.row((e.n, e.energy, e.value, e.std_error, e.samples))
+        + f",{e.quadrature}" for e in estimates]
+    return {"lyapunov.csv": lines,
+            **_plot([(e.energy, e.value) for e in estimates], "lyapunov_vs_E")}
 
 
-def _run_ldt(config, v, freq, seed, out_dir) -> List[Path]:
+def _run_ldt(config, v, freq, seed) -> dict:
     energy = float(config.get("E", 0.0))
     sigma = float(config.get("sigma", 0.3))
     schedule = [int(x) for x in config.get("n_schedule", [50, 100, 200, 400])]
     samples = int(config.get("samples", 10_000))
     table = ldt_scaling_table(freq, energy, v, sigma, schedule, samples,
                               seed=seed)
-    path = out_dir / "ldt.csv"
-    _write_lines(path, table.csv_lines())
-    rows = [(r.profile.n, r.profile.fraction) for r in table.rows]
-    plot = emit_plot_data(rows, "ldt_scaling", out_dir)
-    return [path, *plot]
+    profiles = [(r.profile, r.bound_reference) for r in table.rows]
+    lines = [_LDT_COLUMNS] + [
+        numfmt.row((p.n, p.sigma, p.threshold, p.fraction, p.std_error, ref))
+        for p, ref in profiles]
+    return {"ldt.csv": lines,
+            **_plot([(p.n, p.fraction) for p, _ in profiles], "ldt_scaling")}
 
 
-def _run_green(config, v, freq, seed, out_dir) -> List[Path]:
+def _run_green(config, v, freq, seed) -> dict:
     interval = tuple(config["interval"])
     energy = float(config.get("E", 0.0))
     theta = _theta_of(config, freq.dim)
     g = green_solve(interval, freq, theta, energy, v)
-    path = out_dir / "green.csv"
-    _write_lines(path, g.csv_lines())
-    outputs = [path]
-    min_sep = config.get("min_sep")
-    if min_sep is not None:
-        fit = decay_fit(g, int(min_sep))
-        fit_path = out_dir / "green_fit.json"
-        _write_json(fit_path, {"rate": fit.rate, "intercept": fit.intercept,
-                               "residual": fit.residual, "pairs": fit.pairs})
-        outputs.append(fit_path)
-    return outputs
+    if "min_sep" not in config:
+        return {"green.csv": g.csv_lines()}
+    # Fitted before the n^2 CSV lines exist: a failing fit builds none.
+    fit = decay_fit(g, int(config["min_sep"]))
+    return {"green.csv": g.csv_lines(),
+            "green_fit.json": {"rate": fit.rate, "intercept": fit.intercept,
+                               "residual": fit.residual, "pairs": fit.pairs}}
 
 
-def _run_pave(config, v, freq, seed, out_dir) -> List[Path]:
+def _run_pave(config, v, freq, seed) -> dict:
     # Checked here rather than in CONFIG_SCHEMA: perfbench times set-up by
     # validating a pave config that has no rate_c.
     if "rate_c" not in config:
@@ -303,38 +333,33 @@ def _run_pave(config, v, freq, seed, out_dir) -> List[Path]:
     theta = _theta_of(config, freq.dim)
     result = pave(interval, int(config["window"]), freq, theta, energy, v,
                   c=float(config["rate_c"]), beta=float(config.get("beta", 0.1)))
-    gpath = out_dir / "paved_green.csv"
-    _write_lines(gpath, result.green.csv_lines())
-    cpath = out_dir / "paving_certificate.json"
-    _write_json(cpath, result.certificate.to_json())
-    return [gpath, cpath]
+    return {"paved_green.csv": result.green.csv_lines(),
+            "paving_certificate.json": result.certificate.to_json()}
 
 
-def _run_localize(config, v, freq, seed, out_dir) -> List[Path]:
+def _run_localize(config, v, freq, seed) -> dict:
     interval = tuple(config["interval"])
     theta = _theta_of(config, freq.dim)
     rate_thr = float(config.get("rate_threshold", 0.0))
     r2_thr = float(config.get("r2_threshold", 0.95))
     pairs = eigensystem(interval, freq, theta, v)
     profiles = [decay_profile(p) for p in pairs]
-    summary = localization_summary(interval, v, profiles, rate_thr, r2_thr)
-    spath = out_dir / "localization.json"
-    _write_json(spath, summary)
-    outputs = [spath]
+    artifacts = {"localization.json": localization_summary(
+        interval, v, profiles, rate_thr, r2_thr)}
     # Eigenpairs by increasing tail mass: the best localized first.
     ranked = sorted(range(len(pairs)), key=lambda k: profiles[k].tail_mass)
     top = int(config.get("top_profiles", 0))
     for i, k in enumerate(ranked[:top]):
-        pair, center = pairs[k], profiles[k].center
-        ppath = out_dir / f"profile_{i:02d}.csv"
-        _write_lines(ppath, profile_csv_lines(pair))
-        outputs.append(ppath)
-        plot = emit_plot_data(
-            [(abs(s - center), math.log(a) if a > 0 else float("-inf"))
-             for s, a in zip(pair.sites().tolist(), np.abs(pair.vector).tolist())
+        center = profiles[k].center
+        sites_abs = list(zip(pairs[k].sites().tolist(),
+                             np.abs(pairs[k].vector).tolist()))
+        artifacts[f"profile_{i:02d}.csv"] = [_PROFILE_COLUMNS] + [
+            numfmt.row((s, a, math.log(a) if a > 0 else -math.inf))
+            for s, a in sites_abs]
+        artifacts.update(_plot(
+            [(abs(s - center), math.log(a)) for s, a in sites_abs
              if a > 1e-300],
-            "decay_profile", out_dir, suffix=f"_{i:02d}")
-        outputs.extend(plot)
+            "decay_profile", suffix=f"_{i:02d}"))
     wc = config.get("window_check")
     if wc:
         reports = []
@@ -344,13 +369,11 @@ def _run_localize(config, v, freq, seed, out_dir) -> List[Path]:
                                      float(wc["delta"]), v)
             reports.append({"energy": pair.energy, "ok": rep.ok,
                             "margin": rep.margin, "peak_ok": rep.peak_ok})
-        wpath = out_dir / "window_checks.json"
-        _write_json(wpath, reports)
-        outputs.append(wpath)
-    return outputs
+        artifacts["window_checks.json"] = reports
+    return artifacts
 
 
-def _run_lowerbound(config, v, freq, seed, out_dir) -> List[Path]:
+def _run_lowerbound(config, v, freq, seed) -> dict:
     delta = float(config.get("delta", 0.1))
     e1_values = [float(x) for x in config.get("e1_values", [0.0])]
     payload: dict = {"delta": delta}
@@ -376,12 +399,10 @@ def _run_lowerbound(config, v, freq, seed, out_dir) -> List[Path]:
                            seed=seed)
     payload["sublevel"] = {"worst_c0": fit.worst_c0,
                            "fits": {str(k): val for k, val in fit.fits.items()}}
-    path = out_dir / "lowerbound.json"
-    _write_json(path, payload)
-    return [path]
+    return {"lowerbound.json": payload}
 
 
-def _run_recursion(config, v, freq, seed, out_dir) -> List[Path]:
+def _run_recursion(config, v, freq, seed) -> dict:
     lam = float(config.get("lambda", 50.0))
     schedule = [int(x) for x in config["schedule"]]
     ladder = multiscale_recursion(
@@ -389,13 +410,10 @@ def _run_recursion(config, v, freq, seed, out_dir) -> List[Path]:
         samples=int(config.get("samples", 200)), seed=seed,
         energy=float(config.get("E", 0.0)),
         gate_constant=float(config.get("gate_constant", 1.0)))
-    path = out_dir / "ladder.json"
-    _write_json(path, ladder.to_json())
-    plot = emit_plot_data([(r.n, r.l_value) for r in ladder.rows], "ladder",
-                          out_dir,
-                          header="# half_log_lambda = "
-                                 + numfmt.num(ladder.half_log_coupling))
-    return [path, *plot]
+    return {"ladder.json": ladder.to_json(),
+            **_plot([(r.n, r.l_value) for r in ladder.rows], "ladder",
+                    header="# half_log_lambda = "
+                           + numfmt.num(ladder.half_log_coupling))}
 
 
 _HANDLERS = {
@@ -408,38 +426,26 @@ _HANDLERS = {
     "recursion": _run_recursion,
 }
 
-
-def emit_plot_data(rows: Sequence[tuple], kind: str, out_dir: Path,
-                   suffix: str = "", header: Optional[str] = None) -> List[Path]:
-    """Write two-column whitespace data plus a gnuplot stub (no rendering)."""
-    kinds = {"lyapunov_vs_E": ("E", "L_n"),
-             "decay_profile": ("distance", "log_abs"),
-             "ldt_scaling": ("n", "fraction"),
-             "ladder": ("n", "L")}
-    if kind not in kinds:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    if not rows:
-        raise ValueError("refusing to emit empty plot data")
-    xl, yl = kinds[kind]
-    out_dir = Path(out_dir)
-    data_path = out_dir / f"{kind}{suffix}.dat"
-    lines = [f"# {xl} {yl}"]
-    if header:
-        lines.append(header)
-    lines += [numfmt.row(r, sep=" ") for r in rows]
-    _write_lines(data_path, lines)
-    stub_path = out_dir / f"{kind}{suffix}.gp"
-    _write_lines(stub_path, [
-        f"set xlabel '{xl}'",
-        f"set ylabel '{yl}'",
-        f"plot '{data_path.name}' using 1:2 with linespoints title '{kind}'",
-    ])
-    return [data_path, stub_path]
+# The config keys each handler reads besides those of _COMMON;
+# validate_config rejects every other key.
+_READS = {
+    "lyapunov": {"e_values", "e_grid", "E", "n", "quadrature", "samples"},
+    "ldt": {"E", "sigma", "n_schedule", "samples"},
+    "green": {"interval", "E", "theta", "min_sep"},
+    "pave": {"interval", "window", "rate_c", "beta", "E", "theta"},
+    "localize": {"interval", "theta", "rate_threshold", "r2_threshold",
+                 "top_profiles", "window_check"},
+    "lowerbound": {"delta", "e1_values", "herman", "lambda",
+                   "sublevel_deltas", "samples"},
+    "recursion": {"lambda", "schedule", "sigma", "samples", "E",
+                  "gate_constant"},
+}
 
 
 def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         threads: Optional[int] = None) -> List[Path]:
-    """Validate, dispatch, and write artifacts plus a provenance manifest.
+    """Validate, compute every artifact, then write them and a provenance
+    manifest; a command that fails writes nothing.
 
     ``threads`` caps the worker threads of phase averages (default: every CPU
     this process may use); artifacts are the same bytes at every value.
@@ -447,8 +453,6 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
     if threads is not None and threads < 1:
         raise ConfigInvalid(f"threads must be at least 1, got {threads}")
     validate_config(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     eff_seed = int(seed if seed is not None else config.get("seed", 0))
     try:
         v, freq = system_from_json(config["system"])
@@ -458,7 +462,7 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
     try:
         cap = thread_cap()
         started = time.time()
-        outputs = _HANDLERS[config["command"]](config, v, freq, eff_seed, out)
+        artifacts = _HANDLERS[config["command"]](config, v, freq, eff_seed)
         wall = time.time() - started
     except ValueError as exc:
         # A value the schema admits but the library rejects, such as a
@@ -466,7 +470,7 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         raise ConfigInvalid(str(exc)) from exc
     finally:
         THREADS.reset(token)
-    manifest = {
+    artifacts["manifest.json"] = {
         "schema_version": 1,
         "command": config["command"],
         "config": config,
@@ -477,11 +481,14 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         "wall_time_s": wall,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "outputs": [p.name for p in outputs],
+        "outputs": list(artifacts),
     }
-    mpath = out / "manifest.json"
-    _write_json(mpath, manifest)
-    return outputs + [mpath]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in artifacts.items():
+        write = _write_json if name.endswith(".json") else _write_lines
+        write(out / name, payload)
+    return [out / name for name in artifacts]
 
 
 def _load_config(args) -> dict:
@@ -521,15 +528,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Quasi-periodic cocycle laboratory: seeded batch experiments "
                     "with CSV/JSON artifacts.")
     columns = {
-        "lyapunov": "CSV columns: n,E,value,std_error,samples,quadrature",
-        "ldt": "CSV columns: n,sigma,threshold,fraction,std_error,bound_reference",
+        "lyapunov": f"CSV columns: {_LYAPUNOV_COLUMNS}",
+        "ldt": f"CSV columns: {_LDT_COLUMNS}",
         "green": "CSV columns: n1,n2,sign,log_mag (plus green_fit.json with min_sep)",
         "pave": "CSV columns: n1,n2,sign,log_mag; certificate JSON: rate, "
                 "intercept, windows_used (the strided window cover), "
                 "failures, contraction (largest summed hop weight of a "
                 "row), iterations (ordered edge-row sweeps)",
         "localize": "JSON summary: box, lambda, pct_localized, median_rate; "
-                    "profile CSV columns: index,abs,log_abs",
+                    f"profile CSV columns: {_PROFILE_COLUMNS}",
         "lowerbound": "JSON: epsilon_gap {y0, epsilon}, herman bounds, "
                       "sublevel exponents",
         "recursion": "JSON ladder rows: n, L, std_error, rho, gate_ok, "

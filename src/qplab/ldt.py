@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import numfmt
 from .errors import SigmaOutOfRange
 from .lyapunov import _phi_values, lyapunov_n
 from .model import Frequency, TrigPotential
@@ -30,14 +29,6 @@ class DeviationProfile:
     samples: int
     std_error: float
     two_sided: bool
-
-    def csv_row(self, bound_reference: float = float("nan")) -> str:
-        return numfmt.row((self.n, self.sigma, self.threshold, self.fraction,
-                           self.std_error, bound_reference))
-
-    @staticmethod
-    def csv_header() -> str:
-        return "n,sigma,threshold,fraction,std_error,bound_reference"
 
 
 def _binomial_se(fraction: float, samples: int) -> float:
@@ -100,11 +91,6 @@ class LdtTable:
 
     def fractions(self) -> np.ndarray:
         return np.array([r.profile.fraction for r in self.rows])
-
-    def csv_lines(self) -> List[str]:
-        out = [DeviationProfile.csv_header()]
-        out.extend(r.profile.csv_row(r.bound_reference) for r in self.rows)
-        return out
 
 
 def ldt_scaling_table(omega: Frequency, energy: float, v: TrigPotential,

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import numfmt, slog
+from . import slog
 from .errors import SingularEnergy
 from .greens import (DEFAULT_DET_FLOOR, _scipy_linalg, build_operator,
                      green_solve)
@@ -95,14 +95,6 @@ def decay_profile(pair: EigenPair, core_radius: int = 5,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-12 else 0.0
     return DecayProfile(center=center, rate=max(0.0, -float(slope)),
                         r2=r2, tail_mass=tail)
-
-
-def profile_csv_lines(pair: EigenPair) -> List[str]:
-    out = ["index,abs,log_abs"]
-    for site, val in zip(pair.sites().tolist(), np.abs(pair.vector).tolist()):
-        la = math.log(val) if val > 0 else -math.inf
-        out.append(numfmt.row((site, val, la)))
-    return out
 
 
 def localization_scan(interval: Tuple[int, int], omega: Frequency, theta,

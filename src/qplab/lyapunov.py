@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import numfmt
 from .model import Frequency, TrigPotential
 from .transfer import cocycle_batch, _phases
 
@@ -104,14 +103,6 @@ class LyapunovEstimate:
     std_error: float
     quadrature: str
     energy: float = 0.0
-
-    def csv_row(self) -> str:
-        return (numfmt.row((self.n, self.energy, self.value, self.std_error,
-                            self.samples)) + f",{self.quadrature}")
-
-    @staticmethod
-    def csv_header() -> str:
-        return "n,E,value,std_error,samples,quadrature"
 
 
 def _phi_values(omega: Frequency, thetas: np.ndarray, energy, n: int,

@@ -11,9 +11,10 @@ import pytest
 
 import qplab
 from qplab import lyapunov
-from qplab.cli import (COMMANDS, CONFIG_SCHEMA, FLAGSHIP_CONFIGS,
-                       emit_plot_data, main, run, validate_config)
+from qplab.cli import (_HANDLERS, _READS, COMMANDS, CONFIG_SCHEMA,
+                       FLAGSHIP_CONFIGS, _plot, main, run, validate_config)
 from qplab.errors import ConfigInvalid
+from qplab.model import system_from_json
 
 BASE_SYSTEM = {
     "dim": 1,
@@ -97,6 +98,12 @@ class TestValidation:
     def test_flagship_configs_pass(self):
         for config in FLAGSHIP_CONFIGS.values():
             validate_config(config)
+
+    def test_every_schema_key_is_read(self):
+        read = set().union(*_READS.values())
+        common = {"schema_version", "command", "system", "seed"}
+        assert read | common == set(CONFIG_SCHEMA["properties"])
+        assert not read & common
 
     def test_schema_is_valid(self):
         # validate_config does not check the constant schema on every run.
@@ -288,6 +295,19 @@ class TestRun:
                      str(tmp_path / "out")])
         assert code == 1
         assert "PavingFailed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_rerun_keeps_earlier_artifacts(self, tmp_path, capsys):
+        cfg = CONTRACT_CONFIGS["localize"]
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(cfg))
+        assert main(["localize", "--config", str(path), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # Computes every profile at a new theta, then fails the window check.
+        path.write_text(json.dumps(dict(cfg, theta=0.3, window_check={
+            "N": 1000, "delta": 0.5})))
+        assert main(["localize", "--config", str(path), "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestMainEntry:
@@ -324,6 +344,11 @@ class TestMainEntry:
          "system": dict(BASE_SYSTEM), "delta": 5.0},
         dict(LOCALIZE_CHECK, interval=[-100, 100],
              window_check={"N": 1000, "delta": 0.5}),
+        # Keys the command does not read.
+        dict(LDT, e_values=[3.0]),
+        dict(LDT, n=500),
+        lyap_config(format="csv"),
+        lyap_config(E=1.0),
     ], ids=["not-conjugate-symmetric", "omega-outside-torus",
             "omega-dim-mismatch", "nan-energy", "inf-energy", "inf-grid",
             "theta-shape", "sampels", "system-lamda", "pave-no-rate_c",
@@ -332,7 +357,8 @@ class TestMainEntry:
             "window_check-negative-count", "window_check-N-string",
             "ldt-samples", "ldt-decreasing-schedule", "green-min_sep",
             "green-reversed-interval", "recursion-decreasing-schedule",
-            "lowerbound-delta", "window_check-N-too-large"])
+            "lowerbound-delta", "window_check-N-too-large", "ldt-e_values",
+            "ldt-n", "format", "two-energy-keys"])
     def test_invalid_input_exit_two(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -342,6 +368,17 @@ class TestMainEntry:
         assert code == 2
         assert err.startswith("ConfigInvalid: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_flag_unread_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(lyap_config()))
+        code = main(["lyapunov", "--config", str(path), "--schedule",
+                     "100,200", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'schedule' is not read by command 'lyapunov'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_schedule_flag_not_integers_exit_two(self, tmp_path, capsys):
         code = main(["recursion", "--schedule", "100,abc", "--out",
@@ -411,13 +448,15 @@ class TestMainEntry:
 
 
 class TestPlotData:
-    def test_kinds_and_refusal(self, tmp_path):
-        paths = emit_plot_data([(1.0, 2.0), (2.0, 1.0)], "ladder", tmp_path)
-        assert all(p.exists() for p in paths)
+    def test_kinds_and_refusal(self):
+        files = _plot([(1.0, 2.0), (2.0, 1.0)], "ladder", suffix="_00")
+        assert files["ladder_00.dat"] == ["# n L", "1.0 2.0", "2.0 1.0"]
+        assert "plot 'ladder_00.dat' using 1:2" in files["ladder_00.gp"][-1]
+        assert len(files) == 2
         with pytest.raises(ValueError):
-            emit_plot_data([], "ladder", tmp_path)
+            _plot([], "ladder")
         with pytest.raises(ValueError):
-            emit_plot_data([(1, 2)], "nope", tmp_path)
+            _plot([(1, 2)], "nope")
 
 
 # Every command at small size; localize also writes profiles, their plot
@@ -450,6 +489,26 @@ def contract_run(tmp_path_factory):
     for name, cfg in CONTRACT_CONFIGS.items():
         run(cfg, out_dir=out / name)
     return out
+
+
+class ReadLog(dict):
+    """A config that records every key a handler looks up."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def _reject_constant(name):
@@ -499,6 +558,21 @@ class TestArtifactContract:
             json.loads(path.read_text(), parse_constant=_reject_constant)
         ladder = json.loads((tmp_path / "recursion/ladder.json").read_text())
         assert all(row["std_error"] is None for row in ladder["ladder"])
+
+    def test_handlers_only_compute(self, contract_run, tmp_path, monkeypatch):
+        # Handlers write nothing, return what run writes, and read only the
+        # keys validate_config lets through.
+        monkeypatch.chdir(tmp_path)
+        for command, handler in _HANDLERS.items():
+            cfg = CONTRACT_CONFIGS[command]
+            v, freq = system_from_json(cfg["system"])
+            log = ReadLog(cfg)
+            files = handler(log, v, freq, cfg.get("seed", 0))
+            mani = json.loads(
+                (contract_run / command / "manifest.json").read_text())
+            assert list(files) == mani["outputs"], command
+            assert log.read <= _READS[command], command
+        assert not any(tmp_path.iterdir())
 
     def test_localize_fits_each_eigenvector_once(self, tmp_path, monkeypatch):
         from qplab import cli, localization

@@ -5,6 +5,7 @@ import pytest
 
 from qplab import (SigmaOutOfRange, deviation_measure, fourier_decay_check,
                    ldt_scaling_table, lyapunov_n)
+from qplab.cli import _run_ldt
 from qplab.lyapunov import SamplerSpec, _phi_values
 
 
@@ -87,8 +88,9 @@ class TestScalingTable:
             assert f[i + 1] <= f[i] + 3.0 * math.hypot(se[i], se[i + 1])
 
     def test_csv_lines_shape(self, golden, free):
-        table = ldt_scaling_table(golden, 0.0, free, 0.3, [10, 20], 1000)
-        lines = table.csv_lines()
+        config = {"E": 0.0, "sigma": 0.3, "n_schedule": [10, 20],
+                  "samples": 1000}
+        lines = _run_ldt(config, free, golden, 0)["ldt.csv"]
         assert lines[0].startswith("n,sigma,threshold")
         assert len(lines) == 3
 

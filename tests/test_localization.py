@@ -7,7 +7,7 @@ from qplab import (EigenPair, SingularEnergy, build_operator, decay_profile,
                    eigensystem, golden_frequency, growth_pair_search,
                    localization_scan, lyapunov_n, resonance_scan,
                    window_bound_check, zero_potential)
-from qplab.localization import profile_csv_lines
+from qplab.cli import _run_localize
 from qplab.transfer import det_sequence
 
 
@@ -94,8 +94,8 @@ class TestDecayProfile:
         assert t2 <= t1 <= 1.0 + 1e-12
 
     def test_profile_csv(self, golden, mathieu5):
-        pairs = eigensystem((0, 5), golden, 0.0, mathieu5)
-        lines = profile_csv_lines(pairs[0])
+        config = {"interval": [0, 5], "theta": 0.0, "top_profiles": 1}
+        lines = _run_localize(config, mathieu5, golden, 0)["profile_00.csv"]
         assert lines[0] == "index,abs,log_abs"
         assert len(lines) == 7
 
