@@ -29,8 +29,8 @@ from .greens import (DecayFit, FiniteOperator, GreenMatrix, PaveResult,
                      MultiscaleParams, build_operator, decay_fit,
                      green_cramer_matrix, green_solve, pave)
 from .localization import (DecayProfile, EigenPair, decay_profile,
-                           eigensystem, growth_pair_search, localization_scan,
-                           resonance_scan, window_bound_check)
+                           eigensystem, growth_pair_search, resonance_scan,
+                           window_bound_check)
 from .lowerbound import (EpsilonGap, ScaleLadder, complexified_growth_check,
                          epsilon_gap, epsilon_gap_min, herman_style_bound,
                          initial_scale_bound, multiscale_paving_params,

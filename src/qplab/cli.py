@@ -442,6 +442,20 @@ _READS = {
 }
 
 
+def _earlier_outputs(out: Path) -> set:
+    """Bare file names the manifest of an earlier run in ``out`` lists; none
+    when there is no readable manifest."""
+    try:
+        with open(out / "manifest.json") as fh:
+            names = json.load(fh)["outputs"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return set()
+    if not isinstance(names, list):
+        return set()
+    return {n for n in names if isinstance(n, str)
+            and n not in ("", ".", "..") and os.path.basename(n) == n}
+
+
 def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         threads: Optional[int] = None) -> List[Path]:
     """Validate, compute every artifact, then write them and a provenance
@@ -449,10 +463,17 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
 
     ``threads`` caps the worker threads of phase averages (default: every CPU
     this process may use); artifacts are the same bytes at every value.
+    After a run into a directory that holds an earlier run, the files that
+    the earlier manifest lists and this run did not write are removed.
     """
     if threads is not None and threads < 1:
         raise ConfigInvalid(f"threads must be at least 1, got {threads}")
     validate_config(config)
+    out = Path(out_dir)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ConfigInvalid(f"cannot write to {str(out)!r}: "
+                            f"{str(blocker)!r} is not a directory")
     eff_seed = int(seed if seed is not None else config.get("seed", 0))
     try:
         v, freq = system_from_json(config["system"])
@@ -483,11 +504,14 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         "numpy_version": np.__version__,
         "outputs": list(artifacts),
     }
-    out = Path(out_dir)
+    stale = _earlier_outputs(out) - artifacts.keys()
     out.mkdir(parents=True, exist_ok=True)
     for name, payload in artifacts.items():
         write = _write_json if name.endswith(".json") else _write_lines
         write(out / name, payload)
+    for name in stale:
+        if (out / name).is_file():
+            (out / name).unlink()
     return [out / name for name in artifacts]
 
 

@@ -16,8 +16,9 @@ class SigmaOutOfRange(QplabError):
 class SingularEnergy(QplabError):
     """The finite-box operator is (numerically) singular at this energy.
 
-    Raised when the determinant log-magnitude falls below the configured
-    floor; the offending interval and log-magnitude are attached.
+    Raised when the determinant log-magnitude falls below
+    ``greens.DET_FLOOR``; the offending interval and log-magnitude are
+    attached.
     """
 
     def __init__(self, interval, log_det):

@@ -22,7 +22,8 @@ from .errors import IterationDiverged, PavingFailed, SingularEnergy
 from .model import Frequency, TrigPotential
 from .transfer import _phases, det_sequence
 
-DEFAULT_DET_FLOOR = -700.0
+# log|det| below which a box counts as singular at the energy.
+DET_FLOOR = -700.0
 
 
 def _scipy_linalg():
@@ -109,9 +110,9 @@ class GreenMatrix:
             return math.inf
         return float(np.max(np.abs(self.logs[live] - self.logs.T[live])))
 
-    def residual(self, op: FiniteOperator, max_log: float = 300.0) -> float:
-        """max-norm defect of (A - E) G - I over columns with bounded entries."""
-        col_ok = np.max(self.logs, axis=0) <= max_log
+    def residual(self, op: FiniteOperator) -> float:
+        """max-norm defect of (A - E) G - I over columns with entries <= e^300."""
+        col_ok = np.max(self.logs, axis=0) <= 300.0
         if not col_ok.any():
             return math.nan
         g = slog.to_values(self.signs[:, col_ok], self.logs[:, col_ok])
@@ -143,14 +144,13 @@ class GreenMatrix:
 # Cramer route: minors are products of leading/trailing continuants
 
 
-def _check_det(interval, sign: int, logmag: float, det_floor: float):
-    if sign == 0 or logmag < det_floor:
+def _check_det(interval, sign: int, logmag: float):
+    if sign == 0 or logmag < DET_FLOOR:
         raise SingularEnergy(interval, logmag if sign != 0 else -math.inf)
 
 
 def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
-                        energy: float, v: TrigPotential,
-                        det_floor: float = DEFAULT_DET_FLOOR) -> GreenMatrix:
+                        energy: float, v: TrigPotential) -> GreenMatrix:
     """Every Green's function entry from the minor factorization.
 
     The (i, j) minor of a unit-off-diagonal tridiagonal box splits into the
@@ -165,7 +165,7 @@ def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
     lead_s, lead_l = det_sequence((a, b), omega, theta, energy, v)
     trail_s, trail_l = det_sequence((a, b), omega, theta, energy, v,
                                     trailing=True)
-    _check_det((a, b), int(lead_s[n]), float(lead_l[n]), det_floor)
+    _check_det((a, b), int(lead_s[n]), float(lead_l[n]))
     i = np.arange(1, n + 1)
     lg_i = lead_l[i - 1]
     sg_i = lead_s[i - 1].astype(np.int64)
@@ -183,13 +183,12 @@ def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
 
 
 def green_solve(interval: Tuple[int, int], omega: Frequency, theta,
-                energy: float, v: TrigPotential,
-                det_floor: float = DEFAULT_DET_FLOOR) -> GreenMatrix:
+                energy: float, v: TrigPotential) -> GreenMatrix:
     """Full inverse via a pivoted banded factorization (independent of Cramer)."""
     op = build_operator(interval, omega, theta, v)
     n = op.size
     lead_s, lead_l = det_sequence(interval, omega, theta, energy, v)
-    _check_det(op.interval, int(lead_s[n]), float(lead_l[n]), det_floor)
+    _check_det(op.interval, int(lead_s[n]), float(lead_l[n]))
     ab = np.zeros((3, n))
     ab[0, 1:] = 1.0
     ab[1, :] = op.diagonal - energy
@@ -324,7 +323,6 @@ def _window_admissible(gw: GreenMatrix, c: float, budget: float,
 
 def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
          energy: float, v: TrigPotential, c: float, beta: float = 0.1,
-         det_floor: float = DEFAULT_DET_FLOOR,
          multiscale: Optional[MultiscaleParams] = None) -> PaveResult:
     """Assemble G on [a, b] from size-n windows with decay rate c.
 
@@ -345,7 +343,7 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
     margin = max(1, n // 10)
 
     if n >= big:
-        g = green_solve((a, b), omega, theta, energy, v, det_floor)
+        g = green_solve((a, b), omega, theta, energy, v)
         cert = _certificate(g, c, beta, n, [(a, b)], 0.0, 0, multiscale)
         return PaveResult(green=g, certificate=cert)
 
@@ -372,7 +370,7 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
             if not (lo <= need_lo and hi >= need_hi and hi > lo):
                 continue
             try:
-                cand = green_solve((lo, hi), omega, theta, energy, v, det_floor)
+                cand = green_solve((lo, hi), omega, theta, energy, v)
             except SingularEnergy:
                 continue
             if _window_admissible(cand, c, beta * n, margin):

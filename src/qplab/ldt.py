@@ -38,15 +38,12 @@ def _binomial_se(fraction: float, samples: int) -> float:
 def deviation_measure(omega: Frequency, energy: float, n: int, sigma: float,
                       v: TrigPotential, samples: int = 10_000, seed: int = 0,
                       side: str = "both", general_form: bool = False,
-                      scale: float = 1.0,
                       l_reference: Optional[float] = None) -> DeviationProfile:
-    """Monte Carlo fraction of theta with |phi(theta) - L_n| > scale * n^{-sigma}.
+    """Monte Carlo fraction of theta with |phi(theta) - L_n| > n^{-sigma}.
 
     The strong one-frequency regime requires sigma in (0, 1/2]; pass
     ``general_form=True`` to accept any positive sigma (weaker tail claim).
-    ``side`` selects "both", "above" or "below" deviations.  ``scale``
-    multiplies the threshold (used by the normalized variant where deviations
-    are measured in units of log(1 + sup|v|)).
+    ``side`` selects "both", "above" or "below" deviations.
     """
     if samples < 1000:
         raise ValueError("measure estimation needs at least 1e3 samples")
@@ -60,7 +57,7 @@ def deviation_measure(omega: Frequency, energy: float, n: int, sigma: float,
         raise ValueError("side must be 'both', 'above' or 'below'")
     if l_reference is None:
         l_reference = lyapunov_n(omega, energy, n, v).value
-    threshold = scale * n ** (-sigma)
+    threshold = n ** (-sigma)
     rng = np.random.default_rng(seed)
     thetas = rng.random(samples) if omega.dim == 1 else rng.random((samples, 2))
     phi = _phi_values(omega, thetas, energy, n, v)
@@ -95,7 +92,7 @@ class LdtTable:
 
 def ldt_scaling_table(omega: Frequency, energy: float, v: TrigPotential,
                       sigma: float, n_values: Sequence[int], samples: int,
-                      seed: int = 0, general_form: bool = False) -> LdtTable:
+                      seed: int = 0) -> LdtTable:
     """Bad-set fraction per scale next to the theoretical tail reference.
 
     The reference is exp(-n^(1-2 sigma)) for one frequency and exp(-n^sigma)
@@ -109,7 +106,7 @@ def ldt_scaling_table(omega: Frequency, energy: float, v: TrigPotential,
     rows = []
     for i, n in enumerate(ns):
         prof = deviation_measure(omega, energy, n, sigma, v, samples=samples,
-                                 seed=seed + i, general_form=general_form)
+                                 seed=seed + i)
         if omega.dim == 1:
             bound = math.exp(-(n ** (1.0 - 2.0 * sigma)))
         else:

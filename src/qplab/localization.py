@@ -17,8 +17,7 @@ import numpy as np
 
 from . import slog
 from .errors import SingularEnergy
-from .greens import (DEFAULT_DET_FLOOR, _scipy_linalg, build_operator,
-                     green_solve)
+from .greens import _scipy_linalg, build_operator, green_solve
 from .lyapunov import lyapunov_n
 from .model import Frequency, TrigPotential
 from .transfer import _phases, cocycle_batch
@@ -70,12 +69,10 @@ class DecayProfile:
     tail_mass: float
 
 
-def decay_profile(pair: EigenPair, core_radius: int = 5,
-                  tail_radius: int = 50,
-                  floor: float = 1e-14) -> DecayProfile:
-    """Fit log|xi_k| against distance from the peak, outside a small core.
+def decay_profile(pair: EigenPair, tail_radius: int = 50) -> DecayProfile:
+    """Fit log|xi_k| against distance from the peak, beyond 5 sites of it.
 
-    Components at or below ``floor`` are eigensolver noise and are excluded.
+    Components at or below 1e-14 are eigensolver noise and are excluded.
     ``tail_mass`` is the l2 mass beyond ``tail_radius`` of the center.
     """
     absxi = np.abs(pair.vector)
@@ -83,7 +80,7 @@ def decay_profile(pair: EigenPair, core_radius: int = 5,
     center = int(sites[int(np.argmax(absxi))])
     dist = np.abs(sites - center)
     tail = float(np.sqrt(np.sum(absxi[dist > tail_radius] ** 2)))
-    mask = (absxi > floor) & (dist > core_radius)
+    mask = (absxi > 1e-14) & (dist > 5)
     if np.count_nonzero(mask) < 2:
         return DecayProfile(center=center, rate=0.0, r2=0.0, tail_mass=tail)
     x = dist[mask].astype(float)
@@ -97,22 +94,11 @@ def decay_profile(pair: EigenPair, core_radius: int = 5,
                         r2=r2, tail_mass=tail)
 
 
-def localization_scan(interval: Tuple[int, int], omega: Frequency, theta,
-                      v: TrigPotential, rate_threshold: float,
-                      r2_threshold: float = 0.95,
-                      core_radius: int = 5, tail_radius: int = 50) -> dict:
-    """Box-wide summary: fraction of well-localized eigenvectors and median rate."""
-    pairs = eigensystem(interval, omega, theta, v)
-    profiles = [decay_profile(p, core_radius, tail_radius) for p in pairs]
-    return localization_summary(interval, v, profiles, rate_threshold,
-                                r2_threshold)
-
-
 def localization_summary(interval: Tuple[int, int], v: TrigPotential,
                          profiles: Sequence[DecayProfile],
                          rate_threshold: float,
                          r2_threshold: float = 0.95) -> dict:
-    """`localization_scan` of the box's eigenvector profiles, already fitted."""
+    """Box-wide summary: fraction of well-localized eigenvectors and median rate."""
     rates = np.array([p.rate for p in profiles])
     good = np.array([p.rate >= rate_threshold and p.r2 >= r2_threshold
                      for p in profiles])
@@ -129,8 +115,7 @@ def localization_summary(interval: Tuple[int, int], v: TrigPotential,
 
 def resonance_scan(omega: Frequency, energy: float, n0_max: int,
                    threshold_base: float, v: TrigPotential, reference_n: int,
-                   theta=0.0,
-                   det_floor: float = DEFAULT_DET_FLOOR) -> Optional[int]:
+                   theta=0.0) -> Optional[int]:
     """First half-width n0 whose box [-n0, n0] has ||G||_HS above base^reference_n."""
     if n0_max < 1:
         raise ValueError("n0_max must be >= 1")
@@ -140,7 +125,7 @@ def resonance_scan(omega: Frequency, energy: float, n0_max: int,
     th = theta if omega.dim == 2 else float(np.asarray(theta).reshape(()))
     for n0 in range(1, n0_max + 1):
         try:
-            g = green_solve((-n0, n0), omega, th, energy, v, det_floor)
+            g = green_solve((-n0, n0), omega, th, energy, v)
         except SingularEnergy:
             return n0
         log_hs = 0.5 * slog.logsumexp_mags(2.0 * g.logs[g.signs != 0])
@@ -162,8 +147,7 @@ class WindowBoundReport:
 
 
 def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
-                       delta: float, v: TrigPotential,
-                       det_floor: float = DEFAULT_DET_FLOOR) -> WindowBoundReport:
+                       delta: float, v: TrigPotential) -> WindowBoundReport:
     """Check |xi_k| <= |G(k, N/2)||xi_{N/2-1}| + |G(k, 2N)||xi_{2N+1}| on [N/2, 2N].
 
     Restricting the eigenvalue equation to the window leaves only the two
@@ -177,7 +161,7 @@ def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
     a, b = pair.interval
     if not (a <= lo - 1 and b >= hi + 1):
         raise ValueError("eigenvector box must contain [N/2 - 1, 2N + 1]")
-    g = green_solve((lo, hi), omega, theta, pair.energy, v, det_floor)
+    g = green_solve((lo, hi), omega, theta, pair.energy, v)
 
     sites = pair.sites()
     xi = pair.vector
@@ -225,13 +209,12 @@ class GrowthPairSearch:
 
 
 def growth_pair_search(omega: Frequency, energy: float, n1: int, J: int,
-                       v: TrigPotential, tolerance: float = 0.1,
-                       l_reference: Optional[float] = None) -> GrowthPairSearch:
+                       v: TrigPotential,
+                       tolerance: float = 0.1) -> GrowthPairSearch:
     """Scan j in (J, 2J] for simultaneous growth of both shifted cocycles."""
     if J < 1:
         raise ValueError("J must be >= 1")
-    if l_reference is None:
-        l_reference = lyapunov_n(omega, energy, n1, v).value
+    l_reference = lyapunov_n(omega, energy, n1, v).value
     js = np.arange(J + 1, 2 * J + 1)
     fwd_thetas = _phases(0.0 if omega.dim == 1 else np.zeros(2), omega, js)
     bwd_thetas = _phases(0.0 if omega.dim == 1 else np.zeros(2), omega, -js - n1)

@@ -49,16 +49,16 @@ class EpsilonGap:
 
 
 def epsilon_gap(v: TrigPotential, delta: float, e1: float,
-                x_grid: int = 256, y_grid: int = 32,
-                max_refine: int = 8) -> EpsilonGap:
+                x_grid: int = 256, y_grid: int = 32) -> EpsilonGap:
     """Maximize over heights the x-infimum of |v(x + iy) - e1|.
 
-    Grids are doubled until the achieved gap is stable to 1%.  The potential
-    must be nonconstant, else no gap exists for e1 equal to its value.
+    Grids are doubled, at most 7 times, until the achieved gap is stable to
+    1%.  The potential must be nonconstant, else no gap exists for e1 equal
+    to its value.
     """
     if v.dim != 1:
         raise ValueError("epsilon gap search is 1-frequency only")
-    if v.is_constant(tol=0.0):
+    if v.is_constant():
         raise PotentialConstant("all oscillating coefficients vanish")
     if not 0.0 < delta < v.strip_width:
         raise ValueError("need 0 < delta < strip_width")
@@ -66,7 +66,7 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
     best = None
     prev_eps = None
     nx, ny = x_grid, y_grid
-    for _ in range(max_refine):
+    for _ in range(8):
         ys = delta / 2.0 + (np.arange(ny) + 1.0) * (delta / 2.0) / (ny + 1.0)
         xs = (np.arange(nx) + 0.5) / nx
         zs = xs[None, :] + 1j * ys[:, None]
@@ -107,14 +107,14 @@ class ComplexGrowthReport:
 
 def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
                               energy: float, y0: float, epsilon: float,
-                              n: int, x_grid: int = 512) -> ComplexGrowthReport:
+                              n: int) -> ComplexGrowthReport:
     """Verify the (lambda*epsilon - 1)^n growth of the complexified cocycle.
 
     Requires lambda*epsilon > 100 and checks the line hypothesis
-    inf_x |lambda v(x + i y0) - E| >= lambda*epsilon on a grid before running
-    the orbit; the two-term recursion for (u, v) = M_(n)(1, 0) is checked
-    stepwise: |u| never falls behind |v| and each step multiplies |u| by more
-    than lambda*epsilon - 1.
+    inf_x |lambda v(x + i y0) - E| >= lambda*epsilon on a 512-point grid
+    before running the orbit; the two-term recursion for (u, v) = M_(n)(1, 0)
+    is checked stepwise: |u| never falls behind |v| and each step multiplies
+    |u| by more than lambda*epsilon - 1.
     """
     if v.dim != 1:
         raise ValueError("complexified growth is 1-frequency only")
@@ -123,7 +123,7 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
         raise HypothesisUnmet("coupling-gap product",
                               f"lambda*epsilon = {lam_eps:g} must exceed 100")
     scaled = v.with_coupling(lam * v.coupling)
-    xs = (np.arange(x_grid) + 0.5) / x_grid
+    xs = (np.arange(512) + 0.5) / 512
     line = np.abs(scaled.eval_complex_batch(xs + 1j * y0) - energy)
     inf_line = float(np.min(line))
     if inf_line < lam_eps * (1.0 - 1e-9):
@@ -156,7 +156,7 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
 @dataclass(frozen=True)
 class HermanBound:
     analytic_bound: float       # (delta/16) log lambda
-    intermediate_bound: float   # (delta/4)((1 - C delta/rho) log lambda - 2 log(1/eps))
+    intermediate_bound: float   # (delta/4)((1 - 10 delta/rho) log lambda - 2 log(1/eps))
     coupling_threshold_log: float
     ceiling_log: float
     measured: Optional[LyapunovEstimate]
@@ -165,22 +165,20 @@ class HermanBound:
 
 def herman_style_bound(lam: float, v: TrigPotential, delta: float,
                        epsilon: float, y0: float,
-                       rho_strip: Optional[float] = None,
                        omega: Optional[Frequency] = None,
-                       energy: float = 0.0, n: int = 500,
-                       sampler: Optional[SamplerSpec] = None,
-                       strip_constant: float = 10.0) -> HermanBound:
+                       energy: float = 0.0) -> HermanBound:
     """Certified lower bound for the exponent of lambda*v from the gap data.
 
     The subharmonic pointwise exponent exceeds log(lambda*eps - 1) on the
     line Im z = y0 and is bounded by log(C*lambda) on the strip; averaging
     with the harmonic measure of y0 pushes a definite fraction of that growth
-    onto the real axis.  Requires lambda above 100 * epsilon^(-100).
+    onto the real axis.  Requires lambda above 100 * epsilon^(-100).  The
+    strip width is rho = ``v.strip_width``.  Given ``omega``, the bound is
+    compared with L_500 of lambda*v on a 64-point phase grid.
     """
     if v.dim != 1:
         raise ValueError("harmonic-measure bound is 1-frequency only")
-    if rho_strip is None:
-        rho_strip = v.strip_width
+    rho_strip = v.strip_width
     log_lam = math.log(lam)
     threshold_log = math.log(100.0) - 100.0 * math.log(epsilon)
     if not log_lam > threshold_log:
@@ -191,7 +189,7 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
         raise HypothesisUnmet("strip separation",
                               f"delta = {delta:g} must be < {rho_strip:g}")
     analytic = (delta / 16.0) * log_lam
-    intermediate = (delta / 4.0) * ((1.0 - strip_constant * delta / rho_strip)
+    intermediate = (delta / 4.0) * ((1.0 - 10.0 * delta / rho_strip)
                                     * log_lam - 2.0 * math.log(1.0 / epsilon))
     sup0 = v.coefficient_bound(0.0)
     ceiling = math.log(lam * (1.0 + sup0) + abs(energy) + 1.0)
@@ -199,8 +197,8 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
     sound = None
     if omega is not None:
         scaled = v.with_coupling(lam * v.coupling)
-        measured = lyapunov_n(omega, energy, n, scaled,
-                              sampler or SamplerSpec("grid", 64))
+        measured = lyapunov_n(omega, energy, 500, scaled,
+                              SamplerSpec("grid", 64))
         sound = analytic <= measured.value + 3.0 * measured.std_error
     return HermanBound(analytic_bound=analytic, intermediate_bound=intermediate,
                        coupling_threshold_log=threshold_log, ceiling_log=ceiling,
@@ -278,7 +276,7 @@ class InitialScaleReport:
     theory_bound: float         # n1 * lambda^(-c0/100), must be < 1/n1
     orbit_fraction: float
     orbit_fraction_se: float
-    orbit_threshold: float      # lambda^(-threshold_exponent)
+    orbit_threshold: float      # lambda^(-0.01)
     estimates: Tuple[LyapunovEstimate, ...]
     required: float             # 0.97 log lambda
     margin: float               # min L - required
@@ -286,10 +284,7 @@ class InitialScaleReport:
 
 def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
                         n1: int, samples: int = 20_000, seed: int = 0,
-                        energies: Sequence[float] = (0.0,),
-                        c0: Optional[float] = None,
-                        threshold_exponent: float = 0.01,
-                        sampler: Optional[SamplerSpec] = None) -> InitialScaleReport:
+                        energies: Sequence[float] = (0.0,)) -> InitialScaleReport:
     """Verify the large-coupling initial scale: measure bound plus L_{n1} >= 0.97 log lambda.
 
     The sublevel exponent makes the orbit-sublevel measure summable only for
@@ -301,10 +296,9 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
         raise ValueError("n1 must be >= 1")
     log_lam = math.log(lam)
     e1_values = sorted({float(e) / lam for e in energies})
-    if c0 is None:
-        fit = sublevel_measure(v0, e1_values, samples=max(samples, 10_000),
-                               seed=seed)
-        c0 = fit.worst_c0 if fit.worst_c0 is not None else math.inf
+    fit = sublevel_measure(v0, e1_values, samples=max(samples, 10_000),
+                           seed=seed)
+    c0 = fit.worst_c0 if fit.worst_c0 is not None else math.inf
     theory_bound = n1 * math.exp(-(c0 / 100.0) * log_lam) if math.isfinite(c0) \
         else 0.0
     if not theory_bound < 1.0 / n1:
@@ -312,7 +306,7 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
             "sublevel measure bound",
             f"n1 * lambda^(-c0/100) = {theory_bound:g} is not below 1/n1 = {1.0 / n1:g}")
 
-    threshold = math.exp(-threshold_exponent * log_lam)
+    threshold = math.exp(-0.01 * log_lam)
     rng = np.random.default_rng(seed + 1)
     thetas = rng.random(samples) if omega.dim == 1 else rng.random((samples, 2))
     vals = v0.eval_batch(_phases(thetas[:, None], omega,
@@ -330,8 +324,7 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
 
     scaled = v0.with_coupling(lam * v0.coupling)
     required = 0.97 * log_lam
-    ests = tuple(lyapunov_n(omega, e, n1, scaled,
-                            sampler or SamplerSpec("grid", 256))
+    ests = tuple(lyapunov_n(omega, e, n1, scaled, SamplerSpec("grid", 256))
                  for e in energies)
     margin = min(e.value for e in ests) - required
     if margin < 0.0:
@@ -358,7 +351,7 @@ class ScaleSelection:
 
 
 def scale_selection(l_table: Mapping[int, float], n: int, scale_ratio: float,
-                    log_norm_bound: float, tol: float = 1e-12) -> ScaleSelection:
+                    log_norm_bound: float) -> ScaleSelection:
     """Descend n, [rho n], [rho^2 n], ... until one scale nearly matches the next.
 
     Success at n0 means L_[rho n0] < (1 + rho) L_n0; positivity of L_n forces
@@ -387,7 +380,7 @@ def scale_selection(l_table: Mapping[int, float], n: int, scale_ratio: float,
     bound_base = (1.0 + scale_ratio) * l_table[n0]
     for m in sorted(l_table):
         if m <= n0:
-            if l_table[m] >= bound_base + log_norm_bound * scale_ratio * n0 / m + tol:
+            if l_table[m] >= bound_base + log_norm_bound * scale_ratio * n0 / m + 1e-12:
                 violations.append(m)
     return ScaleSelection(n0=n0, descent=tuple(descent),
                           violations=tuple(violations), ok=not violations)
@@ -461,31 +454,29 @@ class ScaleLadder:
 def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
                          schedule: Sequence[int], sigma: float = 0.1,
                          samples: int = 200, seed: int = 0,
-                         energy: float = 0.0, gate_constant: float = 1.0,
-                         strict_gate_constant: float = STRICT_GATE_CONSTANT,
-                         drop_constant: float = DROP_CONSTANT,
-                         rho_eff: float = 0.0,
-                         sampler_quadrature: Optional[str] = None) -> ScaleLadder:
+                         energy: float = 0.0,
+                         gate_constant: float = 1.0) -> ScaleLadder:
     """Walk an increasing scale ladder checking gates and drop bounds.
 
     At each scale: the admissibility margin L_n / (rho * log(1 + sup|v|))
-    must exceed ``gate_constant`` (with rho the normalized-ratio rule); the
-    theoretically strict constant 1000 is reported per scale, never assumed,
+    must exceed ``gate_constant`` (with rho the normalized-ratio rule and
+    sup|v| the coefficient bound on the real torus); the theoretically strict
+    constant ``STRICT_GATE_CONSTANT`` is reported per scale, never assumed,
     since it needs log n beyond any feasible scale.  Consecutive drops must
-    stay within (1000 / sqrt(log n)) log lambda plus 3 combined standard
-    errors.  The final report compares min L against (1/2) log lambda.
+    stay within (``DROP_CONSTANT`` / sqrt(log n)) log lambda plus 3 combined
+    standard errors.  L_n is sampled on a grid for one frequency and by
+    Monte Carlo for two.  The final report compares min L against
+    (1/2) log lambda.
     """
     sched = [int(x) for x in schedule]
     if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
     if lam <= 0:
         raise ValueError("coupling must be positive")
-    if rho_eff < 0:
-        raise ValueError("rho_eff must be >= 0")
     v = v0.with_coupling(lam * v0.coupling)
-    log1v = math.log(1.0 + v.coefficient_bound(rho_eff))
+    log1v = math.log(1.0 + v.coefficient_bound(0.0))
     log_lam = math.log(lam)
-    quad = sampler_quadrature or ("monte_carlo" if omega.dim == 2 else "grid")
+    quad = "monte_carlo" if omega.dim == 2 else "grid"
 
     rows: List[ScaleRow] = []
     prev: Optional[Tuple[int, LyapunovEstimate, float]] = None
@@ -504,7 +495,7 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
         if prev is not None:
             n_prev, est_prev, rho_prev = prev
             drop = est_prev.value - est.value
-            drop_bound = (drop_constant / math.sqrt(math.log(n_prev))) * log_lam
+            drop_bound = (DROP_CONSTANT / math.sqrt(math.log(n_prev))) * log_lam
             slack = 3.0 * math.sqrt(est.std_error ** 2 + est_prev.std_error ** 2)
             if drop > drop_bound + slack:
                 raise DropExceeded(n, drop, drop_bound + slack)
@@ -514,7 +505,7 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
         rows.append(ScaleRow(
             n=n, l_value=est.value, std_error=est.std_error, rho=rho,
             gate_margin=gate_margin, gate_ok=True,
-            gate_strict_ok=gate_margin > strict_gate_constant,
+            gate_strict_ok=gate_margin > STRICT_GATE_CONSTANT,
             rho_admissible=rho < 0.5,
             drop=drop, drop_bound=drop_bound, drop_margin=drop_margin,
             recursion_bound_ok=rec_ok))
@@ -530,7 +521,7 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
     telescope_ok = True
     first = rows[0].l_value
     for r_prev, r in zip(rows, rows[1:]):
-        product *= 1.0 - 2.0 * drop_constant / math.sqrt(math.log(r_prev.n))
+        product *= 1.0 - 2.0 * DROP_CONSTANT / math.sqrt(math.log(r_prev.n))
         slack = 3.0 * math.sqrt(r.std_error ** 2 + rows[0].std_error ** 2)
         if not r.l_value > product * first - slack:
             telescope_ok = False

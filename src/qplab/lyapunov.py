@@ -21,8 +21,9 @@ import numpy as np
 from .model import Frequency, TrigPotential
 from .transfer import cocycle_batch, _phases
 
-DEFAULT_SIGMA_1D = 1.0 / 3.0
-DEFAULT_SIGMA_2D = 0.1
+# sigma of the upper-bound check, for one and for two frequencies.
+SIGMA_1D = 1.0 / 3.0
+SIGMA_2D = 0.1
 _CHUNK = 1 << 15
 # Results per worker below which a batch is not split: numpy's per-step
 # overhead holds the interpreter lock, so smaller parts run slower on threads.
@@ -153,14 +154,7 @@ def _std_error(phi: np.ndarray) -> float:
 def lyapunov_n(omega: Frequency, energy: float, n: int, v: TrigPotential,
                sampler: Optional[SamplerSpec] = None) -> LyapunovEstimate:
     """Estimate L_n(E) by the configured phase quadrature."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sampler = sampler or default_sampler(omega.dim)
-    thetas = theta_samples(omega.dim, sampler, n)
-    phi = _phi_values(omega, thetas, energy, n, v)
-    return LyapunovEstimate(n=n, value=float(np.mean(phi)),
-                            samples=phi.shape[0], std_error=_std_error(phi),
-                            quadrature=sampler.quadrature, energy=float(energy))
+    return lyapunov_scan(omega, [energy], n, v, sampler)[0]
 
 
 def lyapunov_scan(omega: Frequency, energies: Sequence[float], n: int,
@@ -171,6 +165,8 @@ def lyapunov_scan(omega: Frequency, energies: Sequence[float], n: int,
     The energies run as one (E, 1) column against the sampled phases, so the
     potential along each phase's orbit is evaluated once for all of them.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     sampler = sampler or default_sampler(omega.dim)
     thetas = theta_samples(omega.dim, sampler, n)
     energies = np.asarray(list(energies), dtype=float)
@@ -263,11 +259,9 @@ class UpperBoundReport:
 
 
 def upper_bound_check(omega: Frequency, energy: float, n: int, v: TrigPotential,
-                      grid: int = 4096, sigma: Optional[float] = None,
-                      sampler: Optional[SamplerSpec] = None) -> UpperBoundReport:
-    if sigma is None:
-        sigma = DEFAULT_SIGMA_1D if omega.dim == 1 else DEFAULT_SIGMA_2D
-    ref_est = lyapunov_n(omega, energy, n, v, sampler)
+                      grid: int = 4096) -> UpperBoundReport:
+    sigma = SIGMA_1D if omega.dim == 1 else SIGMA_2D
+    ref_est = lyapunov_n(omega, energy, n, v)
     probe = SamplerSpec(quadrature="grid", samples=grid)
     thetas = theta_samples(omega.dim, probe, n)
     phi = _phi_values(omega, thetas, energy, n, v)

@@ -193,9 +193,9 @@ class TrigPotential:
             return 0
         return int(np.max(np.abs(self._k_all)))
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return self._k_half.size == 0 or bool(np.all(np.abs(self._a_half) <= tol)
-                                              and np.all(np.abs(self._b_half) <= tol))
+    def is_constant(self) -> bool:
+        return self._k_half.size == 0 or bool(np.all(self._a_half == 0.0)
+                                              and np.all(self._b_half == 0.0))
 
     def with_coupling(self, coupling: float) -> "TrigPotential":
         return replace(self, coupling=float(coupling))

@@ -309,6 +309,41 @@ class TestRun:
         assert main(["localize", "--config", str(path), "--out", str(out)]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_rerun_removes_files_of_the_earlier_run(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = dict(CONTRACT_CONFIGS["localize"], top_profiles=3)
+        run(cfg, out_dir=out)
+        assert (out / "profile_02.csv").exists()
+        (out / "notes.txt").write_text("kept\n")
+        run(dict(cfg, top_profiles=1), out_dir=out)
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert "profile_01.csv" not in outputs
+        assert {p.name for p in out.iterdir()} == {*outputs, "manifest.json",
+                                                   "notes.txt"}
+
+    def test_rerun_removes_only_bare_listed_names(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        listed = ["old.csv", "../outside.txt", "sub/inner.txt", ".", "..",
+                  "sub", "manifest.json"]
+        for name in ("old.csv", "../outside.txt", "sub/inner.txt"):
+            (out / name).write_text("x\n")
+        (out / "manifest.json").write_text(json.dumps({"outputs": listed}))
+        run(lyap_config(), out_dir=out)
+        assert not (out / "old.csv").exists()
+        assert (tmp_path / "outside.txt").exists()
+        assert (out / "sub" / "inner.txt").exists()
+
+    @pytest.mark.parametrize("manifest", ["{not json", "[]", '{"outputs": 3}',
+                                          '{"outputs": "old.csv"}'])
+    def test_unreadable_manifest_removes_nothing(self, tmp_path, manifest):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "old.csv").write_text("x\n")
+        (out / "manifest.json").write_text(manifest)
+        run(lyap_config(), out_dir=out)
+        assert (out / "old.csv").exists()
+
 
 class TestMainEntry:
     @pytest.mark.parametrize("cfg", [
@@ -369,6 +404,21 @@ class TestMainEntry:
         assert err.startswith("ConfigInvalid: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_not_a_directory_exit_two(self, tmp_path, capsys, out):
+        path, taken = tmp_path / "cfg.json", tmp_path / "taken"
+        path.write_text(json.dumps(CONTRACT_CONFIGS["localize"]))
+        taken.write_text("an earlier file\n")
+        code = main(["localize", "--config", str(path), "--out",
+                     str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ConfigInvalid: ")
+        assert f"{str(taken)!r} is not a directory" in err
+        assert "Traceback" not in err
+        assert taken.read_text() == "an earlier file\n"
+        assert {p.name for p in tmp_path.iterdir()} == {"cfg.json", "taken"}
 
     def test_schedule_flag_unread_exit_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

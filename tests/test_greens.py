@@ -9,8 +9,8 @@ from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    build_operator, cocycle, cosine_potential, decay_fit,
                    green_cramer_matrix, green_solve, pave, slog,
                    zero_potential)
-from qplab.greens import (DEFAULT_DET_FLOOR, GreenMatrix, MultiscaleParams,
-                          PaveResult, _certificate, _window_admissible)
+from qplab.greens import (GreenMatrix, MultiscaleParams, PaveResult,
+                          _certificate, _window_admissible)
 from qplab.model import Frequency, TrigPotential
 from qplab.transfer import _phases, det_sequence
 
@@ -332,7 +332,6 @@ def oracle_window_admissible(gw: GreenMatrix, c: float, budget: float,
 
 def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
                 energy: float, v: TrigPotential, c: float, beta: float = 0.1,
-                det_floor: float = DEFAULT_DET_FLOOR,
                 multiscale: Optional[MultiscaleParams] = None) -> PaveResult:
     """`pave` as it was before ordered sweeps: Jacobi edge-row sweeps."""
     a, b = int(interval[0]), int(interval[1])
@@ -342,7 +341,7 @@ def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
     margin = max(1, n // 10)
 
     if n >= big:
-        g = green_solve((a, b), omega, theta, energy, v, det_floor)
+        g = green_solve((a, b), omega, theta, energy, v)
         cert = _certificate(g, c, beta, n, [(a, b)], 0.0, 0, multiscale)
         return PaveResult(green=g, certificate=cert)
 
@@ -369,7 +368,7 @@ def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
             if not (lo <= need_lo and hi >= need_hi and hi > lo):
                 continue
             try:
-                cand = green_solve((lo, hi), omega, theta, energy, v, det_floor)
+                cand = green_solve((lo, hi), omega, theta, energy, v)
             except SingularEnergy:
                 continue
             if oracle_window_admissible(cand, c, beta * n, margin):

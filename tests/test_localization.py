@@ -5,9 +5,10 @@ import pytest
 
 from qplab import (EigenPair, SingularEnergy, build_operator, decay_profile,
                    eigensystem, golden_frequency, growth_pair_search,
-                   localization_scan, lyapunov_n, resonance_scan,
-                   window_bound_check, zero_potential)
+                   lyapunov_n, resonance_scan, window_bound_check,
+                   zero_potential)
 from qplab.cli import _run_localize
+from qplab.localization import localization_summary
 from qplab.transfer import det_sequence
 
 
@@ -102,8 +103,10 @@ class TestDecayProfile:
 
 class TestLocalizationScan:
     def test_summary_keys(self, golden, mathieu5):
-        out = localization_scan((-100, 100), golden, 0.0, mathieu5,
-                                rate_threshold=0.7)
+        pairs = eigensystem((-100, 100), golden, 0.0, mathieu5)
+        profiles = [decay_profile(p) for p in pairs]
+        out = localization_summary((-100, 100), mathieu5, profiles,
+                                   rate_threshold=0.7)
         assert set(out) >= {"box", "lambda", "pct_localized", "median_rate"}
         assert out["lambda"] == 5.0
         assert 0.0 <= out["pct_localized"] <= 100.0
