@@ -2,17 +2,23 @@
 
 Each run validates its JSON config against a schema.  The command's handler
 computes: it returns every artifact, the lines of a CSV/plot file or the
-payload of a JSON file by file name, and touches no file.  `run` writes: it
-adds a manifest recording the config hash, package versions, seed, thread cap
-and wall time, and only then creates the output directory and writes each
-file atomically, so a command that fails writes nothing.  Seeded runs
-reproduce byte for byte at every thread count.
+payload of a JSON file by file name, and touches no file.  The lines may be a
+lazy iterable, such as the n^2 lines of a Green's matrix, which are formatted
+one matrix row at a time while they are written.  `run` writes: it adds a
+manifest recording the config hash, package versions, seed, thread cap and
+wall time, and only then creates the output directory and writes every file
+to a temporary name beside its own.  Only when all of them are written does
+it rename each into place, so a command that fails, while computing or while
+writing, writes nothing.  Seeded runs reproduce byte for byte at every thread
+count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -165,7 +171,9 @@ FLAGSHIP_CONFIGS: Dict[str, dict] = {
 _BLOCK_LINES = 1 << 16
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+def _write_temp(path: Path, chunks: Iterable[str]) -> str:
+    """Write ``chunks`` to a new temporary file beside ``path``; return its
+    name.  The caller renames it into place, or removes it."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         # mkstemp creates mode 0600; give the file the mode open() would.
@@ -174,11 +182,10 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+    return tmp
 
 
 def _finite_or_null(obj):
@@ -192,17 +199,22 @@ def _finite_or_null(obj):
     return obj
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_json(path: Path, payload) -> str:
     """Strict JSON: an undefined number (NaN, infinity) is written as null."""
     text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
                       allow_nan=False)
-    _atomic_write(path, [text + "\n"])
+    return _write_temp(path, [text + "\n"])
 
 
-def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    """Write newline-terminated lines, joined in blocks of bounded size."""
-    _atomic_write(path, ("\n".join(lines[lo:lo + _BLOCK_LINES]) + "\n"
-                         for lo in range(0, len(lines), _BLOCK_LINES)))
+def _write_lines(path: Path, lines: Iterable[str]) -> str:
+    """Write newline-terminated lines, joined in blocks of bounded size.
+
+    ``lines`` may be any iterable, a lazy one included: it is consumed one
+    block at a time, so at most one block of its lines exists at once.
+    """
+    it = iter(lines)
+    blocks = iter(lambda: list(itertools.islice(it, _BLOCK_LINES)), [])
+    return _write_temp(path, ("\n".join(block) + "\n" for block in blocks))
 
 
 def validate_config(config: dict) -> None:
@@ -505,10 +517,24 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         "outputs": list(artifacts),
     }
     stale = _earlier_outputs(out) - artifacts.keys()
+    fresh = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    for name, payload in artifacts.items():
-        write = _write_json if name.endswith(".json") else _write_lines
-        write(out / name, payload)
+    temps = {}
+    try:
+        # Lazy lines are formatted here, so errors can still surface: every
+        # file goes to its temporary name before any replaces its target.
+        for name, payload in artifacts.items():
+            write = _write_json if name.endswith(".json") else _write_lines
+            temps[name] = write(out / name, payload)
+    except BaseException:
+        for tmp in temps.values():
+            os.unlink(tmp)
+        for p in fresh:             # deepest first; kept if no longer empty
+            with contextlib.suppress(OSError):
+                p.rmdir()
+        raise
+    for name, tmp in temps.items():
+        os.replace(tmp, out / name)
     for name in stale:
         if (out / name).is_file():
             (out / name).unlink()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -126,18 +126,33 @@ class GreenMatrix:
             eye[row, out_col] = 1.0
         return float(np.max(np.abs(prod - eye)))
 
-    def csv_lines(self) -> List[str]:
-        """Header plus one ``n1,n2,sign,log_mag`` line per entry, row by row."""
-        a, _ = self.interval
-        sites = range(a, a + self.size)
+    def csv_lines(self) -> CsvLines:
+        """Header plus one ``n1,n2,sign,log_mag`` line per entry, row by row,
+        formatted lazily (see `CsvLines`)."""
+        return CsvLines(self)
+
+
+@dataclass(frozen=True)
+class CsvLines:
+    """The CSV lines of a `GreenMatrix`: sized, and formatted one matrix row
+    at a time on each iteration, so its n^2 strings never exist at once."""
+
+    green: GreenMatrix
+
+    def __len__(self) -> int:
+        return self.green.size ** 2 + 1
+
+    def __iter__(self) -> Iterator[str]:
+        g = self.green
+        a, _ = g.interval
+        sites = range(a, a + g.size)
         # The ",n2,sign," middle of a line, per column, indexed by the sign:
         # 0 and 1 index directly and -1 picks the last element.
         tails = [(f",{c},0,", f",{c},1,", f",{c},-1,") for c in sites]
-        out = ["n1,n2,sign,log_mag"]
-        for head, srow, lrow in zip(map(str, sites), self.signs, self.logs):
-            out += [f"{head}{t[s]}{x}" for t, s, x in
-                    zip(tails, srow.tolist(), numfmt.nums(lrow))]
-        return out
+        yield "n1,n2,sign,log_mag"
+        for head, srow, lrow in zip(map(str, sites), g.signs, g.logs):
+            yield from [f"{head}{t[s]}{x}" for t, s, x in
+                        zip(tails, srow.tolist(), numfmt.nums(lrow))]
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +209,11 @@ def green_solve(interval: Tuple[int, int], omega: Frequency, theta,
     ab[1, :] = op.diagonal - energy
     ab[2, :-1] = 1.0
     linalg = _scipy_linalg()
+    # A Fortran-order right-hand side is the layout LAPACK takes, so the
+    # solve overwrites it without a copy; from_values then turns that same
+    # buffer into the logs.  The only other n x n array kept is the int8 signs.
     try:
-        inv = linalg.solve_banded((1, 1), ab, np.eye(n),
+        inv = linalg.solve_banded((1, 1), ab, np.eye(n, order="F"),
                                   overwrite_ab=True, overwrite_b=True)
     except linalg.LinAlgError:
         raise SingularEnergy(op.interval, float(lead_l[n]))

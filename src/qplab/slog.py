@@ -13,12 +13,20 @@ LOG_ZERO = -np.inf
 
 
 def from_values(x):
-    """Decompose ordinary floats into (sign, logmag)."""
+    """Decompose ordinary floats into (sign, logmag).
+
+    A float64 ndarray is taken over: ``logmag`` is computed in place in its
+    buffer, so the caller must not use ``x`` afterwards.  Anything else, a
+    scalar or a list included, is first converted to a new float array.
+    Apart from that buffer, the only new array is the int8 ``sign``.
+    """
     x = np.asarray(x, dtype=float)
-    sign = np.sign(x).astype(np.int8)
-    safe = np.where(sign == 0, 1.0, np.abs(x))
-    logmag = np.where(sign == 0, LOG_ZERO, np.log(safe))
-    return sign, logmag
+    sign = np.empty_like(x, dtype=np.int8)
+    np.sign(x, out=sign, casting="unsafe")
+    np.abs(x, out=x)
+    with np.errstate(divide="ignore"):    # log(0) is LOG_ZERO exactly
+        np.log(x, out=x)
+    return sign, x
 
 
 def to_values(sign, logmag):

@@ -1,12 +1,10 @@
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
-from qplab import (Frequency, cosine_potential, golden_frequency,
-                   two_cosine_potential, two_torus_frequency, zero_potential)
+from qplab import (cosine_potential, golden_frequency, two_cosine_potential,
+                   two_torus_frequency, zero_potential)
 
 
 @pytest.fixture(scope="session")

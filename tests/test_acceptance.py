@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import random_trig_potential
 from qplab import (SamplerSpec, complexified_growth_check, cosine_potential,

@@ -1,19 +1,21 @@
+import errno
+import itertools
 import json
-import math
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import qplab
-from qplab import lyapunov
+from qplab import cli, greens, lyapunov
 from qplab.cli import (_HANDLERS, _READS, COMMANDS, CONFIG_SCHEMA,
                        FLAGSHIP_CONFIGS, _plot, main, run, validate_config)
-from qplab.errors import ConfigInvalid
+from qplab.errors import ConfigInvalid, SingularEnergy
 from qplab.model import system_from_json
 
 BASE_SYSTEM = {
@@ -143,6 +145,20 @@ class TestValidation:
                               env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def fail_green_csv_after_three_rows(monkeypatch):
+    """Make Green CSV lines raise after three matrix rows, written in blocks
+    of four lines so that some reach the temporary file first."""
+    def csv_lines(green):
+        def lines():
+            yield from itertools.islice(greens.CsvLines(green),
+                                        3 * green.size + 1)
+            raise SingularEnergy(green.interval, -800.0)
+        return lines()
+
+    monkeypatch.setattr(greens.GreenMatrix, "csv_lines", csv_lines)
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 4)
 
 
 class TestRun:
@@ -308,6 +324,63 @@ class TestRun:
             "N": 1000, "delta": 0.5})))
         assert main(["localize", "--config", str(path), "--out", str(out)]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_error_while_writing_creates_no_out(self, tmp_path, capsys,
+                                                monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(GREEN_1D))
+        fail_green_csv_after_three_rows(monkeypatch)
+        out = tmp_path / "new" / "out"
+        assert main(["green", "--config", str(path), "--out", str(out)]) == 1
+        assert "SingularEnergy" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_error_while_writing_keeps_earlier_artifacts(self, tmp_path,
+                                                         monkeypatch):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(dict(GREEN_1D, min_sep=2)))
+        assert main(["green", "--config", str(path), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        fail_green_csv_after_three_rows(monkeypatch)
+        path.write_text(json.dumps(dict(GREEN_1D, E=0.7)))
+        assert main(["green", "--config", str(path), "--out", str(out)]) == 1
+        assert not list(out.glob("*.tmp*"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_error_in_a_later_file_keeps_earlier_artifacts(self, tmp_path,
+                                                           monkeypatch):
+        # The new green.csv is complete when green_fit.json cannot be written.
+        out = tmp_path / "out"
+        run(dict(GREEN_1D, min_sep=2), out_dir=out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def disk_full(path, payload):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_write_json", disk_full)
+        with pytest.raises(OSError):
+            run(dict(GREEN_1D, min_sep=2, E=0.7), out_dir=out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_green_memory_follows_the_matrix_not_its_lines(self, tmp_path,
+                                                           monkeypatch):
+        # Peak traced memory of `green` with a decay fit on 601 sites, bounded
+        # from the layout: 8 bytes of logs and 1 of signs per entry, the n^2
+        # bool masks of decay_fit, and one block of lines, set here to one
+        # matrix row because the default block is as large as this matrix's
+        # arrays.  Holding all n^2 line strings at once takes the peak to
+        # about 96 bytes per entry.
+        n = 601
+        monkeypatch.setattr(cli, "_BLOCK_LINES", n)
+        greens._scipy_linalg()          # its import is not the run's memory
+        cfg = dict(GREEN_1D, interval=[-300, 300], min_sep=10)
+        tracemalloc.start()
+        try:
+            run(cfg, out_dir=tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n * n
 
     def test_rerun_removes_files_of_the_earlier_run(self, tmp_path):
         out = tmp_path / "out"

@@ -7,12 +7,11 @@ import pytest
 from conftest import random_trig_potential
 from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    build_operator, cocycle, cosine_potential, decay_fit,
-                   green_cramer_matrix, green_solve, pave, slog,
-                   zero_potential)
+                   green_cramer_matrix, green_solve, pave, slog)
 from qplab.greens import (GreenMatrix, MultiscaleParams, PaveResult,
                           _certificate, _window_admissible)
 from qplab.model import Frequency, TrigPotential
-from qplab.transfer import _phases, det_sequence
+from qplab.transfer import det_sequence
 
 
 def dense_green(interval, omega, theta, energy, v):
@@ -134,9 +133,10 @@ class TestGreenSolve:
 
     def test_csv_lines(self, golden, free):
         g = green_solve((1, 3), golden, 0.0, 3.0, free)
-        lines = g.csv_lines()
+        lines = list(g.csv_lines())
         assert lines[0] == "n1,n2,sign,log_mag"
         assert len(lines) == 10
+        assert len(g.csv_lines()) == 10
 
     def test_csv_lines_match_entrywise_reference(self, golden, mathieu5):
         g = green_solve((-4, 7), golden, 0.2, 0.5, mathieu5)
@@ -147,7 +147,11 @@ class TestGreenSolve:
         want = ["n1,n2,sign,log_mag"] + [
             f"{a + i},{a + j},{int(g.signs[i, j])},{float(g.logs[i, j])!r}"
             for i in range(n) for j in range(n)]
-        assert g.csv_lines() == want
+        lines = g.csv_lines()
+        assert len(lines) == n * n + 1
+        # Formatted afresh, and the same, on every iteration.
+        assert list(lines) == want
+        assert list(lines) == want
 
 
 class TestDecayFit:

@@ -7,6 +7,10 @@ differently: real log norms must agree within 1e-12 relative (measured at
 most 7.8e-15) and entries, once aligned to the same log scale, within 1e-10
 (measured at most 2.1e-12).  Complex and per-step paths must agree to the
 stated tolerances.
+
+``green_solve`` is checked the same way against the banded inverse and
+signed-log conversion it replaced, at tolerance 0: the new one only changes
+where the solve and the conversion put their results.
 """
 
 import math
@@ -14,10 +18,12 @@ import math
 import numpy as np
 import pytest
 
-from qplab import (complexified_growth_check, cocycle_batch, cocycle_complex,
-                   cosine_potential, epsilon_gap, golden_frequency,
-                   growth_envelope, two_cosine_potential, two_torus_frequency)
+from qplab import (build_operator, complexified_growth_check, cocycle_batch,
+                   cocycle_complex, cosine_potential, epsilon_gap,
+                   golden_frequency, green_solve, growth_envelope,
+                   two_cosine_potential, two_torus_frequency, zero_potential)
 
+from qplab.greens import _scipy_linalg
 from qplab.transfer import _as_batch, _entries, _final, _orbit_rows
 
 from conftest import random_trig_potential
@@ -241,3 +247,39 @@ def test_complexified_growth_check_on_c13_inputs():
         assert rep.margin == pytest.approx(margin, rel=1e-12)
         assert rep.per_step_margin == pytest.approx(per_step, abs=1e-9)
         assert rep.uv_ok is uv_ok
+
+
+def oracle_green_solve(interval, omega, theta, energy, v):
+    """The band and solve of ``green_solve`` with its earlier right-hand side
+    and conversion: a C-order identity, which the solve copies to Fortran
+    order, then float sign, magnitude and log arrays."""
+    op = build_operator(interval, omega, theta, v)
+    n = op.size
+    ab = np.zeros((3, n))
+    ab[0, 1:] = 1.0
+    ab[1, :] = op.diagonal - energy
+    ab[2, :-1] = 1.0
+    inv = _scipy_linalg().solve_banded((1, 1), ab, np.eye(n),
+                                       overwrite_ab=True, overwrite_b=True)
+    sign = np.sign(inv).astype(np.int8)
+    safe = np.where(sign == 0, 1.0, np.abs(inv))
+    logmag = np.where(sign == 0, -np.inf, np.log(safe))
+    return sign, logmag
+
+
+@pytest.mark.parametrize("interval,omega,theta,energy,v", [
+    # Checkerboard of exact zeros.
+    ((1, 40), GOLDEN, 0.0, 0.0, zero_potential()),
+    ((1, 60), GOLDEN, 0.0, 3.0, zero_potential()),
+    # Far entries underflow: subnormals and zeros.
+    ((-200, 200), GOLDEN, 0.2, 0.5, cosine_potential(20.0)),
+    ((1, 150), OMEGA2, np.array([0.1, 0.2]), 0.3, two_cosine_potential(3.0)),
+    ((5, 5), GOLDEN, 0.4, 1.0, cosine_potential(2.0)),
+], ids=["free-zeros", "free", "mathieu-underflow", "d2", "one-site"])
+def test_green_solve_bit_for_bit(interval, omega, theta, energy, v):
+    want_signs, want_logs = oracle_green_solve(interval, omega, theta,
+                                               energy, v)
+    g = green_solve(interval, omega, theta, energy, v)
+    assert g.signs.dtype == np.int8
+    assert np.array_equal(g.signs, want_signs)
+    assert np.array_equal(g.logs, want_logs)

@@ -6,7 +6,7 @@ import pytest
 from qplab import (SigmaOutOfRange, deviation_measure, fourier_decay_check,
                    ldt_scaling_table, lyapunov_n)
 from qplab.cli import _run_ldt
-from qplab.lyapunov import SamplerSpec, _phi_values
+from qplab.lyapunov import _phi_values
 
 
 class TestDeviationMeasure:

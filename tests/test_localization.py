@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qplab import (EigenPair, SingularEnergy, build_operator, decay_profile,
-                   eigensystem, golden_frequency, growth_pair_search,
-                   lyapunov_n, resonance_scan, window_bound_check,
-                   zero_potential)
+from qplab import (EigenPair, build_operator, decay_profile, eigensystem,
+                   golden_frequency, growth_pair_search, resonance_scan,
+                   window_bound_check, zero_potential)
 from qplab.cli import _run_localize
 from qplab.localization import localization_summary
 from qplab.transfer import det_sequence

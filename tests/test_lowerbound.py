@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qplab import (DescentExhausted, DropExceeded, GateFailed,
-                   HypothesisUnmet, PotentialConstant, SamplerSpec,
-                   complexified_growth_check, constant_potential,
-                   cosine_potential, epsilon_gap, epsilon_gap_min,
-                   herman_style_bound, initial_scale_bound, lyapunov_n,
-                   multiscale_recursion, scale_selection,
+from qplab import (DescentExhausted, GateFailed, HypothesisUnmet,
+                   PotentialConstant, SamplerSpec, complexified_growth_check,
+                   constant_potential, cosine_potential, epsilon_gap,
+                   epsilon_gap_min, herman_style_bound, initial_scale_bound,
+                   lyapunov_n, multiscale_recursion, scale_selection,
                    shift_deviation_fraction, sublevel_measure)
 
 COS = cosine_potential(1.0, strip_width=2.0)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from qplab import (Frequency, StripExceeded, TrigPotential,
                    constant_potential, cosine_potential, golden_frequency,
                    potential_from_json, strip_norm, system_from_json,
-                   two_cosine_potential, two_torus_frequency,
-                   verify_diophantine, zero_potential)
+                   two_cosine_potential, verify_diophantine)
 from qplab import slog
 
 

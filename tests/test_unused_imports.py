@@ -1,0 +1,31 @@
+"""No test module imports a name that it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+
+def unused_imports(source: str):
+    """Names an import binds in ``source`` that no expression reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_scan_finds_unused_names():
+    source = ("import os.path\nimport numpy as np\nfrom x import a, b as c\n"
+              "from __future__ import annotations\nprint(os.sep, c)\n")
+    assert unused_imports(source) == ["a", "np"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
