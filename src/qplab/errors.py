@@ -63,10 +63,6 @@ class HypothesisUnmet(QplabError):
         super().__init__(msg)
 
 
-class DescentExhausted(QplabError):
-    """Scale descent ran below the square-root floor without success."""
-
-
 class GateFailed(QplabError):
     """Admissibility gate of the multiscale recursion fails at a scale."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -270,16 +270,6 @@ def decay_fit(green: GreenMatrix, min_sep: int) -> DecayFit:
 # paving
 
 
-@dataclass(frozen=True)
-class MultiscaleParams:
-    """Reporting constants when paving serves the multiscale recursion."""
-
-    rho: float
-    gamma: float
-    n0: int
-    log_norm_bound: float     # log(1 + sup|v|)
-
-
 @dataclass
 class PavingCertificate:
     rate: float
@@ -293,10 +283,9 @@ class PavingCertificate:
     failures: List[int]
     contraction: float
     iterations: int
-    multiscale: Optional[dict] = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "rate": self.rate,
             "intercept": self.intercept,
             "required_rate": self.required_rate,
@@ -309,9 +298,6 @@ class PavingCertificate:
             "contraction": self.contraction,
             "iterations": self.iterations,
         }
-        if self.multiscale is not None:
-            out["multiscale"] = self.multiscale
-        return out
 
 
 @dataclass(frozen=True)
@@ -340,8 +326,8 @@ def _window_admissible(gw: GreenMatrix, c: float, budget: float,
 
 
 def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
-         energy: float, v: TrigPotential, c: float, beta: float = 0.1,
-         multiscale: Optional[MultiscaleParams] = None) -> PaveResult:
+         energy: float, v: TrigPotential, c: float,
+         beta: float = 0.1) -> PaveResult:
     """Assemble G on [a, b] from size-n windows with decay rate c.
 
     Windows start every max(1, n // 4) sites, the last ending at b; each site
@@ -362,7 +348,7 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
 
     if n >= big:
         g = green_solve((a, b), omega, theta, energy, v)
-        cert = _certificate(g, c, beta, n, [(a, b)], 0.0, 0, multiscale)
+        cert = _certificate(g, c, beta, n, [(a, b)], 0.0, 0)
         return PaveResult(green=g, certificate=cert)
 
     starts = [*range(a, b - n + 1, max(1, n // 4)), b - n + 1]
@@ -461,15 +447,13 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
     g_signs, g_logs = resolvent(np.arange(big))
     green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs,
                         energy=float(energy))
-    cert = _certificate(green, c, beta, n, windows, contraction, iterations,
-                        multiscale)
+    cert = _certificate(green, c, beta, n, windows, contraction, iterations)
     return PaveResult(green=green, certificate=cert)
 
 
 def _certificate(green: GreenMatrix, c: float, beta: float, n: int,
                  windows: List[Tuple[int, int]], contraction: float,
-                 iterations: int,
-                 multiscale: Optional[MultiscaleParams]) -> PavingCertificate:
+                 iterations: int) -> PavingCertificate:
     min_sep = min(max(1, n), max(1, green.size // 4))
     try:
         fit = decay_fit(green, min_sep)
@@ -478,22 +462,8 @@ def _certificate(green: GreenMatrix, c: float, beta: float, n: int,
                        pairs=0)
     sup_log = float(np.max(green.logs[green.signs != 0])) \
         if (green.signs != 0).any() else -math.inf
-    ms = None
-    if multiscale is not None:
-        p = multiscale
-        sup_bound = math.log(2.0) + 7.0 * p.rho * p.n0 * p.log_norm_bound
-        refined = p.gamma * (1.0 - 300.0 / p.n0)
-        ms = {
-            "rho": p.rho,
-            "gamma": p.gamma,
-            "n0": p.n0,
-            "sup_bound_log": sup_bound,
-            "sup_ok": sup_log <= sup_bound,
-            "refined_rate_target": refined,
-            "refined_rate_ok": fit.rate >= refined,
-        }
     return PavingCertificate(
         rate=fit.rate, intercept=fit.intercept, required_rate=c / 2.0,
         rate_ok=fit.rate >= c / 2.0, sup_logmag=sup_log, window_rate=c,
         beta=beta, windows=windows, failures=[], contraction=contraction,
-        iterations=iterations, multiscale=ms)
+        iterations=iterations)

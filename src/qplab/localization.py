@@ -1,26 +1,21 @@
 """Finite-box localization diagnostics.
 
 Eigenvectors of large boxes in the localized regime decay exponentially from
-a center; this module profiles that decay, scans for box resonances of a
-given energy, checks the window inequality that converts Green's-function
-decay into eigenfunction decay, and searches for orbit shifts with two-sided
-cocycle growth.
+a center; this module profiles that decay and checks the window inequality
+that converts Green's-function decay into eigenfunction decay.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import slog
-from .errors import SingularEnergy
 from .greens import _scipy_linalg, build_operator, green_solve
-from .lyapunov import lyapunov_n
 from .model import Frequency, TrigPotential
-from .transfer import _phases, cocycle_batch
 
 
 @dataclass(frozen=True)
@@ -113,27 +108,6 @@ def localization_summary(interval: Tuple[int, int], v: TrigPotential,
     }
 
 
-def resonance_scan(omega: Frequency, energy: float, n0_max: int,
-                   threshold_base: float, v: TrigPotential, reference_n: int,
-                   theta=0.0) -> Optional[int]:
-    """First half-width n0 whose box [-n0, n0] has ||G||_HS above base^reference_n."""
-    if n0_max < 1:
-        raise ValueError("n0_max must be >= 1")
-    if threshold_base <= 1.0:
-        raise ValueError("threshold base must exceed 1")
-    log_thresh = reference_n * math.log(threshold_base)
-    th = theta if omega.dim == 2 else float(np.asarray(theta).reshape(()))
-    for n0 in range(1, n0_max + 1):
-        try:
-            g = green_solve((-n0, n0), omega, th, energy, v)
-        except SingularEnergy:
-            return n0
-        log_hs = 0.5 * slog.logsumexp_mags(2.0 * g.logs[g.signs != 0])
-        if log_hs > log_thresh:
-            return n0
-    return None
-
-
 @dataclass(frozen=True)
 class WindowBoundReport:
     """Outcome of the window inequality on [N/2, 2N] for one eigenpair."""
@@ -194,35 +168,3 @@ def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
     return WindowBoundReport(ok=bool(np.all(slack >= -1e-15)), margin=margin,
                              peak_value=peak, peak_bound=peak_bound,
                              peak_ok=peak <= peak_bound, window=(lo, hi))
-
-
-@dataclass(frozen=True)
-class GrowthPairSearch:
-    """First orbit shift in (J, 2J] with two-sided near-average growth."""
-
-    j: Optional[int]
-    tolerance: float
-    reference: float            # L_{n1} used as the target
-    forward: np.ndarray         # per-shift exponent at phase j*omega
-    backward: np.ndarray        # per-shift exponent at phase (-j - n1)*omega
-    average: float              # mean of the summed pair over the scanned range
-
-
-def growth_pair_search(omega: Frequency, energy: float, n1: int, J: int,
-                       v: TrigPotential,
-                       tolerance: float = 0.1) -> GrowthPairSearch:
-    """Scan j in (J, 2J] for simultaneous growth of both shifted cocycles."""
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    l_reference = lyapunov_n(omega, energy, n1, v).value
-    js = np.arange(J + 1, 2 * J + 1)
-    fwd_thetas = _phases(0.0 if omega.dim == 1 else np.zeros(2), omega, js)
-    bwd_thetas = _phases(0.0 if omega.dim == 1 else np.zeros(2), omega, -js - n1)
-    fwd = cocycle_batch(omega, fwd_thetas, energy, n1, v) / n1
-    bwd = cocycle_batch(omega, bwd_thetas, energy, n1, v) / n1
-    hit = (np.abs(fwd - l_reference) <= tolerance) & \
-          (np.abs(bwd - l_reference) <= tolerance)
-    j_found = int(js[np.argmax(hit)]) if hit.any() else None
-    return GrowthPairSearch(j=j_found, tolerance=tolerance,
-                            reference=l_reference, forward=fwd, backward=bwd,
-                            average=float(np.mean(fwd + bwd)))

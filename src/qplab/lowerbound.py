@@ -12,22 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DescentExhausted, DropExceeded, GateFailed,
-                     HypothesisUnmet, PotentialConstant)
-from .greens import MultiscaleParams
+from .errors import (DropExceeded, GateFailed, HypothesisUnmet,
+                     PotentialConstant)
 from .lyapunov import LyapunovEstimate, SamplerSpec, lyapunov_n
 from .model import Frequency, TrigPotential
-from .transfer import (_LOG2, _log_norm, _orbit_rows, _phases, _products,
-                       cocycle_batch)
+from .transfer import _LOG2, _log_norm, _orbit_rows, _phases, _products
 
 STRICT_GATE_CONSTANT = 1000.0
 DROP_CONSTANT = 1000.0
 RECURSION_LOSS_CONSTANT = 71.0
-GAMMA_LOSS_CONSTANT = 70.0
 
 SCHEDULE_NOTE = ("scale ladder is user-supplied and geometric; per-step "
                  "inequalities are verified at desk scale instead of the "
@@ -82,13 +79,6 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
     if best.epsilon <= 0.0:
         raise PotentialConstant("no positive gap found; potential may be constant")
     return best
-
-
-def epsilon_gap_min(v: TrigPotential, delta: float, e1_values: Sequence[float],
-                    **kw) -> EpsilonGap:
-    """Worst gap over a set of target values (the gap shrinks as targets grow)."""
-    gaps = [epsilon_gap(v, delta, e1, **kw) for e1 in e1_values]
-    return min(gaps, key=lambda g: g.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -339,54 +329,6 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
 
 
 # ---------------------------------------------------------------------------
-# scale selection
-
-
-@dataclass(frozen=True)
-class ScaleSelection:
-    n0: int
-    descent: Tuple[int, ...]
-    violations: Tuple[int, ...]   # tabulated m <= n0 violating the carried bound
-    ok: bool
-
-
-def scale_selection(l_table: Mapping[int, float], n: int, scale_ratio: float,
-                    log_norm_bound: float) -> ScaleSelection:
-    """Descend n, [rho n], [rho^2 n], ... until one scale nearly matches the next.
-
-    Success at n0 means L_[rho n0] < (1 + rho) L_n0; positivity of L_n forces
-    this before the descent reaches sqrt(n).  Afterwards every tabulated
-    m <= n0 is re-checked against (1 + rho) L_n0 + log_norm_bound * rho*n0/m.
-    """
-    if not 0.0 < scale_ratio < 1.0:
-        raise ValueError("scale ratio must lie in (0, 1)")
-    floor = math.sqrt(n)
-    if n not in l_table:
-        raise DescentExhausted(f"table lacks the top scale n = {n}")
-    descent = [n]
-    n0 = n
-    while True:
-        m = int(scale_ratio * n0)
-        if m < 1 or n0 <= floor:
-            raise DescentExhausted(
-                f"descent reached {n0} <= sqrt(n) = {floor:.3g} without success")
-        if m not in l_table:
-            raise DescentExhausted(f"table lacks scale {m} needed by the descent")
-        if l_table[m] < (1.0 + scale_ratio) * l_table[n0]:
-            break
-        descent.append(m)
-        n0 = m
-    violations = []
-    bound_base = (1.0 + scale_ratio) * l_table[n0]
-    for m in sorted(l_table):
-        if m <= n0:
-            if l_table[m] >= bound_base + log_norm_bound * scale_ratio * n0 / m + 1e-12:
-                violations.append(m)
-    return ScaleSelection(n0=n0, descent=tuple(descent),
-                          violations=tuple(violations), ok=not violations)
-
-
-# ---------------------------------------------------------------------------
 # multiscale recursion
 
 
@@ -529,66 +471,3 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
                        log_norm_bound=log1v, half_log_coupling=half,
                        half_log_ok=half_log_ok, half_log_margin=min_l - half,
                        telescope_ok=telescope_ok)
-
-
-# ---------------------------------------------------------------------------
-# bridge to paving
-
-
-def multiscale_paving_params(l_n0: float, rho: float, n0: int,
-                             log_norm_bound: float):
-    """Window-decay constants handed to the paver when it serves the recursion.
-
-    The certified window exponent is the scale's exponent minus the loss
-    70 * rho * log(1 + sup|v|); at desk scales this is typically negative, so
-    the paver's report is informational there (and says so via the margins).
-    """
-    gamma = l_n0 - GAMMA_LOSS_CONSTANT * rho * log_norm_bound
-    return MultiscaleParams(rho=rho, gamma=gamma, n0=int(n0),
-                            log_norm_bound=log_norm_bound)
-
-
-# ---------------------------------------------------------------------------
-# sampled admissible-phase predicate
-
-
-@dataclass(frozen=True)
-class ShiftDeviationReport:
-    bad_fraction: float
-    std_error: float
-    reference: float            # exp(-n0^(sigma/5))
-    threshold: float
-
-
-def shift_deviation_fraction(omega: Frequency, v: TrigPotential, energy: float,
-                             n0: int, big_n: int, sigma: float,
-                             samples: int = 100, shifts: int = 8,
-                             scales: int = 4, seed: int = 0) -> ShiftDeviationReport:
-    """Sampled fraction of phases failing the normalized deviation bound.
-
-    A phase is bad when some sampled scale m in (sqrt(n0), n0] and shift
-    j <= 2 big_n sees |phi_m - L_m| above n0^(-sigma/2) * log(1 + sup|v|).
-    Compared against exp(-n0^(sigma/5)) as a report.
-    """
-    log1v = math.log(1.0 + v.coefficient_bound(0.0))
-    threshold = n0 ** (-sigma / 2.0) * log1v
-    lo = int(math.sqrt(n0)) + 1
-    ms = sorted({int(x) for x in np.linspace(lo, n0, scales)})
-    rng = np.random.default_rng(seed)
-    thetas = rng.random(samples) if omega.dim == 1 else rng.random((samples, 2))
-    js = np.concatenate([[0], rng.integers(1, max(2 * big_n, 2), size=shifts - 1)])
-    bad = np.zeros(samples, dtype=bool)
-    for m in ms:
-        ref = lyapunov_n(omega, energy, m, v,
-                         SamplerSpec("monte_carlo" if omega.dim == 2 else "grid",
-                                     2048, seed)).value
-        for j in js:
-            phi = cocycle_batch(omega, _phases(thetas, omega, j), energy, m,
-                                v) / m
-            bad |= np.abs(phi - ref) > threshold
-    frac = float(np.count_nonzero(bad)) / samples
-    return ShiftDeviationReport(
-        bad_fraction=frac,
-        std_error=math.sqrt(frac * (1 - frac) / samples),
-        reference=math.exp(-(n0 ** (sigma / 5.0))),
-        threshold=threshold)

@@ -1,10 +1,10 @@
 """Finite-scale Lyapunov exponents: phase averages of cocycle growth.
 
 L_n(E) is the theta-average of (1/n) log ||M_n(theta)||.  It is subadditive
-in n, so the sequence decreases (along divisors) to the Lyapunov exponent;
-shift averages along the orbit of a diophantine frequency reproduce the same
-number, and the whole graph of theta -> (1/n) log ||M_n|| stays within a
-power-law neighborhood of L_n from above.
+in n, so the sequence decreases (along divisors) to the Lyapunov exponent,
+and the whole graph of theta -> (1/n) log ||M_n|| stays within a power-law
+neighborhood of L_n from above; `check_subadditivity` and
+`upper_bound_check` test both at finite scale.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import Frequency, TrigPotential
-from .transfer import cocycle_batch, _phases
+from .transfer import cocycle_batch
 
 # sigma of the upper-bound check, for one and for two frequencies.
 SIGMA_1D = 1.0 / 3.0
@@ -203,44 +203,6 @@ def check_subadditivity(omega: Frequency, energy: float, n1: int, n2: int,
     return SubadditivityReport(residual=residual, tolerance=tolerance,
                                ok=residual <= tolerance,
                                parts=(est1, est2, est12))
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    estimate: float
-    table: Tuple[LyapunovEstimate, ...]
-    doubling_ok: bool
-
-
-def lyapunov_limit(omega: Frequency, energy: float, v: TrigPotential,
-                   schedule: Sequence[int],
-                   sampler: Optional[SamplerSpec] = None) -> LimitReport:
-    """min over an increasing n-schedule, with the doubling monotonicity check."""
-    sched = [int(n) for n in schedule]
-    if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("schedule must be nonempty and strictly increasing")
-    table = tuple(lyapunov_n(omega, energy, n, v, sampler) for n in sched)
-    by_n: Dict[int, LyapunovEstimate] = {e.n: e for e in table}
-    doubling_ok = True
-    for e in table:
-        half = by_n.get(e.n // 2)
-        if e.n % 2 == 0 and half is not None:
-            slack = 3.0 * math.sqrt(e.std_error ** 2 + half.std_error ** 2) + 1e-9
-            if e.value > half.value + slack:
-                doubling_ok = False
-    return LimitReport(estimate=min(e.value for e in table), table=table,
-                       doubling_ok=doubling_ok)
-
-
-def shift_average(omega: Frequency, theta, energy: float, n: int, J: int,
-                  v: TrigPotential) -> float:
-    """Average of (1/n) log ||M_n|| along J consecutive orbit shifts of theta."""
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    js = np.arange(1, J + 1)
-    shifted = _phases(theta, omega, js)
-    phi = _phi_values(omega, shifted, energy, n, v)
-    return float(np.mean(phi))
 
 
 @dataclass(frozen=True)

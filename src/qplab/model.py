@@ -315,12 +315,6 @@ def zero_potential(dim: int = 1, strip_width: float = 2.0) -> TrigPotential:
     return TrigPotential(dim=dim, coeffs={}, strip_width=strip_width, coupling=1.0)
 
 
-def constant_potential(value: float, dim: int = 1,
-                       strip_width: float = 2.0) -> TrigPotential:
-    zero = (0,) * dim
-    return TrigPotential(dim=dim, coeffs={zero: value}, strip_width=strip_width)
-
-
 def cosine_potential(coupling: float = 1.0, strip_width: float = 2.0) -> TrigPotential:
     """lambda * cos(2 pi theta) on the 1-torus."""
     return TrigPotential(dim=1, coeffs={(1,): 0.5, (-1,): 0.5},

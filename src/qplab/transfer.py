@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -311,44 +311,3 @@ def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
             continue
         worst = max(worst, abs((ls + math.log(abs(val))) - el))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# growth bookkeeping
-
-
-@dataclass(frozen=True)
-class GrowthEnvelope:
-    """Per-step log-norm trace and the phase-shift stability check."""
-
-    log_norms: np.ndarray           # log ||M_j|| for j = 1..n at the base phase
-    shifts: np.ndarray              # the tested r values
-    deviations: np.ndarray          # |phi(theta + r w) - phi(theta)| per shift
-    bound_constant: float           # C in the C|r|/n comparison
-    ok: bool
-
-    def bounds(self) -> np.ndarray:
-        return self.bound_constant * np.abs(self.shifts) / float(len(self.log_norms))
-
-
-def growth_envelope(n: int, omega: Frequency, theta, energy: float,
-                    v: TrigPotential, shifts: Sequence[int]) -> GrowthEnvelope:
-    """Check that one-step conjugations move the finite-scale exponent by at most C|r|/n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0) + abs(energy))
-
-    # Per-step trace at the base phase.
-    rows = _orbit_rows(omega, _as_batch(omega, theta), energy, n, v)
-    trace = np.array([_log_norm(*prod)[0] for prod in _products(rows)])
-
-    shifts_arr = np.asarray(list(shifts), dtype=int)
-    # Evaluate the base and shifted phases through the same code path so the
-    # r = 0 deviation is exactly zero.
-    all_shifts = np.concatenate([[0], shifts_arr])
-    log_norms = cocycle_batch(omega, _phases(theta, omega, all_shifts), energy, n, v)
-    base = log_norms[0] / n
-    deviations = np.abs(log_norms[1:] / n - base)
-    ok = bool(np.all(deviations <= const * np.abs(shifts_arr) / n + 1e-12))
-    return GrowthEnvelope(trace, shifts_arr, deviations, const, ok)
-

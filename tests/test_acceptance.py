@@ -10,15 +10,18 @@ import time
 
 import numpy as np
 
+import pytest
+
 from conftest import random_trig_potential
-from qplab import (SamplerSpec, complexified_growth_check, cosine_potential,
-                   decay_fit, decay_profile, deviation_measure, eigensystem,
+from qplab import (HypothesisUnmet, SamplerSpec, check_subadditivity,
+                   complexified_growth_check, cosine_potential, decay_fit,
+                   decay_profile, deviation_measure, eigensystem,
                    epsilon_gap, fourier_decay_check, golden_frequency,
-                   green_cramer_matrix, green_solve, lyapunov_n,
-                   lyapunov_scan, multiscale_recursion, pave,
+                   green_cramer_matrix, green_solve, initial_scale_bound,
+                   lyapunov_n, lyapunov_scan, multiscale_recursion, pave,
                    sublevel_measure, two_cosine_potential,
-                   two_torus_frequency, verify_det_identity,
-                   window_bound_check, zero_potential)
+                   two_torus_frequency, upper_bound_check,
+                   verify_det_identity, window_bound_check, zero_potential)
 from qplab.transfer import (_final, _log_opnorm, _orbit_rows, _period,
                             det_sequence)
 
@@ -300,3 +303,58 @@ def test_c15_quantized_acceleration():
                        f"{2.0 / n - worst:.2e} below 2/n")
     report(15, "quantized acceleration on the spectrum", ok,
            "; ".join(details), 10.0, time.time() - start)
+
+
+def test_c16_uniform_upper_bound():
+    # The pointwise exponent (1/n) log ||M_n(x)|| exceeds L_n nowhere on the
+    # torus by more than C n^(-sigma), C = 2 log(1 + sup|v| + |E|), with
+    # sigma = 1/3 for one frequency and 1/10 for two: upper_bound_check
+    # takes the largest excess over a phase grid.
+    start = time.time()
+    cases = [(GOLDEN, MATHIEU5, energy, n, 4096)
+             for energy in (0.0, 2.2) for n in (500, 2000)]
+    cases.append((OMEGA2, two_cosine_potential(10.0), 0.0, 200, 900))
+    ok = True
+    details = []
+    for omega, v, energy, n, grid in cases:
+        rep = upper_bound_check(omega, energy, n, v, grid=grid)
+        ok = ok and rep.max_excess <= rep.reference
+        details.append(f"d={omega.dim} E={energy} n={n}: excess "
+                       f"{rep.max_excess:.3g}, margin {rep.margin:.3g}")
+    report(16, "uniform upper bound on the pointwise exponent", ok,
+           "; ".join(details), 30.0, time.time() - start)
+
+
+def test_c17_subadditivity():
+    # log ||M_(m+n)|| <= log ||M_m|| + log ||M_n(. + m omega)||, and the
+    # shift preserves the phase average, so L_(m+n) is at most the
+    # step-weighted mean of L_m and L_n, up to the sampling tolerance of
+    # check_subadditivity (3 combined standard errors).
+    start = time.time()
+    ok = True
+    details = []
+    for n1, n2 in ((250, 250), (100, 900), (500, 1500)):
+        rep = check_subadditivity(GOLDEN, 0.0, n1, n2, MATHIEU5,
+                                  SamplerSpec("grid", 512))
+        ok = ok and rep.residual <= rep.tolerance
+        details.append(f"({n1},{n2}): residual {rep.residual:.3g}, margin "
+                       f"{rep.tolerance - rep.residual:.3g}")
+    report(17, "subadditivity of L_n", ok, "; ".join(details), 30.0,
+           time.time() - start)
+
+
+def test_c18_initial_scale():
+    # The initial scale holds when lambda^(c0/100) outgrows n1^2 and
+    # L_n1 >= 0.97 log lambda.  At lambda = 1e300 it does; at a bench-top
+    # coupling the sublevel measure bound fails, and initial_scale_bound
+    # must say so by name instead of returning a verdict.
+    start = time.time()
+    rep = initial_scale_bound(1e300, cosine_potential(1.0), GOLDEN, 5,
+                              seed=18)
+    with pytest.raises(HypothesisUnmet) as err:
+        initial_scale_bound(1e6, cosine_potential(1.0), GOLDEN, 50, seed=18)
+    ok = rep.margin >= 0.0 and err.value.condition == "sublevel measure bound"
+    report(18, "initial scale at large coupling", ok,
+           f"lambda=1e300, n1=5: min L_5 - 0.97 log lambda = {rep.margin:.3g}, "
+           f"orbit fraction {rep.orbit_fraction:.3g} < 1/5; lambda=1e6, n1=50: "
+           f"HypothesisUnmet({err.value})", 30.0, time.time() - start)

@@ -1,5 +1,5 @@
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ import pytest
 from conftest import random_trig_potential
 from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    build_operator, cocycle, cosine_potential, decay_fit,
-                   green_cramer_matrix, green_solve, pave, slog)
-from qplab.greens import (GreenMatrix, MultiscaleParams, PaveResult,
-                          _certificate, _window_admissible)
+                   green_cramer_matrix, green_solve, lyapunov_n, pave, slog)
+from qplab.greens import (GreenMatrix, PaveResult, _certificate,
+                          _window_admissible)
 from qplab.model import Frequency, TrigPotential
 from qplab.transfer import det_sequence
 
@@ -170,13 +170,11 @@ class TestDecayFit:
         assert fit.rate == pytest.approx(target, abs=5e-3)
 
     def test_localized_rate_reflects_exponent(self, golden, mathieu5):
-        from qplab import lyapunov_limit
-
         g = green_solve((1, 400), golden, 0.05, 0.0, mathieu5)
         fit = decay_fit(g, 20)
-        limit = lyapunov_limit(golden, 0.0, mathieu5, [250, 500, 1000],
-                               sampler=None)
-        assert fit.rate >= 0.8 * limit.estimate
+        limit = min(lyapunov_n(golden, 0.0, n, mathieu5).value
+                    for n in (250, 500, 1000))
+        assert fit.rate >= 0.8 * limit
 
     @pytest.mark.parametrize("case", ["random", "mathieu-box"])
     def test_matches_polyfit_formula(self, golden, mathieu5, case):
@@ -261,19 +259,6 @@ class TestPave:
         with pytest.raises((IterationDiverged, PavingFailed)):
             pave((1, 200), 10, golden, 0.0, 2.05, free, c=0.05, beta=0.5)
 
-    def test_multiscale_report(self, golden):
-        v = cosine_potential(10.0)
-        params = MultiscaleParams(rho=0.3, gamma=-1.0, n0=50,
-                                 log_norm_bound=math.log(11.0))
-        res = pave((1, 300), 50, golden, 0.0, 13.0, v, c=1.0,
-                   multiscale=params)
-        ms = res.certificate.multiscale
-        assert ms is not None
-        assert ms["sup_bound_log"] == pytest.approx(
-            math.log(2.0) + 7.0 * 0.3 * 50 * math.log(11.0))
-        assert ms["refined_rate_target"] == pytest.approx(-1.0 * (1 - 6.0))
-        assert ms["sup_ok"]
-
     def test_cover_protects_every_site(self, golden):
         a, b = -40, 79
         big = b - a + 1
@@ -335,8 +320,8 @@ def oracle_window_admissible(gw: GreenMatrix, c: float, budget: float,
 
 
 def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
-                energy: float, v: TrigPotential, c: float, beta: float = 0.1,
-                multiscale: Optional[MultiscaleParams] = None) -> PaveResult:
+                energy: float, v: TrigPotential, c: float,
+                beta: float = 0.1) -> PaveResult:
     """`pave` as it was before ordered sweeps: Jacobi edge-row sweeps."""
     a, b = int(interval[0]), int(interval[1])
     big = b - a + 1
@@ -346,7 +331,7 @@ def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
 
     if n >= big:
         g = green_solve((a, b), omega, theta, energy, v)
-        cert = _certificate(g, c, beta, n, [(a, b)], 0.0, 0, multiscale)
+        cert = _certificate(g, c, beta, n, [(a, b)], 0.0, 0)
         return PaveResult(green=g, certificate=cert)
 
     starts = [*range(a, b - n + 1, max(1, n // 4)), b - n + 1]
@@ -434,8 +419,7 @@ def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
     g_signs, g_logs = resolvent(np.arange(big))
     green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs,
                         energy=float(energy))
-    cert = _certificate(green, c, beta, n, windows, contraction, iterations,
-                        multiscale)
+    cert = _certificate(green, c, beta, n, windows, contraction, iterations)
     return PaveResult(green=green, certificate=cert)
 
 

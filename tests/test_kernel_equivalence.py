@@ -20,11 +20,12 @@ import pytest
 
 from qplab import (build_operator, complexified_growth_check, cocycle_batch,
                    cocycle_complex, cosine_potential, epsilon_gap,
-                   golden_frequency, green_solve, growth_envelope,
-                   two_cosine_potential, two_torus_frequency, zero_potential)
+                   golden_frequency, green_solve, two_cosine_potential,
+                   two_torus_frequency, zero_potential)
 
 from qplab.greens import _scipy_linalg
-from qplab.transfer import _as_batch, _entries, _final, _orbit_rows
+from qplab.transfer import (_as_batch, _entries, _final, _log_norm,
+                            _orbit_rows, _products)
 
 from conftest import random_trig_potential
 
@@ -227,9 +228,12 @@ def test_cocycle_complex_log_norm():
     (OMEGA2, np.array([0.3, 0.8]), two_cosine_potential(50.0)),
 ], ids=["d1", "d2"])
 def test_growth_envelope_trace(omega, theta, v):
-    env = growth_envelope(500, omega, theta, 0.3, v, [1, 2])
+    # The per-step trace log ||M_j||, j = 1..n: the kernel at period 1 read
+    # after every step, as complexified_growth_check reads it.
+    rows = _orbit_rows(omega, _as_batch(omega, theta), 0.3, 500, v)
+    trace = [_log_norm(*prod)[0] for prod in _products(rows)]
     want = oracle_log_norm_trace(500, omega, theta, 0.3, v)
-    np.testing.assert_allclose(env.log_norms, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(trace, want, rtol=1e-12, atol=0.0)
 
 
 def test_complexified_growth_check_on_c13_inputs():

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qplab import (EigenPair, build_operator, decay_profile, eigensystem,
-                   golden_frequency, growth_pair_search, resonance_scan,
-                   window_bound_check, zero_potential)
+from qplab import (EigenPair, SingularEnergy, build_operator, cocycle_batch,
+                   decay_profile, eigensystem, golden_frequency, green_solve,
+                   lyapunov_n, slog, window_bound_check, zero_potential)
 from qplab.cli import _run_localize
 from qplab.localization import localization_summary
-from qplab.transfer import det_sequence
+from qplab.transfer import _phases, det_sequence
 
 
 class TestEigensystem:
@@ -111,35 +111,35 @@ class TestLocalizationScan:
         assert 0.0 <= out["pct_localized"] <= 100.0
 
 
+def log_hs_norm(golden, n0, energy, v):
+    """log ||G_[-n0, n0](E)||_HS at theta 0, or inf where the box is singular."""
+    try:
+        g = green_solve((-n0, n0), golden, 0.0, energy, v)
+    except SingularEnergy:
+        return math.inf
+    return 0.5 * slog.logsumexp_mags(2.0 * g.logs[g.signs != 0])
+
+
 class TestResonanceScan:
+    # A box resonates at its own eigenvalues: ||G||_HS stays below e^20 on
+    # the smaller boxes and crosses it on the box itself.
     def test_exact_eigenvalue_crosses_at_its_box(self, golden, mathieu5):
         pairs = eigensystem((-8, 8), golden, 0.0, mathieu5)
         mid = min(pairs, key=lambda p: abs(p.energy))
-        hit = resonance_scan(golden, mid.energy, 12, math.e, mathieu5,
-                             reference_n=20)
-        assert hit == 8
+        logs = [log_hs_norm(golden, n0, mid.energy, mathieu5)
+                for n0 in range(1, 9)]
+        assert max(logs[:-1]) <= 20.0 < logs[-1]
 
     def test_perturbed_eigenvalue_still_crosses(self, golden, mathieu5):
         pairs = eigensystem((-8, 8), golden, 0.0, mathieu5)
         mid = min(pairs, key=lambda p: abs(p.energy))
-        hit = resonance_scan(golden, mid.energy + 1e-12, 12, math.e, mathieu5,
-                             reference_n=20)
-        assert hit == 8
+        logs = [log_hs_norm(golden, n0, mid.energy + 1e-12, mathieu5)
+                for n0 in range(1, 9)]
+        assert max(logs[:-1]) <= 20.0 < logs[-1]
 
-    def test_far_energy_no_crossing(self, golden):
-        v = zero_potential().with_coupling(0.5)
-        assert resonance_scan(golden, 5.0, 10, math.e, v,
-                              reference_n=10) is None
-
-    def test_monotone_in_threshold(self, golden, mathieu5):
-        pairs = eigensystem((-8, 8), golden, 0.0, mathieu5)
-        mid = min(pairs, key=lambda p: abs(p.energy))
-        lo = resonance_scan(golden, mid.energy + 1e-10, 15, math.e, mathieu5,
-                            reference_n=10)
-        hi = resonance_scan(golden, mid.energy + 1e-10, 15, math.e, mathieu5,
-                            reference_n=22)
-        if lo is not None and hi is not None:
-            assert hi >= lo
+    def test_far_energy_no_crossing(self, golden, free):
+        assert max(log_hs_norm(golden, n0, 5.0, free)
+                   for n0 in range(1, 11)) <= 10.0
 
 
 class TestWindowBound:
@@ -172,23 +172,25 @@ class TestWindowBound:
         assert checked == 20
 
 
+def two_sided_growth(golden, energy, n1, shifts, v):
+    """(1/n1) log ||M_n1|| per shift j at the phases j omega and
+    (-j - n1) omega: the blocks just after j and just before -j."""
+    fwd = cocycle_batch(golden, _phases(0.0, golden, shifts), energy, n1, v)
+    bwd = cocycle_batch(golden, _phases(0.0, golden, -shifts - n1), energy,
+                        n1, v)
+    return fwd / n1, bwd / n1
+
+
 class TestGrowthPairSearch:
     def test_constant_cocycle_first_shift_works(self, golden, free):
-        res = growth_pair_search(golden, 3.0, 20, 10, free, tolerance=0.05)
-        assert res.j == 11
+        ref = lyapunov_n(golden, 3.0, 20, free).value
+        fwd, bwd = two_sided_growth(golden, 3.0, 20, np.arange(11, 21), free)
+        assert np.all(np.abs(fwd - ref) <= 0.05)
+        assert np.all(np.abs(bwd - ref) <= 0.05)
 
     def test_mathieu_finds_witness(self, golden, mathieu5):
-        res = growth_pair_search(golden, 0.0, 100, 1000, mathieu5,
-                                 tolerance=0.1)
-        assert res.j is not None
-        assert 1000 < res.j <= 2000
-        # independent scan: the returned shift is the first admissible one
-        ref = res.reference
-        ok = (np.abs(res.forward - ref) <= 0.1) & \
-             (np.abs(res.backward - ref) <= 0.1)
-        first = int(np.argmax(ok)) + 1001
-        assert res.j == first
-
-    def test_zero_tolerance_finds_nothing(self, golden, mathieu5):
-        res = growth_pair_search(golden, 0.0, 50, 40, mathieu5, tolerance=0.0)
-        assert res.j is None
+        # Some shift in (J, 2J] grows at near the average rate both ways.
+        ref = lyapunov_n(golden, 0.0, 100, mathieu5).value
+        fwd, bwd = two_sided_growth(golden, 0.0, 100, np.arange(1001, 2001),
+                                    mathieu5)
+        assert np.any((np.abs(fwd - ref) <= 0.1) & (np.abs(bwd - ref) <= 0.1))

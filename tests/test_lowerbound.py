@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qplab import (DescentExhausted, GateFailed, HypothesisUnmet,
-                   PotentialConstant, SamplerSpec, complexified_growth_check,
-                   constant_potential, cosine_potential, epsilon_gap,
-                   epsilon_gap_min, herman_style_bound, initial_scale_bound,
-                   lyapunov_n, multiscale_recursion, scale_selection,
-                   shift_deviation_fraction, sublevel_measure)
+from qplab import (GateFailed, HypothesisUnmet, PotentialConstant,
+                   TrigPotential, complexified_growth_check, cosine_potential,
+                   epsilon_gap, herman_style_bound, initial_scale_bound,
+                   multiscale_recursion, sublevel_measure)
 
 COS = cosine_potential(1.0, strip_width=2.0)
 
@@ -24,13 +22,15 @@ class TestEpsilonGap:
         assert gap.epsilon <= math.sinh(2.0 * math.pi * 0.1) * (1.0 + 1e-6)
 
     def test_constant_potential_rejected(self):
+        constant = TrigPotential(dim=1, coeffs={(0,): 2.0}, strip_width=2.0)
         with pytest.raises(PotentialConstant):
-            epsilon_gap(constant_potential(2.0), 0.05, 2.0)
+            epsilon_gap(constant, 0.05, 2.0)
 
     def test_gap_shrinks_with_more_targets(self):
-        single = epsilon_gap_min(COS, 0.1, [0.0])
-        double = epsilon_gap_min(COS, 0.1, [0.0, 0.9])
-        assert double.epsilon <= single.epsilon + 1e-12
+        # A target near the top of cos has a narrower gap than the centre.
+        centre = epsilon_gap(COS, 0.1, 0.0)
+        near_top = epsilon_gap(COS, 0.1, 0.9)
+        assert near_top.epsilon <= centre.epsilon + 1e-12
 
     def test_grid_stability(self):
         a = epsilon_gap(COS, 0.1, 0.0, x_grid=256, y_grid=32)
@@ -129,43 +129,6 @@ class TestInitialScale:
         assert "sublevel measure bound" in str(err.value)
 
 
-class TestScaleSelection:
-    def test_constant_table_immediate(self):
-        table = {n: 1.5 for n in (10, 30, 100, 300, 1000)}
-        sel = scale_selection(table, 1000, 0.3, math.log(3.0))
-        assert sel.n0 == 1000
-        assert sel.ok
-
-    def test_forced_single_descent(self):
-        # top scale fails the near-equality test, the next level succeeds
-        table = {1000: 1.0, 300: 1.4, 90: 1.4}
-        sel = scale_selection(table, 1000, 0.3, math.log(3.0))
-        assert sel.n0 == 300
-
-    def test_descent_exhausted_on_missing_scales(self):
-        with pytest.raises(DescentExhausted):
-            scale_selection({1000: 1.0, 300: 1.5}, 1000, 0.3, math.log(3.0))
-
-    def test_descent_exhausted_below_sqrt_floor(self):
-        # every level grows by more than (1 + rho): descent never succeeds
-        table = {}
-        n, val = 400, 1.0
-        while n >= 1:
-            table[n] = val
-            val *= 2.0
-            n = int(0.3 * n)
-        with pytest.raises(DescentExhausted):
-            scale_selection(table, 400, 0.3, math.log(3.0))
-
-    def test_measured_mathieu_table(self, golden):
-        v = cosine_potential(50.0)
-        ns = [2000, 600, 180, 54]
-        table = {n: lyapunov_n(golden, 0.0, n, v, SamplerSpec("grid", 128)).value
-                 for n in ns}
-        sel = scale_selection(table, 2000, 0.3, math.log(51.0))
-        assert sel.n0 > 45
-
-
 class TestMultiscaleRecursion:
     def test_two_torus_ladder(self, omega2, two_cos):
         ladder = multiscale_recursion(50.0, two_cos, omega2,
@@ -202,31 +165,3 @@ class TestMultiscaleRecursion:
         ladder = multiscale_recursion(50.0, two_cos, omega2, [200, 400],
                                       samples=100, seed=10)
         assert ladder.telescope_ok
-
-
-class TestMultiscalePavingBridge:
-    def test_params_and_paved_report(self, golden):
-        from qplab import multiscale_paving_params, pave
-
-        params = multiscale_paving_params(l_n0=2.3, rho=0.5, n0=50,
-                                          log_norm_bound=math.log(11.0))
-        assert params.gamma == pytest.approx(2.3 - 70.0 * 0.5 * math.log(11.0))
-        res = pave((1, 300), 50, golden, 0.0, 13.0, cosine_potential(10.0),
-                   c=1.0, multiscale=params)
-        ms = res.certificate.multiscale
-        assert ms is not None and ms["gamma"] == pytest.approx(params.gamma)
-        # desk-scale exponents make the refined target informational only;
-        # the report must carry it together with the sup bound verdict
-        assert ms["refined_rate_target"] == pytest.approx(
-            params.gamma * (1.0 - 300.0 / 50))
-        assert ms["sup_ok"]
-
-
-class TestShiftDeviationPredicate:
-    def test_small_sample_report(self, golden, mathieu5):
-        rep = shift_deviation_fraction(golden, mathieu5, 0.0, n0=64,
-                                       big_n=200, sigma=0.5, samples=50,
-                                       shifts=4, scales=3, seed=11)
-        assert 0.0 <= rep.bad_fraction <= 1.0
-        assert rep.threshold > 0.0
-        assert 0.0 < rep.reference < 1.0

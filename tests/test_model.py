@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplab import (Frequency, StripExceeded, TrigPotential,
-                   constant_potential, cosine_potential, golden_frequency,
-                   potential_from_json, strip_norm, system_from_json,
-                   two_cosine_potential, verify_diophantine)
+                   cosine_potential, golden_frequency, potential_from_json,
+                   strip_norm, system_from_json, two_cosine_potential,
+                   verify_diophantine)
 from qplab import slog
 
 
@@ -160,7 +160,7 @@ class TestEvalPotential:
 
 class TestStripNorm:
     def test_constant(self):
-        v = constant_potential(-2.5)
+        v = TrigPotential(dim=1, coeffs={(0,): -2.5}, strip_width=2.0)
         sn = strip_norm(v, rho_eff=0.05)
         assert sn.bound == pytest.approx(2.5)
         assert sn.estimate == pytest.approx(2.5)

@@ -1,4 +1,7 @@
-"""No test module imports a name that it never uses."""
+"""No test or library module imports a name that it never uses.
+
+The package ``__init__`` is left out: its imports are re-exports.
+"""
 
 import ast
 from pathlib import Path
@@ -25,7 +28,18 @@ def test_scan_finds_unused_names():
     assert unused_imports(source) == ["a", "np"]
 
 
-@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")),
+TESTS = Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "qplab"
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: f"qplab/{p.name}")
+def test_no_unused_library_imports(path):
     assert unused_imports(path.read_text()) == []
