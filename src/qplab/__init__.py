@@ -23,9 +23,8 @@ from .lyapunov import (LyapunovEstimate, SamplerSpec, check_subadditivity,
                        lyapunov_n, lyapunov_scan, upper_bound_check)
 from .ldt import (DeviationProfile, FourierDecay, deviation_measure,
                   fourier_decay_check, ldt_scaling_table)
-from .greens import (DecayFit, FiniteOperator, GreenMatrix, PaveResult,
-                     build_operator, decay_fit, green_cramer_matrix,
-                     green_solve, pave)
+from .greens import (DecayFit, GreenMatrix, PaveResult, decay_fit,
+                     green_cramer_matrix, green_solve, pave)
 from .localization import (DecayProfile, EigenPair, decay_profile,
                            eigensystem, window_bound_check)
 from .lowerbound import (EpsilonGap, ScaleLadder, complexified_growth_check,

@@ -1,10 +1,14 @@
-"""Finite-box operators, their Green's functions, decay fits, and paving.
+"""Green's functions of finite boxes, decay fits, and paving.
 
-Green's function entries are kept in signed-log form throughout: with a
-positive Lyapunov exponent the off-diagonal entries of a few-hundred-site box
-underflow doubles, while their logs stay perfectly representable.  Two
-independent routes produce the entries: the minor/continuant factorization
-(`green_cramer_matrix`) and a pivoted banded solve (`green_solve`).  `pave`
+A box [a, b] is the symmetric tridiagonal operator with the potential values
+of `transfer.box_diagonal` on its diagonal and ones off it.  Green's function
+entries are kept in signed-log form throughout: with a positive Lyapunov
+exponent the off-diagonal entries of a few-hundred-site box underflow
+doubles, while their logs stay perfectly representable.  Two independent
+routes produce the entries, each evaluating its box once: the
+minor/continuant factorization (`green_cramer_matrix`) and a pivoted
+tridiagonal LU solve (`green_solve`), which reads log|det| for the
+`DET_FLOOR` check off its own factors.  `pave`
 assembles the Green's function of a long interval from overlapping good
 windows by iterating the resolvent identity to its fixed point.
 """
@@ -20,7 +24,7 @@ import numpy as np
 from . import numfmt, slog
 from .errors import IterationDiverged, PavingFailed, SingularEnergy
 from .model import Frequency, TrigPotential
-from .transfer import _phases, det_sequence
+from .transfer import box_diagonal, det_sequence
 
 # log|det| below which a box counts as singular at the energy.
 DET_FLOOR = -700.0
@@ -29,8 +33,8 @@ DET_FLOOR = -700.0
 def _scipy_linalg():
     """``scipy.linalg``, imported on first use.
 
-    scipy serves only the banded solve here and the tridiagonal eigensolver
-    in `localization`, and importing it costs about 0.3 s of a fresh
+    scipy serves only the tridiagonal solve here and the eigensolver in
+    `localization`, and importing it costs about 0.3 s of a fresh
     interpreter.  Commands that never build a box (``lyapunov``, ``ldt``,
     ``lowerbound``, ``recursion``) and config validation skip it; this is the
     package's one deferred import.
@@ -38,52 +42,6 @@ def _scipy_linalg():
     import scipy.linalg
 
     return scipy.linalg
-
-
-@dataclass(frozen=True)
-class FiniteOperator:
-    """Restriction of the lattice operator to an integer interval.
-
-    Symmetric tridiagonal: potential values on the diagonal, ones off it.
-    """
-
-    interval: Tuple[int, int]
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        a, b = self.interval
-        object.__setattr__(self, "interval", (int(a), int(b)))
-        d = np.asarray(self.diagonal, dtype=float)
-        if d.shape != (self.interval[1] - self.interval[0] + 1,):
-            raise ValueError("diagonal length does not match the interval")
-        object.__setattr__(self, "diagonal", d)
-
-    @property
-    def size(self) -> int:
-        return self.interval[1] - self.interval[0] + 1
-
-    def dense(self, energy: float = 0.0) -> np.ndarray:
-        n = self.size
-        m = np.zeros((n, n))
-        np.fill_diagonal(m, self.diagonal - energy)
-        idx = np.arange(n - 1)
-        m[idx, idx + 1] = 1.0
-        m[idx + 1, idx] = 1.0
-        return m
-
-    def sites(self) -> np.ndarray:
-        return np.arange(self.interval[0], self.interval[1] + 1)
-
-
-def build_operator(interval: Tuple[int, int], omega: Frequency, theta,
-                   v: TrigPotential) -> FiniteOperator:
-    """Operator on [a, b] with diagonal v(theta + j omega), j = a..b."""
-    a, b = int(interval[0]), int(interval[1])
-    if b < a:
-        raise ValueError("interval is empty")
-    sites = np.arange(a, b + 1)
-    diag = v.eval_batch(_phases(theta, omega, sites))
-    return FiniteOperator(interval=(a, b), diagonal=diag)
 
 
 @dataclass
@@ -101,30 +59,6 @@ class GreenMatrix:
 
     def values(self) -> np.ndarray:
         return slog.to_values(self.signs, self.logs)
-
-    def symmetry_defect(self) -> float:
-        live = (self.signs != 0) & (self.signs.T != 0)
-        if not live.any():
-            return 0.0
-        if np.any((self.signs != self.signs.T) & live):
-            return math.inf
-        return float(np.max(np.abs(self.logs[live] - self.logs.T[live])))
-
-    def residual(self, op: FiniteOperator) -> float:
-        """max-norm defect of (A - E) G - I over columns with entries <= e^300."""
-        col_ok = np.max(self.logs, axis=0) <= 300.0
-        if not col_ok.any():
-            return math.nan
-        g = slog.to_values(self.signs[:, col_ok], self.logs[:, col_ok])
-        d = op.diagonal - self.energy
-        prod = d[:, None] * g
-        prod[:-1] += g[1:]
-        prod[1:] += g[:-1]
-        eye = np.zeros_like(prod)
-        rows = np.arange(self.size)[col_ok]
-        for out_col, row in enumerate(rows):
-            eye[row, out_col] = 1.0
-        return float(np.max(np.abs(prod - eye)))
 
     def csv_lines(self) -> CsvLines:
         """Header plus one ``n1,n2,sign,log_mag`` line per entry, row by row,
@@ -177,9 +111,9 @@ def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
     """
     a, b = int(interval[0]), int(interval[1])
     n = b - a + 1
-    lead_s, lead_l = det_sequence((a, b), omega, theta, energy, v)
-    trail_s, trail_l = det_sequence((a, b), omega, theta, energy, v,
-                                    trailing=True)
+    diag = box_diagonal((a, b), omega, theta, v) - energy
+    lead_s, lead_l = det_sequence(diag)
+    trail_s, trail_l = det_sequence(diag[::-1])
     _check_det((a, b), int(lead_s[n]), float(lead_l[n]))
     i = np.arange(1, n + 1)
     lg_i = lead_l[i - 1]
@@ -199,26 +133,29 @@ def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
 
 def green_solve(interval: Tuple[int, int], omega: Frequency, theta,
                 energy: float, v: TrigPotential) -> GreenMatrix:
-    """Full inverse via a pivoted banded factorization (independent of Cramer)."""
-    op = build_operator(interval, omega, theta, v)
-    n = op.size
-    lead_s, lead_l = det_sequence(interval, omega, theta, energy, v)
-    _check_det(op.interval, int(lead_s[n]), float(lead_l[n]))
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 1.0
-    ab[1, :] = op.diagonal - energy
-    ab[2, :-1] = 1.0
-    linalg = _scipy_linalg()
+    """Full inverse via a pivoted tridiagonal LU solve (independent of Cramer).
+
+    LAPACK ``dgtsv`` is the routine ``scipy.linalg.solve_banded`` runs on a
+    tridiagonal band; called directly, it also hands back the diagonal of U,
+    whose log-magnitudes sum to log|det| for the `DET_FLOOR` check.
+    """
+    a, b = int(interval[0]), int(interval[1])
+    d = box_diagonal((a, b), omega, theta, v) - energy
+    if not np.all(np.isfinite(d)):
+        raise ValueError("box diagonal v - E must be finite")
+    n = d.size
+    # f2py wants off-diagonals of length >= 1, even for a one-site box.
+    ones = np.ones(max(n - 1, 1))
     # A Fortran-order right-hand side is the layout LAPACK takes, so the
     # solve overwrites it without a copy; from_values then turns that same
     # buffer into the logs.  The only other n x n array kept is the int8 signs.
-    try:
-        inv = linalg.solve_banded((1, 1), ab, np.eye(n, order="F"),
-                                  overwrite_ab=True, overwrite_b=True)
-    except linalg.LinAlgError:
-        raise SingularEnergy(op.interval, float(lead_l[n]))
+    _, u, _, inv, info = _scipy_linalg().lapack.dgtsv(
+        ones, d, ones.copy(), np.eye(n, order="F"), 1, 1, 1, 1)
+    if info > 0:                    # U(info, info) is exactly zero
+        raise SingularEnergy((a, b), -math.inf)
+    _check_det((a, b), 1, float(np.sum(np.log(np.abs(u)))))
     signs, logs = slog.from_values(inv)
-    return GreenMatrix(interval=op.interval, signs=signs, logs=logs,
+    return GreenMatrix(interval=(a, b), signs=signs, logs=logs,
                        energy=float(energy))
 
 

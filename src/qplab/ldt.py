@@ -86,9 +86,6 @@ class LdtRow:
 class LdtTable:
     rows: Tuple[LdtRow, ...]
 
-    def fractions(self) -> np.ndarray:
-        return np.array([r.profile.fraction for r in self.rows])
-
 
 def ldt_scaling_table(omega: Frequency, energy: float, v: TrigPotential,
                       sigma: float, n_values: Sequence[int], samples: int,

@@ -14,8 +14,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import slog
-from .greens import _scipy_linalg, build_operator, green_solve
+from .greens import _scipy_linalg, green_solve
 from .model import Frequency, TrigPotential
+from .transfer import box_diagonal
 
 
 @dataclass(frozen=True)
@@ -34,24 +35,17 @@ class EigenPair:
     def sites(self) -> np.ndarray:
         return np.arange(self.interval[0], self.interval[1] + 1)
 
-    def residual(self, op) -> float:
-        d = op.diagonal - self.energy
-        r = d * self.vector
-        r[:-1] += self.vector[1:]
-        r[1:] += self.vector[:-1]
-        return float(np.linalg.norm(r))
-
 
 def eigensystem(interval: Tuple[int, int], omega: Frequency, theta,
                 v: TrigPotential) -> List[EigenPair]:
     """Full eigendecomposition of the box operator, energies ascending."""
-    op = build_operator(interval, omega, theta, v)
-    n = op.size
+    diag = box_diagonal(interval, omega, theta, v)
+    n = diag.size
     if n == 1:
-        return [EigenPair(float(op.diagonal[0]), np.ones(1), op.interval)]
+        return [EigenPair(float(diag[0]), np.ones(1), interval)]
     off = np.ones(n - 1)
-    vals, vecs = _scipy_linalg().eigh_tridiagonal(op.diagonal, off)
-    return [EigenPair(float(vals[k]), vecs[:, k], op.interval) for k in range(n)]
+    vals, vecs = _scipy_linalg().eigh_tridiagonal(diag, off)
+    return [EigenPair(float(vals[k]), vecs[:, k], interval) for k in range(n)]
 
 
 @dataclass(frozen=True)
@@ -151,8 +145,7 @@ def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
     bound = g_left * xi_lo + g_right * xi_hi
 
     # Numerical allowance: ||G row||_2 times the eigen-residual on the window.
-    op_big = build_operator(pair.interval, omega, theta, v)
-    d = op_big.diagonal - pair.energy
+    d = box_diagonal(pair.interval, omega, theta, v) - pair.energy
     r = d * xi
     r[:-1] += xi[1:]
     r[1:] += xi[:-1]

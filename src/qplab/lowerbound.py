@@ -360,9 +360,6 @@ class ScaleLadder:
     telescope_ok: bool
     note: str = SCHEDULE_NOTE
 
-    def min_l(self) -> float:
-        return min(r.l_value for r in self.rows)
-
     def to_json(self) -> dict:
         return {
             "sigma": self.sigma,

@@ -53,11 +53,6 @@ class Frequency:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.components, dtype=float)
 
-    def scalar(self) -> float:
-        if self.dim != 1:
-            raise ValueError("scalar frequency requested for d>1")
-        return self.components[0]
-
 
 def golden_frequency(dio_A: float = 2.0, dio_c: float = 0.2) -> Frequency:
     return Frequency((GOLDEN_MEAN,), dio_A, dio_c)
@@ -179,6 +174,12 @@ class TrigPotential:
                            np.array(keys, dtype=float).reshape(len(keys), self.dim))
         object.__setattr__(self, "_c_all",
                            np.array([canon[k] for k in keys], dtype=complex))
+        # Reject before the halves below double the coefficients, which
+        # would overflow into inf values and NaN exponents.
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.coefficient_bound(0.0)):
+                raise ValueError("sup |v| overflows: the coefficients times "
+                                 "the coupling must sum to a finite number")
         half = [k for k in keys if _positive_half(k)]
         object.__setattr__(self, "_k_half",
                            np.array(half, dtype=float).reshape(len(half), self.dim))
@@ -186,12 +187,6 @@ class TrigPotential:
         object.__setattr__(self, "_a_half", 2.0 * ch.real)
         object.__setattr__(self, "_b_half", -2.0 * ch.imag)
         object.__setattr__(self, "_c0", float(c0.real))
-
-    @property
-    def degree(self) -> int:
-        if self._k_all.size == 0:
-            return 0
-        return int(np.max(np.abs(self._k_all)))
 
     def is_constant(self) -> bool:
         return self._k_half.size == 0 or bool(np.all(self._a_half == 0.0)

@@ -4,7 +4,8 @@ The one-step matrix is [[v - E, 1], [-1, 0]].  Products are rescaled by
 powers of two often enough that norms of order exp(c n) never overflow; the
 accumulated exponents carry the growth.  The entries of the n-step product
 coincide with signed determinants of trailing tridiagonal truncations, which
-`verify_det_identity` checks to floating-point accuracy.
+`verify_det_identity` checks to floating-point accuracy.  `box_diagonal` is
+the one place that evaluates the potential on a finite box.
 """
 
 from __future__ import annotations
@@ -245,21 +246,27 @@ def _renorm_pair(cur: float, prev: float, acc: float) -> Tuple[float, float, flo
     return cur * scale, prev * scale, acc + e * math.log(2.0)
 
 
-def det_sequence(interval: Tuple[int, int], omega: Frequency, theta,
-                 energy: float, v: TrigPotential, trailing: bool = False):
-    """Signed-log determinants of all leading (or trailing) truncations.
+def box_diagonal(interval: Tuple[int, int], omega: Frequency, theta,
+                 v: TrigPotential) -> np.ndarray:
+    """Potential values v(theta + j omega), j = a..b, on the box [a, b].
 
-    For interval [a, b] the leading sequence has length b-a+2 and entry i is
-    det over sites [a, a+i-1] (entry 0 is the empty determinant, +1).  The
-    trailing sequence entry i is det over sites [b-i+1, b].
+    The box operator is symmetric tridiagonal with these values on its
+    diagonal and ones off it.
     """
     a, b = int(interval[0]), int(interval[1])
     if b < a:
-        raise ValueError("empty interval")
-    sites = np.arange(a, b + 1)
-    diag = v.eval_batch(_phases(theta, omega, sites)) - energy
-    if trailing:
-        diag = diag[::-1]
+        raise ValueError("interval is empty")
+    return v.eval_batch(_phases(theta, omega, np.arange(a, b + 1)))
+
+
+def det_sequence(diag: np.ndarray):
+    """Signed-log determinants of all leading truncations of a box.
+
+    ``diag`` is the shifted diagonal v - E of n sites; the sequence has
+    length n + 1 and entry i is det over its first i sites (entry 0 is the
+    empty determinant, +1).  ``det_sequence(diag[::-1])`` gives the trailing
+    truncations.
+    """
     n = diag.shape[0]
     signs = np.empty(n + 1, dtype=np.int8)
     logs = np.empty(n + 1, dtype=float)
@@ -287,8 +294,9 @@ def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
     if n < 3:
         raise ValueError("identity check needs n >= 3")
     res = cocycle(omega, theta, energy, n, v)
-    s_full, l_full = det_sequence((1, n), omega, theta, energy, v)
-    s_shift, l_shift = det_sequence((2, n), omega, theta, energy, v)
+    diag = box_diagonal((1, n), omega, theta, v) - energy
+    s_full, l_full = det_sequence(diag)
+    s_shift, l_shift = det_sequence(diag[1:])
     expected = [
         (int(s_full[n]), float(l_full[n])),            # top-left
         (int(s_shift[n - 1]), float(l_shift[n - 1])),  # top-right

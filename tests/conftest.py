@@ -1,6 +1,7 @@
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from qplab import (cosine_potential, golden_frequency, two_cosine_potential,
@@ -76,3 +77,18 @@ def random_trig_potential(rng, degree=3, amplitude=1.0, dim=1, strip_width=2.0):
                 coeffs[(k1, k2)] = c
                 coeffs[(-k1, -k2)] = c.conjugate()
     return TrigPotential(dim=dim, coeffs=coeffs, strip_width=strip_width)
+
+
+def dense_box(interval, omega, theta, energy, v):
+    """Dense (A - E) matrix built from direct potential evaluation."""
+    a, b = interval
+    n = b - a + 1
+    m = np.zeros((n, n))
+    w = omega.as_array()
+    for i, j in enumerate(range(a, b + 1)):
+        th = (np.asarray(theta) + j * w) % 1.0
+        m[i, i] = float(v.eval_batch(th if omega.dim == 2 else th[0])) - energy
+    idx = np.arange(n - 1)
+    m[idx, idx + 1] = 1.0
+    m[idx + 1, idx] = 1.0
+    return m

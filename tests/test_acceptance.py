@@ -23,7 +23,7 @@ from qplab import (HypothesisUnmet, SamplerSpec, check_subadditivity,
                    two_torus_frequency, upper_bound_check,
                    verify_det_identity, window_bound_check, zero_potential)
 from qplab.transfer import (_final, _log_opnorm, _orbit_rows, _period,
-                            det_sequence)
+                            box_diagonal, det_sequence)
 
 GOLDEN = golden_frequency()
 OMEGA2 = two_torus_frequency()
@@ -161,7 +161,8 @@ def test_c09_cramer_vs_solve():
         size = int(rng.integers(4, 201))
         theta = float(rng.random())
         energy = float(rng.uniform(-10.0, 10.0))
-        if det_sequence((1, size), GOLDEN, theta, energy, v)[1][-1] < -50:
+        diag = box_diagonal((1, size), GOLDEN, theta, v) - energy
+        if det_sequence(diag)[1][-1] < -50:
             continue
         gc = green_cramer_matrix((1, size), GOLDEN, theta, energy, v)
         gs = green_solve((1, size), GOLDEN, theta, energy, v)

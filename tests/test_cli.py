@@ -422,6 +422,10 @@ class TestMainEntry:
     @pytest.mark.parametrize("cfg", [
         lyap_config(system=dict(BASE_SYSTEM, coeffs=[[1, 0.5, 0.0]])),
         lyap_config(system=dict(BASE_SYSTEM, omega=[1.5])),
+        lyap_config(system=dict(BASE_SYSTEM, coeffs=[[-1, 1e308, 0],
+                                                      [1, 1e308, 0]],
+                                **{"lambda": 1.0}),
+                    n=10, samples=4),
         lyap_config(system=dict(BASE_SYSTEM, omega=[0.3, 0.4])),
         lyap_config(e_values=[0.0, float("nan")]),
         dict(NO_ENERGIES, E=float("inf")),
@@ -458,6 +462,7 @@ class TestMainEntry:
         lyap_config(format="csv"),
         lyap_config(E=1.0),
     ], ids=["not-conjugate-symmetric", "omega-outside-torus",
+            "overflowing-coefficients",
             "omega-dim-mismatch", "nan-energy", "inf-energy", "inf-grid",
             "theta-shape", "sampels", "system-lamda", "pave-no-rate_c",
             "pave-no-window", "green-no-interval", "window_check-no-N",

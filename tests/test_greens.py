@@ -4,47 +4,52 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from conftest import random_trig_potential
-from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
-                   build_operator, cocycle, cosine_potential, decay_fit,
-                   green_cramer_matrix, green_solve, lyapunov_n, pave, slog)
+from conftest import dense_box, random_trig_potential
+from qplab import (IterationDiverged, PavingFailed, SingularEnergy, cocycle,
+                   cosine_potential, decay_fit, green_cramer_matrix,
+                   green_solve, lyapunov_n, pave, slog)
 from qplab.greens import (GreenMatrix, PaveResult, _certificate,
                           _window_admissible)
 from qplab.model import Frequency, TrigPotential
-from qplab.transfer import det_sequence
+from qplab.transfer import box_diagonal, det_sequence
 
 
 def dense_green(interval, omega, theta, energy, v):
-    op = build_operator(interval, omega, theta, v)
-    return np.linalg.inv(op.dense(energy))
+    return np.linalg.inv(dense_box(interval, omega, theta, energy, v))
 
 
-class TestBuildOperator:
+class TestBoxDiagonal:
     def test_single_site_free(self, golden, free):
-        op = build_operator((1, 1), golden, 0.0, free)
-        assert op.dense().shape == (1, 1)
-        assert op.dense()[0, 0] == 0.0
+        diag = box_diagonal((1, 1), golden, 0.0, free)
+        assert diag.shape == (1,)
+        assert diag[0] == 0.0
+        assert dense_box((1, 1), golden, 0.0, 0.0, free)[0, 0] == 0.0
 
     def test_diagonal_values(self, golden, mathieu5):
-        op = build_operator((1, 3), golden, 0.0, mathieu5)
-        w = golden.scalar()
+        diag = box_diagonal((1, 3), golden, 0.0, mathieu5)
+        w = golden.components[0]
         for i, j in enumerate((1, 2, 3)):
-            assert op.diagonal[i] == pytest.approx(
+            assert diag[i] == pytest.approx(
                 5.0 * math.cos(2.0 * math.pi * ((j * w) % 1.0)), rel=1e-12)
+        assert diag == pytest.approx(
+            np.diag(dense_box((1, 3), golden, 0.0, 0.0, mathieu5)), rel=1e-12)
 
     def test_shift_covariance(self, golden, mathieu5):
         m = 7
-        shifted_box = build_operator((1 + m, 5 + m), golden, 0.2, mathieu5)
-        shifted_phase = build_operator(
-            (1, 5), golden, (0.2 + m * golden.scalar()) % 1.0, mathieu5)
-        assert np.allclose(shifted_box.diagonal, shifted_phase.diagonal,
-                           rtol=1e-9, atol=1e-9)
+        shifted_box = box_diagonal((1 + m, 5 + m), golden, 0.2, mathieu5)
+        shifted_phase = box_diagonal(
+            (1, 5), golden, (0.2 + m * golden.components[0]) % 1.0, mathieu5)
+        assert np.allclose(shifted_box, shifted_phase, rtol=1e-9, atol=1e-9)
+
+    def test_empty_interval(self, golden, mathieu5):
+        with pytest.raises(ValueError):
+            box_diagonal((3, 2), golden, 0.0, mathieu5)
 
 
 class TestGreenCramer:
     def test_single_site_inverse(self, golden, mathieu5):
         g = green_cramer_matrix((4, 4), golden, 0.3, 1.5, mathieu5)
-        ph = (0.3 + 4 * golden.scalar()) % 1.0
+        ph = (0.3 + 4 * golden.components[0]) % 1.0
         expect = 1.0 / (float(mathieu5.eval_batch(ph)) - 1.5)
         assert g.values()[0, 0] == pytest.approx(expect, rel=1e-12)
 
@@ -66,8 +71,7 @@ class TestGreenCramer:
             v = random_trig_potential(rng, degree=2)
             size = int(rng.integers(2, 10))
             theta, energy = rng.random(), rng.uniform(-3, 3)
-            op = build_operator((1, size), golden, theta, v)
-            dense = op.dense(energy)
+            dense = dense_box((1, size), golden, theta, energy, v)
             full = np.linalg.det(dense)
             g = green_cramer_matrix((1, size), golden, theta, energy, v)
             for i in range(1, size + 1):
@@ -83,7 +87,8 @@ class TestGreenCramer:
         # |G(i,j)| <= ||M_(i-1)|| * ||M_(n-j) at shifted phase|| / |det|
         n, theta, energy = 24, 0.37, 0.9
         g = green_cramer_matrix((1, n), golden, theta, energy, mathieu5)
-        det_log = det_sequence((1, n), golden, theta, energy, mathieu5)[1][-1]
+        diag = box_diagonal((1, n), golden, theta, mathieu5) - energy
+        det_log = det_sequence(diag)[1][-1]
         rng = np.random.default_rng(12)
         for _ in range(30):
             i = int(rng.integers(1, n + 1))
@@ -107,11 +112,16 @@ class TestGreenSolve:
         assert np.allclose(g.values(), expect, rtol=1e-12)
 
     def test_residual_and_symmetry(self, golden):
+        # Every entry of this box is at most e^300, so the max-norm defect
+        # of (A - E) G - I covers every column.
         v = cosine_potential(10.0)
-        op = build_operator((1, 80), golden, 0.123, v)
         g = green_solve((1, 80), golden, 0.123, 0.0, v)
-        assert g.residual(op) <= 1e-8
-        assert g.symmetry_defect() <= 1e-9
+        assert np.max(g.logs) <= 300.0
+        dense = dense_box((1, 80), golden, 0.123, 0.0, v)
+        assert np.max(np.abs(dense @ g.values() - np.eye(80))) <= 1e-8
+        live = (g.signs != 0) & (g.signs.T != 0)
+        assert np.array_equal(g.signs[live], g.signs.T[live])
+        assert np.max(np.abs(g.logs[live] - g.logs.T[live])) <= 1e-9
 
     def test_agrees_with_cramer(self, golden):
         rng = np.random.default_rng(13)
@@ -121,7 +131,8 @@ class TestGreenSolve:
                                       amplitude=float(rng.uniform(0.3, 2.0)))
             size = int(rng.integers(10, 200))
             theta, energy = rng.random(), rng.uniform(-10, 10)
-            if det_sequence((1, size), golden, theta, energy, v)[1][-1] < -50:
+            diag = box_diagonal((1, size), golden, theta, v) - energy
+            if det_sequence(diag)[1][-1] < -50:
                 continue
             gc = green_cramer_matrix((1, size), golden, theta, energy, v)
             gs = green_solve((1, size), golden, theta, energy, v)

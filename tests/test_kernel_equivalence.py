@@ -9,8 +9,11 @@ most 7.8e-15) and entries, once aligned to the same log scale, within 1e-10
 stated tolerances.
 
 ``green_solve`` is checked the same way against the banded inverse and
-signed-log conversion it replaced, at tolerance 0: the new one only changes
-where the solve and the conversion put their results.
+signed-log conversion it replaced, at tolerance 0: the new one calls the
+LAPACK routine behind that banded solve directly and only changes where the
+solve and the conversion put their results.  The log|det| it reads off its
+own LU factors for the ``DET_FLOOR`` check must match the continuant route's
+within 1e-12 relative.
 """
 
 import math
@@ -18,14 +21,17 @@ import math
 import numpy as np
 import pytest
 
-from qplab import (build_operator, complexified_growth_check, cocycle_batch,
+from qplab import (SingularEnergy, complexified_growth_check, cocycle_batch,
                    cocycle_complex, cosine_potential, epsilon_gap,
-                   golden_frequency, green_solve, two_cosine_potential,
-                   two_torus_frequency, zero_potential)
+                   golden_frequency, green_cramer_matrix, green_solve,
+                   greens, two_cosine_potential, two_torus_frequency,
+                   zero_potential)
 
 from qplab.greens import _scipy_linalg
+from qplab.model import TrigPotential
 from qplab.transfer import (_as_batch, _entries, _final, _log_norm,
-                            _orbit_rows, _products)
+                            _orbit_rows, _products, box_diagonal,
+                            det_sequence)
 
 from conftest import random_trig_potential
 
@@ -113,7 +119,7 @@ def oracle_log_norm_trace(n, omega, theta, energy, v):
 
 
 def oracle_complex_log_norm(omega, z, energy, n, v, start=0):
-    w = omega.scalar()
+    w = omega.components[0]
     m = np.eye(2, dtype=complex)
     ls = 0.0
     for j in range(start + 1, start + n + 1):
@@ -134,7 +140,7 @@ def oracle_complex_log_norm(omega, z, energy, n, v, start=0):
 
 
 def oracle_uv_loop(scaled, omega, energy, y0, n, log_growth):
-    w = omega.scalar()
+    w = omega.components[0]
     u, vv = 1.0 + 0.0j, 0.0 + 0.0j
     log_u = 0.0
     per_step_margin = math.inf
@@ -257,11 +263,11 @@ def oracle_green_solve(interval, omega, theta, energy, v):
     """The band and solve of ``green_solve`` with its earlier right-hand side
     and conversion: a C-order identity, which the solve copies to Fortran
     order, then float sign, magnitude and log arrays."""
-    op = build_operator(interval, omega, theta, v)
-    n = op.size
+    diag = box_diagonal(interval, omega, theta, v)
+    n = diag.size
     ab = np.zeros((3, n))
     ab[0, 1:] = 1.0
-    ab[1, :] = op.diagonal - energy
+    ab[1, :] = diag - energy
     ab[2, :-1] = 1.0
     inv = _scipy_linalg().solve_banded((1, 1), ab, np.eye(n),
                                        overwrite_ab=True, overwrite_b=True)
@@ -287,3 +293,70 @@ def test_green_solve_bit_for_bit(interval, omega, theta, energy, v):
     assert g.signs.dtype == np.int8
     assert np.array_equal(g.signs, want_signs)
     assert np.array_equal(g.logs, want_logs)
+
+
+@pytest.fixture
+def lu_log_dets(monkeypatch):
+    """The log|det| each ``green_solve`` hands to its floor check."""
+    seen = []
+    check = greens._check_det
+
+    def recorded(interval, sign, logmag):
+        seen.append(logmag)
+        return check(interval, sign, logmag)
+
+    monkeypatch.setattr(greens, "_check_det", recorded)
+    return seen
+
+
+def _random_boxes():
+    rng = np.random.default_rng(1313)
+    for dim, omega in ((1, GOLDEN), (2, OMEGA2)):
+        for _ in range(30):
+            v = random_trig_potential(rng, degree=3, dim=dim,
+                                      amplitude=float(rng.uniform(0.3, 3.0)))
+            a = int(rng.integers(-50, 50))
+            size = int(rng.integers(1, 301))
+            theta = rng.random() if dim == 1 else rng.random(2)
+            yield (a, a + size - 1), omega, theta, rng.uniform(-8, 8), v
+    yield (1, 2001), GOLDEN, 0.0, 0.5, cosine_potential(5.0)
+
+
+def test_lu_log_det_matches_continuant(lu_log_dets):
+    worst = 0.0
+    for interval, omega, theta, energy, v in _random_boxes():
+        green_solve(interval, omega, theta, energy, v)
+        want = det_sequence(box_diagonal(interval, omega, theta, v)
+                            - energy)[1][-1]
+        gap = abs(lu_log_dets[-1] - want) / max(1.0, abs(want))
+        worst = max(worst, gap)
+    print(f"worst relative log|det| gap {worst:.3g}")
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("route", [green_solve, green_cramer_matrix])
+@pytest.mark.parametrize("interval", [(1, 1), (1, 3)])
+def test_exactly_singular_free_boxes(route, interval):
+    with pytest.raises(SingularEnergy) as err:
+        route(interval, GOLDEN, 0.0, 0.0, zero_potential())
+    assert err.value.log_det == -math.inf
+
+
+@pytest.mark.parametrize("energy", [math.inf, math.nan])
+def test_green_solve_rejects_non_finite_energy(energy):
+    with pytest.raises(ValueError):
+        green_solve((1, 5), GOLDEN, 0.0, energy, cosine_potential(2.0))
+
+
+@pytest.mark.parametrize("route", [green_solve, green_cramer_matrix])
+def test_routes_evaluate_the_potential_once(route, monkeypatch):
+    calls = []
+    eval_batch = TrigPotential.eval_batch
+
+    def counted(self, thetas):
+        calls.append(np.shape(thetas))
+        return eval_batch(self, thetas)
+
+    monkeypatch.setattr(TrigPotential, "eval_batch", counted)
+    route((-3, 40), GOLDEN, 0.3, 0.7, cosine_potential(5.0))
+    assert calls == [(44,)]

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qplab import (EigenPair, SingularEnergy, build_operator, cocycle_batch,
+from conftest import dense_box
+from qplab import (EigenPair, SingularEnergy, cocycle_batch,
                    decay_profile, eigensystem, golden_frequency, green_solve,
                    lyapunov_n, slog, window_bound_check, zero_potential)
 from qplab.cli import _run_localize
 from qplab.localization import localization_summary
-from qplab.transfer import _phases, det_sequence
+from qplab.transfer import _phases, box_diagonal, det_sequence
 
 
 class TestEigensystem:
@@ -24,7 +25,7 @@ class TestEigensystem:
     def test_single_site(self, golden, mathieu5):
         pairs = eigensystem((3, 3), golden, 0.1, mathieu5)
         assert len(pairs) == 1
-        ph = (0.1 + 3 * golden.scalar()) % 1.0
+        ph = (0.1 + 3 * golden.components[0]) % 1.0
         assert pairs[0].energy == pytest.approx(
             5.0 * math.cos(2 * math.pi * ph), rel=1e-12)
         assert pairs[0].vector[0] == pytest.approx(1.0)
@@ -32,8 +33,9 @@ class TestEigensystem:
     def test_count_and_residuals(self, golden, mathieu5):
         pairs = eigensystem((-50, 50), golden, 0.0, mathieu5)
         assert len(pairs) == 101
-        op = build_operator((-50, 50), golden, 0.0, mathieu5)
-        assert max(p.residual(op) for p in pairs) <= 1e-8
+        dense = dense_box((-50, 50), golden, 0.0, 0.0, mathieu5)
+        assert max(np.linalg.norm(dense @ p.vector - p.energy * p.vector)
+                   for p in pairs) <= 1e-8
         norms = [np.linalg.norm(p.vector) for p in pairs]
         assert max(abs(x - 1.0) for x in norms) <= 1e-12
 
@@ -52,7 +54,8 @@ class TestEigensystem:
         # Exact identity, zero tolerance: the leading minors det(H_k - E),
         # k = 0..n, change sign once per eigenvalue of H_n below E.  It ties
         # the continuant route to the eigensolver.
-        signs, _ = det_sequence((1, 1000), golden, 0.0, energy, mathieu5)
+        signs, _ = det_sequence(
+            box_diagonal((1, 1000), golden, 0.0, mathieu5) - energy)
         assert np.all(signs != 0)
         changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
         below = sum(p.energy < energy

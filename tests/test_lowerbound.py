@@ -135,7 +135,7 @@ class TestMultiscaleRecursion:
                                       [200, 400, 800, 1600], samples=150,
                                       seed=6)
         assert ladder.half_log_ok
-        assert ladder.min_l() > 0.5 * math.log(50.0)
+        assert min(r.l_value for r in ladder.rows) > 0.5 * math.log(50.0)
         for row in ladder.rows[1:]:
             assert row.drop <= row.drop_bound
             assert row.recursion_bound_ok

@@ -139,6 +139,15 @@ class TestEvalPotential:
         with pytest.raises(ValueError):
             TrigPotential(dim=1, coeffs={(1,): 0.5 + 0.1j, (-1,): 0.5 + 0.1j})
 
+    def test_overflowing_coefficients_rejected(self):
+        # 2 * 1e308 is not a double: the halves would hold inf and every
+        # value would be NaN.  Rejected before any overflow warning.
+        with pytest.raises(ValueError, match="overflows"):
+            TrigPotential(dim=1, coeffs={(1,): 1e308, (-1,): 1e308})
+        with pytest.raises(ValueError, match="overflows"):
+            cosine_potential(1e308).with_coupling(1e309)
+        assert cosine_potential(1e300).coefficient_bound(0.0) == 1e300
+
     def test_complex_restriction_matches_real(self):
         v = cosine_potential(3.0)
         ts = np.array([0.1, 0.37, 0.99])

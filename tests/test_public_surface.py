@@ -1,11 +1,15 @@
-"""Every public function and class of the library has a consumer.
+"""Every public function, class, method and property of the library has a
+consumer.
 
-A public top-level ``def`` or ``class`` of a module in ``src/qplab`` must be
-read somewhere outside its own definition: by the library, the benchmark
-harness (``perfbench/*.py``), the acceptance suite or, in a code span, the
-README.  The other tests do not count, and neither do the package
-``__init__``'s imports, which only re-export: a name that nothing but the
-export list and the tests reaches is surface that nothing uses.
+A public top-level ``def`` or ``class`` of a module in ``src/qplab``, and a
+public method or property of such a class, must be read somewhere outside
+its own definition: by the library, the benchmark harness
+(``perfbench/*.py``), the acceptance suite or, in a code span, the README.
+The other tests do not count, and neither do the package ``__init__``'s
+imports, which only re-export: a name that nothing but the export list and
+the tests reaches is surface that nothing uses.  A member is reached as an
+attribute (or by string), so a bare variable of the same name does not count
+for it.
 """
 
 import ast
@@ -23,26 +27,40 @@ CONSUMERS = [*MODULES, PACKAGE / "__main__.py",
              ROOT / "tests" / "test_acceptance.py"]
 
 
-def definitions(tree):
-    """Public top-level functions and classes: name -> (first, last) line."""
-    return {node.name: (node.lineno, node.end_lineno) for node in tree.body
+def public(nodes):
+    return [node for node in nodes
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            and not node.name.startswith("_")]
+
+
+def definitions(tree):
+    """Public top-level functions and classes, and the public methods and
+    properties of those classes as ``Class.member``: name -> (first, last)
+    line."""
+    defs = {}
+    for node in public(tree.body):
+        defs[node.name] = (node.lineno, node.end_lineno)
+        if isinstance(node, ast.ClassDef):
+            for member in public(node.body):
+                defs[f"{node.name}.{member.name}"] = (member.lineno,
+                                                      member.end_lineno)
+    return defs
 
 
 def references(tree):
-    """(name, line) of every name, attribute and string constant read.
+    """(name, line, bare) of every name, attribute and string constant read;
+    ``bare`` marks a plain name.
 
     A string constant counts because a name can be reached by string, as in
     ``getattr(module, "name")``.
     """
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
 def code_span_names(markdown: str):
@@ -54,12 +72,16 @@ def code_span_names(markdown: str):
 def unconsumed(path, consumers, readme_names):
     """Public names defined in ``path`` that no consumer reads."""
     defs = definitions(ast.parse(path.read_text()))
-    used = set(readme_names)
+    by_name = {}
+    for key, span in defs.items():
+        by_name.setdefault(key.rpartition(".")[2], []).append((key, span))
+    used = {key for name in readme_names for key, _ in by_name.get(name, ())}
     for src in consumers:
-        for name, line in references(ast.parse(src.read_text())):
-            first, last = defs.get(name, (0, 0))
-            if not (src == path and first <= line <= last):
-                used.add(name)
+        for name, line, bare in references(ast.parse(src.read_text())):
+            for key, (first, last) in by_name.get(name, ()):
+                if not ((bare and "." in key)
+                        or (src == path and first <= line <= last)):
+                    used.add(key)
     return sorted(set(defs) - used)
 
 
@@ -68,15 +90,21 @@ def test_scan_finds_unconsumed_names(tmp_path):
     lib.write_text("def used():\n    return helper()\n\n"
                    "def helper():\n    return 1\n\n"
                    "def recursive(n):\n    return recursive(n - 1)\n\n"
-                   "class Report:\n    pass\n\n"
+                   "class Report:\n"
+                   "    def read(self):\n        return self.read\n\n"
+                   "    def unread(self):\n        return 1\n\n"
+                   "    @property\n    def bare(self):\n        return 1\n\n"
+                   "    def _own(self):\n        return 1\n\n"
                    "def by_string():\n    pass\n\n"
                    "def documented():\n    pass\n\n"
                    "def _private():\n    pass\n")
     user = tmp_path / "user.py"
-    user.write_text("from lib import used, by_string\n"
-                    "used()\ngetattr(lib, 'by_string')\n")
+    user.write_text("from lib import used, by_string, Report\n"
+                    "used()\ngetattr(lib, 'by_string')\n"
+                    "Report().read()\nbare = 1\n")
     readme = code_span_names("Call `documented(x)`; Report and used are prose.")
-    assert unconsumed(lib, [lib, user], readme) == ["Report", "recursive"]
+    assert unconsumed(lib, [lib, user], readme) == [
+        "Report.bare", "Report.unread", "recursive"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

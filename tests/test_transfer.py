@@ -5,27 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_trig_potential
+from conftest import dense_box, random_trig_potential
 from qplab import (StripExceeded, cocycle, cocycle_batch, cocycle_complex,
                    cosine_potential, golden_frequency, slog, strip_norm,
                    two_torus_frequency, verify_det_identity, zero_potential)
 from qplab.transfer import (_entries, _log_opnorm, _orbit_rows, _period,
-                            _phases, _products, det_sequence)
-
-
-def dense_box(interval, omega, theta, energy, v):
-    """Dense (A - E) matrix built from direct potential evaluation."""
-    a, b = interval
-    n = b - a + 1
-    m = np.zeros((n, n))
-    w = omega.as_array()
-    for i, j in enumerate(range(a, b + 1)):
-        th = (np.asarray(theta) + j * w) % 1.0
-        m[i, i] = float(v.eval_batch(th if omega.dim == 2 else th[0])) - energy
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = 1.0
-    m[idx + 1, idx] = 1.0
-    return m
+                            _phases, _products, box_diagonal,
+                            det_sequence)
 
 
 def cofactor_det(m):
@@ -251,8 +237,9 @@ class TestCocycleComplex:
 
 class TestDetRecurrence:
     def test_single_site(self, golden, mathieu5):
-        dets = slog.to_values(*det_sequence((4, 4), golden, 0.2, 1.5, mathieu5))
-        ph = (0.2 + 4 * golden.scalar()) % 1.0
+        diag = box_diagonal((4, 4), golden, 0.2, mathieu5) - 1.5
+        dets = slog.to_values(*det_sequence(diag))
+        ph = (0.2 + 4 * golden.components[0]) % 1.0
         expected = float(mathieu5.eval_batch(np.asarray([ph]))[0]) - 1.5
         # The empty determinant, then the one site.
         assert dets.shape == (2,)
@@ -260,8 +247,8 @@ class TestDetRecurrence:
         assert dets[1] == pytest.approx(expected, rel=1e-13)
 
     def test_two_sites_closed_form(self, golden, mathieu5):
-        dets = slog.to_values(*det_sequence((2, 3), golden, 0.61, -0.4,
-                                            mathieu5))
+        diag = box_diagonal((2, 3), golden, 0.61, mathieu5) + 0.4
+        dets = slog.to_values(*det_sequence(diag))
         m = dense_box((2, 3), golden, 0.61, -0.4, mathieu5)
         assert dets[1] == pytest.approx(m[0, 0], rel=1e-12)
         assert dets[2] == pytest.approx(m[0, 0] * m[1, 1] - 1.0, rel=1e-12)
@@ -274,8 +261,8 @@ class TestDetRecurrence:
             a = int(rng.integers(-20, 20))
             theta = rng.random()
             energy = rng.uniform(-5, 5)
-            dets = slog.to_values(*det_sequence((a, a + size - 1), golden,
-                                                theta, energy, v))
+            diag = box_diagonal((a, a + size - 1), golden, theta, v) - energy
+            dets = slog.to_values(*det_sequence(diag))
             box = dense_box((a, a + size - 1), golden, theta, energy, v)
             # Every leading truncation, not only the whole box.
             oracle = [1.0] + [cofactor_det(box[:k, :k])
@@ -283,9 +270,9 @@ class TestDetRecurrence:
             assert dets == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_trailing_sequence_matches_leading_of_reverse(self, golden, mathieu5):
-        s_lead, l_lead = det_sequence((3, 12), golden, 0.4, 0.9, mathieu5)
-        s_tr, l_tr = det_sequence((3, 12), golden, 0.4, 0.9, mathieu5,
-                                  trailing=True)
+        diag = box_diagonal((3, 12), golden, 0.4, mathieu5) - 0.9
+        s_lead, l_lead = det_sequence(diag)
+        s_tr, l_tr = det_sequence(diag[::-1])
         # full determinant is shared
         assert s_lead[-1] == s_tr[-1]
         assert l_lead[-1] == pytest.approx(l_tr[-1], abs=1e-10)
@@ -311,7 +298,8 @@ class TestDetIdentity:
     def test_det_bounded_by_cocycle_norm(self, golden, mathieu5):
         # |det(A_n - E)| is one matrix entry, so it cannot exceed the norm
         for n in (5, 20, 60):
-            det_log = det_sequence((1, n), golden, 0.3, 0.8, mathieu5)[1][-1]
+            diag = box_diagonal((1, n), golden, 0.3, mathieu5) - 0.8
+            det_log = det_sequence(diag)[1][-1]
             res = cocycle(golden, 0.3, 0.8, n, mathieu5)
             assert det_log <= res.log_norm + 1e-9
 
