@@ -13,20 +13,17 @@ from .errors import (ConfigInvalid, DropExceeded, GateFailed,
                      HypothesisUnmet, IterationDiverged, PavingFailed,
                      PotentialConstant, QplabError, SigmaOutOfRange,
                      SingularEnergy, StripExceeded)
-from .model import (Frequency, StripNorm, TrigPotential, cosine_potential,
-                    golden_frequency, potential_from_json, strip_norm,
-                    system_from_json, two_cosine_potential,
-                    two_torus_frequency, verify_diophantine, zero_potential)
-from .transfer import (CocycleResult, cocycle, cocycle_batch, cocycle_complex,
-                       verify_det_identity)
-from .lyapunov import (LyapunovEstimate, SamplerSpec, check_subadditivity,
-                       lyapunov_n, lyapunov_scan, upper_bound_check)
-from .ldt import (DeviationProfile, FourierDecay, deviation_measure,
-                  fourier_decay_check, ldt_scaling_table)
-from .greens import (DecayFit, GreenMatrix, PaveResult, decay_fit,
-                     green_cramer_matrix, green_solve, pave)
-from .localization import (DecayProfile, EigenPair, decay_profile,
-                           eigensystem, window_bound_check)
-from .lowerbound import (EpsilonGap, ScaleLadder, complexified_growth_check,
-                         epsilon_gap, herman_style_bound, initial_scale_bound,
-                         multiscale_recursion, sublevel_measure)
+from .model import (Frequency, TrigPotential, cosine_potential,
+                    golden_frequency, strip_norm, system_from_json,
+                    two_cosine_potential, two_torus_frequency,
+                    verify_diophantine, zero_potential)
+from .transfer import cocycle_batch, verify_det_identity
+from .lyapunov import (SamplerSpec, check_subadditivity, lyapunov_n,
+                       lyapunov_scan, upper_bound_check)
+from .ldt import deviation_measure, fourier_decay_check
+from .greens import (GreenMatrix, decay_fit, green_cramer_matrix, green_solve,
+                     pave)
+from .localization import decay_profile, eigensystem, window_bound_check
+from .lowerbound import (complexified_growth_check, epsilon_gap,
+                         initial_scale_bound, multiscale_recursion,
+                         sublevel_measure)

@@ -108,9 +108,12 @@ CONFIG_SCHEMA = {
                                                   "minimum": 0}},
                          "additionalProperties": False},
         "delta": {"type": "number"},
-        "e1_values": {"type": "array", "items": {"type": "number"}},
+        "e1_values": {"type": "array", "items": {"type": "number"},
+                      "minItems": 1},
         "herman": {"type": "boolean"},
-        "sublevel_deltas": {"type": "array", "items": {"type": "number"}},
+        "sublevel_deltas": {"type": "array", "minItems": 1,
+                            "items": {"type": "number",
+                                      "exclusiveMinimum": 0}},
         "lambda": {"type": "number"},
         "gate_constant": {"type": "number"},
     },

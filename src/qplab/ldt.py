@@ -28,7 +28,6 @@ class DeviationProfile:
     fraction: float
     samples: int
     std_error: float
-    two_sided: bool
 
 
 def _binomial_se(fraction: float, samples: int) -> float:
@@ -71,15 +70,13 @@ def deviation_measure(omega: Frequency, energy: float, n: int, sigma: float,
     fraction = float(np.count_nonzero(hits)) / samples
     return DeviationProfile(n=n, sigma=sigma, threshold=threshold,
                             fraction=fraction, samples=samples,
-                            std_error=_binomial_se(fraction, samples),
-                            two_sided=side == "both")
+                            std_error=_binomial_se(fraction, samples))
 
 
 @dataclass(frozen=True)
 class LdtRow:
     profile: DeviationProfile
     bound_reference: float
-    exceeds_bound: bool
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,7 @@ def ldt_scaling_table(omega: Frequency, energy: float, v: TrigPotential,
     """Bad-set fraction per scale next to the theoretical tail reference.
 
     The reference is exp(-n^(1-2 sigma)) for one frequency and exp(-n^sigma)
-    for two; a row is flagged when the empirical fraction exceeds the
-    reference by more than 3 binomial standard errors (expected only at
-    small n).
+    for two.
     """
     ns = [int(n) for n in n_values]
     if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -108,18 +103,16 @@ def ldt_scaling_table(omega: Frequency, energy: float, v: TrigPotential,
             bound = math.exp(-(n ** (1.0 - 2.0 * sigma)))
         else:
             bound = math.exp(-(n ** sigma))
-        exceeds = prof.fraction > bound + 3.0 * prof.std_error
-        rows.append(LdtRow(profile=prof, bound_reference=bound, exceeds_bound=exceeds))
+        rows.append(LdtRow(profile=prof, bound_reference=bound))
     return LdtTable(rows=tuple(rows))
 
 
 @dataclass(frozen=True)
 class FourierDecay:
-    """Fitted power-law exponent of |phi_hat(k)| (slope of the log-log fit)."""
+    """Fitted power-law exponent of |phi_hat(k)| (slope of the log-log fit);
+    ``slope`` is None when all tested coefficients are at numerical zero."""
 
     slope: Optional[float]
-    perfect: bool               # all tested coefficients at numerical zero
-    k_max: int
     grid: int
     coefficients: np.ndarray    # |phi_hat(k)| for k = 1..k_max
 
@@ -143,9 +136,7 @@ def fourier_decay_check(omega: Frequency, energy: float, n: int,
     floor = 1e-13 * max(1.0, float(coef[0]))
     live = mags > floor
     if np.count_nonzero(live) < 2:
-        return FourierDecay(slope=None, perfect=True, k_max=k_max, grid=grid,
-                            coefficients=mags)
+        return FourierDecay(slope=None, grid=grid, coefficients=mags)
     ks = np.arange(1, k_max + 1)[live]
     slope = float(np.polyfit(np.log(ks), np.log(mags[live]), 1)[0])
-    return FourierDecay(slope=slope, perfect=False, k_max=k_max, grid=grid,
-                        coefficients=mags)
+    return FourierDecay(slope=slope, grid=grid, coefficients=mags)

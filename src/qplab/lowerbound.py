@@ -57,8 +57,8 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
         raise ValueError("epsilon gap search is 1-frequency only")
     if v.is_constant():
         raise PotentialConstant("all oscillating coefficients vanish")
-    if not 0.0 < delta < v.strip_width:
-        raise ValueError("need 0 < delta < strip_width")
+    if not 0.0 < delta < v.strip_width / 10.0:
+        raise ValueError("need 0 < delta < strip_width/10, the usable strip")
 
     best = None
     prev_eps = None
@@ -88,11 +88,8 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
 @dataclass(frozen=True)
 class ComplexGrowthReport:
     margin: float               # log||M_n(i y0)|| - n log(lambda eps - 1)
-    log_norm: float
     per_step_margin: float      # min step growth minus log(lambda eps - 1)
     uv_ok: bool                 # |u| >= |v| held at every step
-    hypothesis_inf: float       # grid infimum of |lambda v - E| on the line
-    steps: int
 
 
 def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
@@ -132,11 +129,9 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
         log_u.append(exps[0] * _LOG2 + np.log(u))
         uv_ok = uv_ok and bool(u >= vv)
     per_step_margin = float(np.min(np.diff(log_u))) - log_growth
-    log_norm = float(_log_norm(top, prev, exps)[0])
-    margin = log_norm - n * log_growth
-    return ComplexGrowthReport(margin=margin, log_norm=log_norm,
-                               per_step_margin=per_step_margin,
-                               uv_ok=uv_ok, hypothesis_inf=inf_line, steps=n)
+    margin = float(_log_norm(top, prev, exps)[0]) - n * log_growth
+    return ComplexGrowthReport(margin=margin, per_step_margin=per_step_margin,
+                               uv_ok=uv_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +142,6 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
 class HermanBound:
     analytic_bound: float       # (delta/16) log lambda
     intermediate_bound: float   # (delta/4)((1 - 10 delta/rho) log lambda - 2 log(1/eps))
-    coupling_threshold_log: float
-    ceiling_log: float
     measured: Optional[LyapunovEstimate]
     sound: Optional[bool]       # analytic bound <= measured + 3 se
 
@@ -181,8 +174,6 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
     analytic = (delta / 16.0) * log_lam
     intermediate = (delta / 4.0) * ((1.0 - 10.0 * delta / rho_strip)
                                     * log_lam - 2.0 * math.log(1.0 / epsilon))
-    sup0 = v.coefficient_bound(0.0)
-    ceiling = math.log(lam * (1.0 + sup0) + abs(energy) + 1.0)
     measured = None
     sound = None
     if omega is not None:
@@ -191,7 +182,6 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
                               SamplerSpec("grid", 64))
         sound = analytic <= measured.value + 3.0 * measured.std_error
     return HermanBound(analytic_bound=analytic, intermediate_bound=intermediate,
-                       coupling_threshold_log=threshold_log, ceiling_log=ceiling,
                        measured=measured, sound=sound)
 
 
@@ -262,12 +252,8 @@ def sublevel_measure(v0: TrigPotential, e1_values: Sequence[float],
 
 @dataclass(frozen=True)
 class InitialScaleReport:
-    c0: float
     theory_bound: float         # n1 * lambda^(-c0/100), must be < 1/n1
-    orbit_fraction: float
-    orbit_fraction_se: float
-    orbit_threshold: float      # lambda^(-0.01)
-    estimates: Tuple[LyapunovEstimate, ...]
+    orbit_fraction: float       # orbit points within lambda^(-0.01) of e1
     required: float             # 0.97 log lambda
     margin: float               # min L - required
 
@@ -306,7 +292,6 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
         mins = np.min(np.abs(vals - e1), axis=1)
         worst_fraction = max(worst_fraction,
                              float(np.count_nonzero(mins < threshold)) / samples)
-    frac_se = math.sqrt(worst_fraction * (1 - worst_fraction) / samples)
     if not worst_fraction < 1.0 / n1:
         raise HypothesisUnmet(
             "orbit sublevel fraction",
@@ -321,10 +306,8 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
         raise HypothesisUnmet(
             "initial growth",
             f"min L_n1 = {min(e.value for e in ests):g} below 0.97 log lambda = {required:g}")
-    return InitialScaleReport(c0=c0, theory_bound=theory_bound,
+    return InitialScaleReport(theory_bound=theory_bound,
                               orbit_fraction=worst_fraction,
-                              orbit_fraction_se=frac_se,
-                              orbit_threshold=threshold, estimates=ests,
                               required=required, margin=margin)
 
 
@@ -410,6 +393,9 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
     sched = [int(x) for x in schedule]
     if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ValueError("schedule must be nonempty and strictly increasing")
+    if sched[0] < 2:
+        # rho and the drop bound divide by sqrt(log n), which is 0 at n = 1.
+        raise ValueError(f"every scale must be at least 2, got {sched[0]}")
     if lam <= 0:
         raise ValueError("coupling must be positive")
     v = v0.with_coupling(lam * v0.coupling)

@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -182,7 +182,6 @@ class SubadditivityReport:
     residual: float
     tolerance: float
     ok: bool
-    parts: Tuple[LyapunovEstimate, LyapunovEstimate, LyapunovEstimate]
 
 
 def check_subadditivity(omega: Frequency, energy: float, n1: int, n2: int,
@@ -201,8 +200,7 @@ def check_subadditivity(omega: Frequency, energy: float, n1: int, n2: int,
                          + (w2 * est2.std_error) ** 2)
     tolerance = 3.0 * combined + 1e-9
     return SubadditivityReport(residual=residual, tolerance=tolerance,
-                               ok=residual <= tolerance,
-                               parts=(est1, est2, est12))
+                               ok=residual <= tolerance)
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,6 @@ class UpperBoundReport:
     sigma: float
     reference: float          # C * n^{-sigma} with C = 2 log(1 + sup|v| + |E|)
     margin: float             # reference - max_excess
-    l_n: float
 
     @property
     def ok(self) -> bool:
@@ -231,4 +228,4 @@ def upper_bound_check(omega: Frequency, energy: float, n: int, v: TrigPotential,
     const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0) + abs(energy))
     reference = const * n ** (-sigma)
     return UpperBoundReport(max_excess=excess, sigma=sigma, reference=reference,
-                            margin=reference - excess, l_n=ref_est.value)
+                            margin=reference - excess)

@@ -101,14 +101,6 @@ def verify_diophantine(freq: Frequency, horizon: int):
 # potentials
 
 
-@dataclass(frozen=True)
-class StripNorm:
-    """Coefficient upper bound and grid-refined sup estimate on a strip."""
-
-    bound: float
-    estimate: float
-
-
 def _canon_key(k, dim: int) -> KVec:
     if dim == 1 and isinstance(k, (int, np.integer)):
         return (int(k),)
@@ -240,66 +232,14 @@ class TrigPotential:
         return self.coupling * (phase @ self._c_all)
 
 
-def strip_norm(v: TrigPotential, rho_eff: Optional[float] = None,
-               grid: int = 512) -> StripNorm:
-    """Sup of |v| over the strip |Im z_j| <= rho_eff.
-
-    Returns the coefficient bound sum |v_k| exp(2 pi |k|_1 rho_eff) together
-    with a boundary-grid estimate refined until stable to 0.1%; the bound
-    always dominates the estimate.
-    """
+def strip_norm(v: TrigPotential, rho_eff: Optional[float] = None) -> float:
+    """Upper bound sum |v_k| exp(2 pi |k|_1 rho_eff) for |v| on the strip
+    |Im z_j| <= rho_eff (default: the usable strip, strip_width/10)."""
     if rho_eff is None:
         rho_eff = v.strip_width / 10.0
     if rho_eff < 0:
         raise ValueError("rho_eff must be >= 0")
-    bound = v.coefficient_bound(rho_eff)
-    if v._k_all.size == 0:
-        return StripNorm(bound=bound, estimate=bound)
-    if rho_eff == 0.0:
-        estimate = _real_sup(v, grid)
-        return StripNorm(bound=bound, estimate=min(estimate, bound))
-    estimate = _strip_boundary_sup(v, rho_eff, grid)
-    return StripNorm(bound=bound, estimate=min(estimate, bound))
-
-
-def _real_sup(v: TrigPotential, grid: int) -> float:
-    prev = -1.0
-    m = grid
-    for _ in range(8):
-        if v.dim == 1:
-            xs = np.arange(m) / m
-        else:
-            g = np.arange(m) / m
-            xs = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-        cur = float(np.max(np.abs(v.eval_batch(xs))))
-        if prev > 0 and abs(cur - prev) <= 1e-3 * prev:
-            return cur
-        prev, m = cur, 2 * m if v.dim == 1 else m + m // 2
-    return prev
-
-
-def _strip_boundary_sup(v: TrigPotential, rho_eff: float, grid: int) -> float:
-    # Maximum modulus principle: the sup over the closed strip lives on the
-    # boundary; conjugate symmetry makes the two horizontal edges equal.
-    prev = -1.0
-    m = grid
-    for _ in range(8):
-        if v.dim == 1:
-            xs = np.arange(m) / m
-            zs = xs + 1j * rho_eff * (1.0 - 1e-12)
-            cur = float(np.max(np.abs(v.eval_complex_batch(zs))))
-        else:
-            g = np.arange(m) / m
-            xs = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-            y = rho_eff * (1.0 - 1e-12)
-            cur = 0.0
-            for sy in ((y, y), (y, -y)):
-                zs = xs + 1j * np.asarray(sy)
-                cur = max(cur, float(np.max(np.abs(v.eval_complex_batch(zs)))))
-        if prev > 0 and abs(cur - prev) <= 1e-3 * prev:
-            return cur
-        prev, m = cur, 2 * m if v.dim == 1 else m + m // 2
-    return prev
+    return v.coefficient_bound(rho_eff)
 
 
 # ---------------------------------------------------------------------------

@@ -12,22 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .model import Frequency, TrigPotential
-
-
-@dataclass(frozen=True)
-class CocycleResult:
-    """An n-step product exp(log_scale) * entries and the log of its spectral norm."""
-
-    log_norm: float
-    entries: np.ndarray             # 2x2, Frobenius norm 1
-    log_scale: float
-    steps: int
 
 
 def _frac(x):
@@ -181,7 +170,12 @@ def _entries(m00, m01, m10, m11):
 
 
 def _as_batch(omega: Frequency, thetas) -> np.ndarray:
-    th = np.asarray(thetas, dtype=float)
+    th = np.asarray(thetas)
+    if np.iscomplexobj(th):
+        if omega.dim != 1:
+            raise ValueError("complexified cocycles are 1-frequency only")
+        return np.atleast_1d(th)
+    th = np.asarray(th, dtype=float)
     return np.atleast_1d(th) if omega.dim == 1 else th.reshape(-1, 2)
 
 
@@ -197,39 +191,27 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
 
     ``thetas`` has shape (B,) for d=1 or (B, 2); ``energy`` is a scalar, a
     length-B array (one energy per phase) or an (E, 1) column (every phase at
-    every energy, giving (E, B) results).  Returns the array of log spectral
-    norms, and optionally the Frobenius-1 entry arrays with their log scales.
+    every energy, giving (E, B) results).  Complex phases (d=1 only, else
+    ValueError) run along the complexified lines Im z = thetas.imag; the
+    potential raises StripExceeded when some |Im z| >= strip_width/10.
+    Returns the array of log spectral norms, and optionally the Frobenius-1
+    entry arrays with their log scales.
     """
     energy = np.asarray(energy, dtype=float)
-    rows = _orbit_rows(omega, _as_batch(omega, thetas), energy, n, v, start)
-    m, ls = _final(rows, _period(v, energy))
+    th = _as_batch(omega, thetas)
+    imag = float(np.max(np.abs(th.imag))) if np.iscomplexobj(th) else 0.0
+    rows = _orbit_rows(omega, th, energy, n, v, start)
+    m, ls = _final(rows, _period(v, energy, imag))
     log_norms = _log_opnorm(*m, ls)
     if return_matrices:
         return log_norms, _entries(*m), ls
     return log_norms
 
 
-def cocycle(omega: Frequency, theta, energy: float, n: int, v: TrigPotential,
-            start: int = 0) -> CocycleResult:
-    """n-step transfer-matrix product at a single phase."""
-    log_norms, entries, ls = cocycle_batch(omega, theta, energy, n, v,
-                                           start=start, return_matrices=True)
-    return CocycleResult(float(log_norms[0]), entries[0], float(ls[0]), n)
-
-
 def cocycle_complex(omega: Frequency, z: complex, energy: float, n: int,
-                    v: TrigPotential, start: int = 0) -> CocycleResult:
-    """Cocycle along the complexified phase line (d=1 only).
-
-    Raises StripExceeded, from the potential, when |Im z| >= strip_width/10.
-    """
-    if omega.dim != 1:
-        raise ValueError("complexified cocycles are 1-frequency only")
-    z = complex(z)
-    rows = _orbit_rows(omega, np.array([z]), energy, n, v, start)
-    m, ls = _final(rows, _period(v, energy, abs(z.imag)))
-    return CocycleResult(float(_log_opnorm(*m, ls)[0]), _entries(*m)[0],
-                         float(ls[0]), n)
+                    v: TrigPotential, start: int = 0) -> float:
+    """log ||M_n(z)|| at one complex phase: ``cocycle_batch`` of one point."""
+    return float(cocycle_batch(omega, complex(z), energy, n, v, start)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +275,8 @@ def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
     """
     if n < 3:
         raise ValueError("identity check needs n >= 3")
-    res = cocycle(omega, theta, energy, n, v)
+    _, entries, ls = cocycle_batch(omega, theta, energy, n, v,
+                                   return_matrices=True)
     diag = box_diagonal((1, n), omega, theta, v) - energy
     s_full, l_full = det_sequence(diag)
     s_shift, l_shift = det_sequence(diag[1:])
@@ -303,8 +286,7 @@ def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
         (-int(s_full[n - 1]), float(l_full[n - 1])),   # bottom-left
         (-int(s_shift[n - 2]), float(l_shift[n - 2])),  # bottom-right
     ]
-    entries = res.entries
-    ls = res.log_scale
+    entries, ls = entries[0], float(ls[0])
     worst = 0.0
     for (i, j), (es, el) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), expected):
         val = entries[i, j]

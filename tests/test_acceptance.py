@@ -14,16 +14,15 @@ import pytest
 
 from conftest import random_trig_potential
 from qplab import (HypothesisUnmet, SamplerSpec, check_subadditivity,
-                   complexified_growth_check, cosine_potential, decay_fit,
-                   decay_profile, deviation_measure, eigensystem,
+                   cocycle_batch, complexified_growth_check, cosine_potential,
+                   decay_fit, decay_profile, deviation_measure, eigensystem,
                    epsilon_gap, fourier_decay_check, golden_frequency,
                    green_cramer_matrix, green_solve, initial_scale_bound,
                    lyapunov_n, lyapunov_scan, multiscale_recursion, pave,
                    sublevel_measure, two_cosine_potential,
                    two_torus_frequency, upper_bound_check,
                    verify_det_identity, window_bound_check, zero_potential)
-from qplab.transfer import (_final, _log_opnorm, _orbit_rows, _period,
-                            box_diagonal, det_sequence)
+from qplab.transfer import box_diagonal, det_sequence
 
 GOLDEN = golden_frequency()
 OMEGA2 = two_torus_frequency()
@@ -206,14 +205,15 @@ def test_c11_localization_profile():
     thr = 0.8 * math.log(2.5)
     good = np.mean([p.rate >= thr and p.r2 >= 0.95 for p in profiles])
     ranked = sorted(zip(pairs, profiles), key=lambda t: t[1].tail_mass)
-    window_ok = all(
-        (lambda rep: rep.ok and rep.peak_ok)(
-            window_bound_check(pair, 200, GOLDEN, 0.0, 0.5, MATHIEU5))
-        for pair, _ in ranked[:20])
+    reps = [window_bound_check(pair, 200, GOLDEN, 0.0, 0.5, MATHIEU5)
+            for pair, _ in ranked[:20]]
+    window_ok = all(rep.ok and rep.peak_ok for rep in reps)
+    peak = max(reps, key=lambda rep: rep.peak_value / rep.peak_bound)
     report(11, "localization profile and window bound",
            good >= 0.9 and window_ok,
-           f"{100 * good:.1f}% localized (need >= 90%), 20/20 window checks",
-           120.0, time.time() - start)
+           f"{100 * good:.1f}% localized (need >= 90%), 20/20 window checks, "
+           f"largest |xi_N| {peak.peak_value:.3g} <= exp(-(delta/3) N) = "
+           f"{peak.peak_bound:.3g}", 120.0, time.time() - start)
 
 
 def test_c12_sublevel_exponent():
@@ -242,8 +242,10 @@ def test_c13_complexified_growth():
         energy = lam * e1
         rep = complexified_growth_check(lam, cos1, GOLDEN, energy, gap.y0,
                                         gap.epsilon, 1000)
-        ok = ok and rep.margin >= 0.0 and rep.uv_ok
-        details.append(f"E={energy:.1f}: margin {rep.margin:.1f}, uv {rep.uv_ok}")
+        ok = (ok and rep.margin >= 0.0 and rep.per_step_margin > 0.0
+              and rep.uv_ok)
+        details.append(f"E={energy:.1f}: margin {rep.margin:.1f}, per-step "
+                       f"margin {rep.per_step_margin:.4f} > 0, uv {rep.uv_ok}")
     report(13, "complexified cocycle growth", ok, "; ".join(details), 30.0,
            time.time() - start)
 
@@ -287,9 +289,8 @@ def test_c15_quantized_acceleration():
     xs = (np.arange(64) + 0.5) / 64
 
     def line(eps):
-        rows = _orbit_rows(GOLDEN, xs + 1j * eps, column, n, MATHIEU5)
-        m, ls = _final(rows, _period(MATHIEU5, column, eps))
-        return np.mean(_log_opnorm(*m, ls), axis=1) / n
+        log_norms = cocycle_batch(GOLDEN, xs + 1j * eps, column, n, MATHIEU5)
+        return np.mean(log_norms, axis=1) / n
 
     base = line(0.0)
     ok = True
@@ -357,5 +358,6 @@ def test_c18_initial_scale():
     ok = rep.margin >= 0.0 and err.value.condition == "sublevel measure bound"
     report(18, "initial scale at large coupling", ok,
            f"lambda=1e300, n1=5: min L_5 - 0.97 log lambda = {rep.margin:.3g}, "
+           f"n1 lambda^(-c0/100) = {rep.theory_bound:.3g} < 1/5, "
            f"orbit fraction {rep.orbit_fraction:.3g} < 1/5; lambda=1e6, n1=50: "
            f"HypothesisUnmet({err.value})", 30.0, time.time() - start)

@@ -452,8 +452,18 @@ class TestMainEntry:
         dict(GREEN_1D, interval=[1, 20], min_sep=10),
         dict(GREEN_1D, interval=[20, 1]),
         dict(FLAGSHIP_CONFIGS["recursion"], schedule=[400, 200]),
+        dict(FLAGSHIP_CONFIGS["recursion"], schedule=[1, 200]),
         {"schema_version": 1, "command": "lowerbound",
          "system": dict(BASE_SYSTEM), "delta": 5.0},
+        # Past strip_width/10 = 0.2, where the complexified line stops.
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "delta": 0.5},
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "e1_values": []},
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "sublevel_deltas": []},
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "sublevel_deltas": [0.01, 0.0]},
         dict(LOCALIZE_CHECK, interval=[-100, 100],
              window_check={"N": 1000, "delta": 0.5}),
         # Keys the command does not read.
@@ -470,7 +480,10 @@ class TestMainEntry:
             "window_check-negative-count", "window_check-N-string",
             "ldt-samples", "ldt-decreasing-schedule", "green-min_sep",
             "green-reversed-interval", "recursion-decreasing-schedule",
-            "lowerbound-delta", "window_check-N-too-large", "ldt-e_values",
+            "recursion-scale-one", "lowerbound-delta",
+            "lowerbound-delta-past-usable-strip", "lowerbound-no-e1_values",
+            "lowerbound-no-sublevel_deltas", "lowerbound-zero-sublevel-delta",
+            "window_check-N-too-large", "ldt-e_values",
             "ldt-n", "format", "two-energy-keys"])
     def test_invalid_input_exit_two(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
@@ -513,6 +526,15 @@ class TestMainEntry:
                      str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("ConfigInvalid: --schedule")
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_flag_scale_one_exit_two(self, tmp_path, capsys):
+        code = main(["recursion", "--schedule", "1,200", "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ConfigInvalid: every scale must be at least 2")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_config_file_round_trip(self, tmp_path, capsys):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import dense_box, random_trig_potential
-from qplab import (IterationDiverged, PavingFailed, SingularEnergy, cocycle,
-                   cosine_potential, decay_fit, green_cramer_matrix,
-                   green_solve, lyapunov_n, pave, slog)
+from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
+                   cocycle_batch, cosine_potential, decay_fit,
+                   green_cramer_matrix, green_solve, lyapunov_n, pave, slog)
 from qplab.greens import (GreenMatrix, PaveResult, _certificate,
                           _window_admissible)
 from qplab.model import Frequency, TrigPotential
@@ -93,10 +93,10 @@ class TestGreenCramer:
         for _ in range(30):
             i = int(rng.integers(1, n + 1))
             j = int(rng.integers(i, n + 1))
-            left = cocycle(golden, theta, energy, i - 1, mathieu5).log_norm \
-                if i > 1 else 0.0
-            right = cocycle(golden, theta, energy, n - j, mathieu5,
-                            start=j).log_norm if j < n else 0.0
+            left = cocycle_batch(golden, theta, energy, i - 1,
+                                 mathieu5)[0] if i > 1 else 0.0
+            right = cocycle_batch(golden, theta, energy, n - j, mathieu5,
+                                  start=j)[0] if j < n else 0.0
             assert g.logs[i - 1, j - 1] <= left + right - det_log + 1e-9
 
     def test_singular_energy(self, golden, free):

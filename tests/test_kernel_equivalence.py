@@ -8,6 +8,10 @@ most 7.8e-15) and entries, once aligned to the same log scale, within 1e-10
 (measured at most 2.1e-12).  Complex and per-step paths must agree to the
 stated tolerances.
 
+Complex phases run through ``cocycle_batch`` itself; it must give the bits
+of the private route (rows, final product, period from |Im z|, closed-form
+norm) that complex lines were assembled from before, at tolerance 0.
+
 ``green_solve`` is checked the same way against the banded inverse and
 signed-log conversion it replaced, at tolerance 0: the new one calls the
 LAPACK routine behind that banded solve directly and only changes where the
@@ -21,8 +25,8 @@ import math
 import numpy as np
 import pytest
 
-from qplab import (SingularEnergy, complexified_growth_check, cocycle_batch,
-                   cocycle_complex, cosine_potential, epsilon_gap,
+from qplab import (SingularEnergy, StripExceeded, complexified_growth_check,
+                   cocycle_batch, cosine_potential, epsilon_gap,
                    golden_frequency, green_cramer_matrix, green_solve,
                    greens, two_cosine_potential, two_torus_frequency,
                    zero_potential)
@@ -30,8 +34,8 @@ from qplab import (SingularEnergy, complexified_growth_check, cocycle_batch,
 from qplab.greens import _scipy_linalg
 from qplab.model import TrigPotential
 from qplab.transfer import (_as_batch, _entries, _final, _log_norm,
-                            _orbit_rows, _products, box_diagonal,
-                            det_sequence)
+                            _log_opnorm, _orbit_rows, _period, _products,
+                            box_diagonal, cocycle_complex, det_sequence)
 
 from conftest import random_trig_potential
 
@@ -216,17 +220,58 @@ def _c13_inputs():
         yield cos1, lam, lam * e1, gap
 
 
-def test_cocycle_complex_log_norm():
+def private_complex_route(omega, zs, energy, n, v, imag, start=0):
+    """log norms along complex phases as assembled from the kernel's private
+    parts, with the rescale period read at height ``imag``."""
+    rows = _orbit_rows(omega, zs, energy, n, v, start)
+    m, ls = _final(rows, _period(v, energy, imag))
+    return _log_opnorm(*m, ls)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.05])
+def test_complex_batch_matches_private_route(eps):
+    # The acceptance suite's quantized-acceleration lines: 64 phases on
+    # Im z = eps against a nine-energy column.
+    mathieu5 = cosine_potential(5.0)
+    column = np.linspace(-3.3, 3.3, 9)[:, None]
+    zs = (np.arange(64) + 0.5) / 64 + 1j * eps
+    got = cocycle_batch(GOLDEN, zs, column, 1000, mathieu5)
+    want = private_complex_route(GOLDEN, zs, column, 1000, mathieu5, eps)
+    assert got.shape == (9, 64)
+    assert np.array_equal(got, want)
+
+
+def _complex_points():
     mathieu5 = cosine_potential(5.0)
     cases = [(mathieu5, complex(0.37, 0.0), 1.1, 200, 0),
-             (mathieu5, complex(0.2, 0.15), -0.5, 300, 17)]
+             (mathieu5, complex(0.2, 0.15), -0.5, 300, 17),
+             (mathieu5, complex(0.61, -0.12), 0.3, 250, 5)]
     for cos1, lam, energy, gap in _c13_inputs():
         cases.append((cos1.with_coupling(lam), complex(0.0, gap.y0), energy,
                       1000, 0))
-    for v, z, energy, n, start in cases:
-        got = cocycle_complex(GOLDEN, z, energy, n, v, start=start).log_norm
-        want = oracle_complex_log_norm(GOLDEN, z, energy, n, v, start=start)
-        assert got == pytest.approx(want, rel=1e-12)
+    return cases
+
+
+def test_cocycle_complex_log_norm():
+    for v, z, energy, n, start in _complex_points():
+        got = cocycle_complex(GOLDEN, z, energy, n, v, start=start)
+        assert isinstance(got, float)
+        want = private_complex_route(GOLDEN, np.array([z]), energy, n, v,
+                                     abs(z.imag), start=start)
+        assert got == want[0]
+        oracle = oracle_complex_log_norm(GOLDEN, z, energy, n, v, start=start)
+        assert got == pytest.approx(oracle, rel=1e-12)
+
+
+def test_complex_batch_errors():
+    with pytest.raises(ValueError, match="1-frequency"):
+        cocycle_batch(OMEGA2, np.array([[0.1 + 0.01j, 0.2]]), 0.0, 10,
+                      two_cosine_potential(1.0))
+    mathieu5 = cosine_potential(5.0)            # strip_width/10 = 0.2
+    for imag in (0.2, -0.2, 0.3):
+        with pytest.raises(StripExceeded):
+            cocycle_batch(GOLDEN, np.array([0.1, 0.4 + 1j * imag]), 0.0, 10,
+                          mathieu5)
 
 
 @pytest.mark.parametrize("omega,theta,v", [
@@ -253,7 +298,6 @@ def test_complexified_growth_check_on_c13_inputs():
         margin = log_norm - 1000 * log_growth
         per_step, uv_ok = oracle_uv_loop(scaled, GOLDEN, energy, gap.y0, 1000,
                                          log_growth)
-        assert rep.log_norm == pytest.approx(log_norm, rel=1e-12)
         assert rep.margin == pytest.approx(margin, rel=1e-12)
         assert rep.per_step_margin == pytest.approx(per_step, abs=1e-9)
         assert rep.uv_ok is uv_ok

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import dense_box
-from qplab import (EigenPair, SingularEnergy, cocycle_batch,
-                   decay_profile, eigensystem, golden_frequency, green_solve,
-                   lyapunov_n, slog, window_bound_check, zero_potential)
+from qplab import (SingularEnergy, cocycle_batch, decay_profile, eigensystem,
+                   golden_frequency, green_solve, lyapunov_n, slog,
+                   window_bound_check, zero_potential)
 from qplab.cli import _run_localize
-from qplab.localization import localization_summary
+from qplab.localization import EigenPair, localization_summary
 from qplab.transfer import _phases, box_diagonal, det_sequence
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from qplab import (GateFailed, HypothesisUnmet, PotentialConstant,
                    TrigPotential, complexified_growth_check, cosine_potential,
-                   epsilon_gap, herman_style_bound, initial_scale_bound,
-                   multiscale_recursion, sublevel_measure)
+                   epsilon_gap, initial_scale_bound, multiscale_recursion,
+                   sublevel_measure)
+from qplab.lowerbound import herman_style_bound
 
 COS = cosine_potential(1.0, strip_width=2.0)
 
@@ -31,6 +32,13 @@ class TestEpsilonGap:
         centre = epsilon_gap(COS, 0.1, 0.0)
         near_top = epsilon_gap(COS, 0.1, 0.9)
         assert near_top.epsilon <= centre.epsilon + 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5, 1.9])
+    def test_delta_outside_the_usable_strip_rejected(self, delta):
+        # The complexified line must stay below strip_width/10 = 0.2, where
+        # eval_complex_batch stops.
+        with pytest.raises(ValueError, match="strip_width/10"):
+            epsilon_gap(COS, delta, 0.0)
 
     def test_grid_stability(self):
         a = epsilon_gap(COS, 0.1, 0.0, x_grid=256, y_grid=32)
@@ -82,7 +90,6 @@ class TestHermanBound:
         assert hb.measured.value >= hb.analytic_bound
         assert hb.sound
         assert hb.analytic_bound == pytest.approx((0.1 / 16.0) * math.log(lam))
-        assert hb.analytic_bound <= hb.ceiling_log
 
     def test_threshold_guard(self):
         gap = epsilon_gap(COS, 0.1, 0.0)
@@ -147,6 +154,13 @@ class TestMultiscaleRecursion:
                                       samples=100, seed=7)
         assert len(ladder.rows) == 1
         assert ladder.rows[0].drop is None
+
+    @pytest.mark.parametrize("schedule", [[1, 200], [0, 200], [-3]])
+    def test_scale_below_two_rejected(self, omega2, two_cos, schedule):
+        # log 1 = 0 would divide rho and the drop bound.
+        with pytest.raises(ValueError, match="at least 2"):
+            multiscale_recursion(50.0, two_cos, omega2, schedule, samples=100,
+                                 seed=8)
 
     def test_weak_coupling_gate_fails(self, omega2, two_cos):
         with pytest.raises(GateFailed):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qplab import (SamplerSpec, check_subadditivity, cosine_potential,
-                   lyapunov_n, lyapunov_scan, strip_norm, upper_bound_check)
+                   lyapunov_n, lyapunov_scan, upper_bound_check)
 from qplab.lyapunov import THREADS, _CHUNK, _SPLIT_FLOOR, _phi_values
-from qplab.transfer import _phases, cocycle, cocycle_batch
+from qplab.transfer import _phases, cocycle_batch
 
 CONST_TARGET = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -32,7 +32,7 @@ class TestLyapunovN:
     def test_range_invariant(self, golden, mathieu5):
         e = 1.3
         est = lyapunov_n(golden, e, 200, mathieu5, SamplerSpec("grid", 64))
-        cap = math.log(1.0 + strip_norm(mathieu5, rho_eff=0.0).bound + abs(e))
+        cap = math.log(1.0 + mathieu5.coefficient_bound(0.0) + abs(e))
         assert -1e-10 <= est.value <= cap
 
     def test_monte_carlo_agrees_with_grid(self, golden, mathieu5):
@@ -137,7 +137,7 @@ class TestLimit:
         # L_n <= L_m + C m / n for m < n
         table = schedule_table(golden, 0.5, mathieu5, [50, 100, 200, 400],
                                SamplerSpec("grid", 512))
-        const = 2.0 * math.log(1.0 + strip_norm(mathieu5, rho_eff=0.0).bound + 0.5)
+        const = 2.0 * math.log(1.0 + mathieu5.coefficient_bound(0.0) + 0.5)
         vals = {n: e.value for n, e in table.items()}
         for m in (50, 100, 200):
             for n in (100, 200, 400):
@@ -161,7 +161,7 @@ class TestShiftAverage:
         # The product started one step along the orbit is the product at the
         # shifted phase.
         got = orbit_average(golden, 0.2, 0.0, 30, 1, mathieu5)
-        want = cocycle(golden, 0.2, 0.0, 30, mathieu5, start=1).log_norm / 30
+        want = cocycle_batch(golden, 0.2, 0.0, 30, mathieu5, start=1)[0] / 30
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_long_average_matches_lyapunov(self, golden, mathieu5):
@@ -178,7 +178,7 @@ class TestShiftAverage:
         avg = orbit_average(omega2, (0.0, 0.0), 0.0, n, 50_000, v)
         ref = lyapunov_n(omega2, 0.0, n, v,
                          SamplerSpec("monte_carlo", 20_000, seed=21))
-        const = 2.0 * math.log(1.0 + strip_norm(v, rho_eff=0.0).bound)
+        const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0))
         assert abs(avg - ref.value) <= const / math.sqrt(n) + 3 * ref.std_error
 
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplab import (Frequency, StripExceeded, TrigPotential,
-                   cosine_potential, golden_frequency, potential_from_json,
-                   strip_norm, system_from_json, two_cosine_potential,
+                   cosine_potential, golden_frequency, strip_norm,
+                   system_from_json, two_cosine_potential,
                    verify_diophantine)
+from qplab.model import potential_from_json
 from qplab import slog
 
 
@@ -168,41 +169,41 @@ class TestEvalPotential:
 
 
 class TestStripNorm:
+    # strip_norm is the coefficient bound sum |v_k| exp(2 pi |k|_1 rho); the
+    # exact sups below are the oracles it must dominate.
     def test_constant(self):
         v = TrigPotential(dim=1, coeffs={(0,): -2.5}, strip_width=2.0)
-        sn = strip_norm(v, rho_eff=0.05)
-        assert sn.bound == pytest.approx(2.5)
-        assert sn.estimate == pytest.approx(2.5)
+        assert strip_norm(v, rho_eff=0.05) == pytest.approx(2.5)
 
     def test_cosine_real_axis(self):
-        sn = strip_norm(cosine_potential(1.0), rho_eff=0.0)
-        assert sn.estimate == pytest.approx(1.0, rel=1e-6)
-        assert sn.bound == pytest.approx(1.0, rel=1e-12)
+        assert strip_norm(cosine_potential(1.0), rho_eff=0.0) == \
+            pytest.approx(1.0, rel=1e-12)
 
     def test_cosine_on_strip_matches_cosh(self):
-        # boundary-grid oracle: |cos(2 pi (x + i rho))| peaks at x = 0
+        # |cos(2 pi (x + i rho))| peaks at x = 0 with value cosh(2 pi rho)
         rho = 0.05
-        sn = strip_norm(cosine_potential(1.0), rho_eff=rho)
-        assert sn.estimate == pytest.approx(math.cosh(2 * math.pi * rho),
-                                            rel=1e-4)
-        assert sn.bound >= sn.estimate
+        bound = strip_norm(cosine_potential(1.0), rho_eff=rho)
+        assert bound == pytest.approx(math.exp(2 * math.pi * rho), rel=1e-12)
+        assert bound >= math.cosh(2 * math.pi * rho)
 
     def test_bound_dominates_estimate_random(self):
         from conftest import random_trig_potential
 
         rng = np.random.default_rng(4)
+        xs = np.arange(4096) / 4096
         for _ in range(5):
             v = random_trig_potential(rng, degree=3)
-            sn = strip_norm(v, rho_eff=0.02)
-            assert sn.bound >= sn.estimate
+            for y in (0.02, -0.02):
+                grid_sup = np.max(np.abs(v.eval_complex_batch(xs + 1j * y)))
+                assert strip_norm(v, rho_eff=0.02) >= grid_sup
 
     def test_two_torus_strip(self):
-        # both cosines peak together at the origin of the boundary grid
+        # both cosines peak together at the origin, at 2 cosh(2 pi rho)
         rho = 0.02
-        sn = strip_norm(two_cosine_potential(1.0), rho_eff=rho, grid=128)
-        assert sn.estimate == pytest.approx(2.0 * math.cosh(2 * math.pi * rho),
-                                            rel=1e-4)
-        assert sn.bound >= sn.estimate
+        bound = strip_norm(two_cosine_potential(1.0), rho_eff=rho)
+        assert bound == pytest.approx(2.0 * math.exp(2 * math.pi * rho),
+                                      rel=1e-12)
+        assert bound >= 2.0 * math.cosh(2 * math.pi * rho)
 
 
 def system_doc(v, freq):

@@ -1,9 +1,9 @@
-"""Every public function, class, method and property of the library has a
-consumer.
+"""Every public function, class, method, property and field of the library
+has a consumer, and the package exports only what its users import.
 
 A public top-level ``def`` or ``class`` of a module in ``src/qplab``, and a
-public method or property of such a class, must be read somewhere outside
-its own definition: by the library, the benchmark harness
+public method, property or annotated field of such a class, must be read
+somewhere outside its own definition: by the library, the benchmark harness
 (``perfbench/*.py``), the acceptance suite or, in a code span, the README.
 The other tests do not count, and neither do the package ``__init__``'s
 imports, which only re-export: a name that nothing but the export list and
@@ -28,22 +28,31 @@ CONSUMERS = [*MODULES, PACKAGE / "__main__.py",
 
 
 def public(nodes):
-    return [node for node in nodes
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """(name, node) of the public functions, classes and annotated fields."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, node
 
 
 def definitions(tree):
-    """Public top-level functions and classes, and the public methods and
-    properties of those classes as ``Class.member``: name -> (first, last)
-    line."""
+    """Public top-level functions and classes, and the public methods,
+    properties and annotated fields of those classes as ``Class.member``:
+    name -> (first, last) line."""
     defs = {}
-    for node in public(tree.body):
-        defs[node.name] = (node.lineno, node.end_lineno)
+    for name, node in public(tree.body):
+        if isinstance(node, ast.AnnAssign):
+            continue                # a module-level annotated constant
+        defs[name] = (node.lineno, node.end_lineno)
         if isinstance(node, ast.ClassDef):
-            for member in public(node.body):
-                defs[f"{node.name}.{member.name}"] = (member.lineno,
-                                                      member.end_lineno)
+            for member, sub in public(node.body):
+                defs[f"{name}.{member}"] = (sub.lineno, sub.end_lineno)
     return defs
 
 
@@ -91,6 +100,9 @@ def test_scan_finds_unconsumed_names(tmp_path):
                    "def helper():\n    return 1\n\n"
                    "def recursive(n):\n    return recursive(n - 1)\n\n"
                    "class Report:\n"
+                   "    field: int\n"
+                   "    unread_field: int\n"
+                   "    _private_field: int\n"
                    "    def read(self):\n        return self.read\n\n"
                    "    def unread(self):\n        return 1\n\n"
                    "    @property\n    def bare(self):\n        return 1\n\n"
@@ -101,13 +113,37 @@ def test_scan_finds_unconsumed_names(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from lib import used, by_string, Report\n"
                     "used()\ngetattr(lib, 'by_string')\n"
-                    "Report().read()\nbare = 1\n")
+                    "Report().read()\nReport().field\nbare = 1\n")
     readme = code_span_names("Call `documented(x)`; Report and used are prose.")
     assert unconsumed(lib, [lib, user], readme) == [
-        "Report.bare", "Report.unread", "recursive"]
+        "Report.bare", "Report.unread", "Report.unread_field", "recursive"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_name_has_a_consumer(path):
     readme = code_span_names((ROOT / "README.md").read_text())
     assert unconsumed(path, CONSUMERS, readme) == []
+
+
+def imported_from(tree, module):
+    """Names a module's ``from <module> import ...`` statements bind."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names}
+
+
+def test_package_exports_what_its_users_import():
+    """``qplab`` re-exports every error class and the names the acceptance
+    suite imports from it; any other export must appear in a README code
+    span.  Tests reach the rest by module path."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    errors = {node.name for node in ast.parse(
+        (PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)}
+    acceptance = imported_from(ast.parse(
+        (ROOT / "tests" / "test_acceptance.py").read_text()), "qplab")
+    readme = code_span_names((ROOT / "README.md").read_text())
+    assert errors | acceptance <= exported
+    assert exported - errors - acceptance - readme == set()

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,12 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_box, random_trig_potential
-from qplab import (StripExceeded, cocycle, cocycle_batch, cocycle_complex,
-                   cosine_potential, golden_frequency, slog, strip_norm,
-                   two_torus_frequency, verify_det_identity, zero_potential)
+from qplab import (StripExceeded, cocycle_batch, cosine_potential,
+                   golden_frequency, slog, two_torus_frequency,
+                   verify_det_identity, zero_potential)
 from qplab.transfer import (_entries, _log_opnorm, _orbit_rows, _period,
                             _phases, _products, box_diagonal,
-                            det_sequence)
+                            cocycle_complex, det_sequence)
+
+
+def single_phase(omega, theta, energy, n, v, start=0):
+    """``cocycle_batch`` at one phase: its log norm, Frobenius-1 entries and
+    log scale."""
+    log_norms, entries, ls = cocycle_batch(omega, theta, energy, n, v,
+                                           start=start, return_matrices=True)
+    return SimpleNamespace(log_norm=float(log_norms[0]), entries=entries[0],
+                           log_scale=float(ls[0]))
 
 
 def cofactor_det(m):
@@ -67,7 +77,7 @@ class TestKernel:
                                           return_matrices=True)
             assert np.allclose(np.sum(entries ** 2, axis=(1, 2)), 1.0,
                                rtol=1e-14, atol=0)
-        res = cocycle_complex(golden, complex(0.2, 0.1), 0.4, 300, mathieu5)
+        res = single_phase(golden, complex(0.2, 0.1), 0.4, 300, mathieu5)
         assert np.sum(np.abs(res.entries) ** 2) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -109,7 +119,7 @@ class TestKernel:
 class TestCocycle:
     def test_free_rotation_norm_zero(self, golden, free):
         for n in (1, 10, 1000):
-            res = cocycle(golden, 0.3, 0.0, n, free)
+            res = single_phase(golden, 0.3, 0.0, n, free)
             assert abs(res.log_norm) <= 1e-12
 
     def test_constant_cocycle_spectral_radius(self, golden, free):
@@ -125,23 +135,23 @@ class TestCocycle:
             m /= s
             acc += math.log(s)
         oracle = (acc + math.log(np.linalg.norm(m, 2))) / 1000
-        res = cocycle(golden, 0.12, 3.0, 1000, free)
+        res = single_phase(golden, 0.12, 3.0, 1000, free)
         assert res.log_norm / 1000 == pytest.approx(oracle, abs=1e-10)
         assert res.log_norm / 1000 == pytest.approx(target, abs=1e-3)
 
     def test_herman_regime_growth(self, golden, mathieu5):
-        res = cocycle(golden, 0.3, 0.0, 10_000, mathieu5)
+        res = single_phase(golden, 0.3, 0.0, 10_000, mathieu5)
         assert res.log_norm / 10_000 >= math.log(2.5) - 0.05
 
     def test_unit_determinant(self, golden, mathieu5):
         # Direct determinant checks need exp(-2 log_scale) above the float
         # noise floor: small n at strong coupling, large n at critical
         # coupling where norms grow subexponentially.
-        res = cocycle(golden, 0.41, 1.7, 10, mathieu5)
+        res = single_phase(golden, 0.41, 1.7, 10, mathieu5)
         sign, log_mag = log_det(res)
         assert sign == 1
         assert abs(log_mag) <= 1e-6
-        res = cocycle(golden, 0.41, 0.0, 500, cosine_potential(2.0))
+        res = single_phase(golden, 0.41, 0.0, 500, cosine_potential(2.0))
         sign, log_mag = log_det(res)
         assert sign == 1
         assert abs(log_mag) <= 1e-8
@@ -149,16 +159,16 @@ class TestCocycle:
     def test_norm_bounds_both_sides(self, golden, mathieu5):
         n = 300
         e = 1.5
-        cap = n * math.log(1.0 + strip_norm(mathieu5, rho_eff=0.0).bound + abs(e)) + 1.0
-        res = cocycle(golden, 0.77, e, n, mathieu5)
+        cap = n * math.log(1.0 + mathieu5.coefficient_bound(0.0) + abs(e)) + 1.0
+        res = single_phase(golden, 0.77, e, n, mathieu5)
         assert 0.0 <= res.log_norm <= cap
         assert log_inv_norm(res) <= cap
 
     def test_composition_property(self, golden, mathieu5):
         n1, n2 = 137, 263
-        full = cocycle(golden, 0.29, 0.4, n1 + n2, mathieu5)
-        first = cocycle(golden, 0.29, 0.4, n1, mathieu5)
-        second = cocycle(golden, 0.29, 0.4, n2, mathieu5, start=n1)
+        full = single_phase(golden, 0.29, 0.4, n1 + n2, mathieu5)
+        first = single_phase(golden, 0.29, 0.4, n1, mathieu5)
+        second = single_phase(golden, 0.29, 0.4, n2, mathieu5, start=n1)
         comp = second.entries @ first.entries
         assert np.all(np.sign(comp) == np.sign(full.entries))
         lhs = second.log_scale + first.log_scale + np.log(np.abs(comp))
@@ -170,9 +180,9 @@ class TestCocycle:
            theta=st.floats(0.0, 0.999), energy=st.floats(-6.0, 6.0))
     def test_composition_property_random(self, golden, mathieu5, n1, n2,
                                          theta, energy):
-        full = cocycle(golden, theta, energy, n1 + n2, mathieu5)
-        second = cocycle(golden, theta, energy, n2, mathieu5, start=n1)
-        first = cocycle(golden, theta, energy, n1, mathieu5)
+        full = single_phase(golden, theta, energy, n1 + n2, mathieu5)
+        second = single_phase(golden, theta, energy, n2, mathieu5, start=n1)
+        first = single_phase(golden, theta, energy, n1, mathieu5)
         # compare unit-scale entries after aligning the log scales: this is
         # stable even when an individual entry happens to sit near zero
         rescaled = math.exp(second.log_scale + first.log_scale
@@ -183,7 +193,7 @@ class TestCocycle:
         thetas = np.array([0.1, 0.5, 0.9])
         batch = cocycle_batch(golden, thetas, 0.7, 50, mathieu5)
         for t, ln in zip(thetas, batch):
-            assert cocycle(golden, t, 0.7, 50, mathieu5).log_norm == \
+            assert single_phase(golden, t, 0.7, 50, mathieu5).log_norm == \
                 pytest.approx(ln, rel=1e-12)
 
     @pytest.mark.parametrize("lam,period", [(1e300, 1), (1e150, 1),
@@ -193,13 +203,13 @@ class TestCocycle:
         energy = 0.5 * lam
         assert _period(v, energy) == period
         n = 60
-        res = cocycle(golden, 0.3, energy, n, v)
+        res = single_phase(golden, 0.3, energy, n, v)
         assert math.isfinite(res.log_norm)
         assert abs(res.log_norm - n * (math.log(lam) - math.log(2.0))) <= 0.5 * n
 
     def test_huge_coupling_no_overflow(self, golden):
         v = cosine_potential(1e300)
-        res = cocycle(golden, 0.3, 0.0, 50, v)
+        res = single_phase(golden, 0.3, 0.0, 50, v)
         assert math.isfinite(res.log_norm)
         assert res.log_norm / 50 == pytest.approx(math.log(1e300) - math.log(2.0),
                                                   abs=0.5)
@@ -209,13 +219,13 @@ class TestCocycleComplex:
     def test_restriction_matches_real(self, golden, mathieu5):
         z = complex(0.37, 0.0)
         res_c = cocycle_complex(golden, z, 1.1, 200, mathieu5)
-        res_r = cocycle(golden, 0.37, 1.1, 200, mathieu5)
-        assert res_c.log_norm == pytest.approx(res_r.log_norm, rel=1e-10)
+        res_r = single_phase(golden, 0.37, 1.1, 200, mathieu5)
+        assert res_c == pytest.approx(res_r.log_norm, rel=1e-10)
 
     def test_free_is_flat_off_axis(self, golden):
         free_wide = zero_potential(strip_width=5.0)
         res = cocycle_complex(golden, complex(0.2, 0.3), 0.0, 300, free_wide)
-        assert abs(res.log_norm) <= 1e-10
+        assert abs(res) <= 1e-10
 
     def test_strip_guard(self, golden, mathieu5):
         with pytest.raises(StripExceeded):
@@ -232,7 +242,7 @@ class TestCocycleComplex:
         v = cosine_potential(lam)
         n = 300
         res = cocycle_complex(golden, complex(0.0, y0), 0.0, n, v)
-        assert res.log_norm >= n * math.log(lam * eps - 1.0)
+        assert res >= n * math.log(lam * eps - 1.0)
 
 
 class TestDetRecurrence:
@@ -300,7 +310,7 @@ class TestDetIdentity:
         for n in (5, 20, 60):
             diag = box_diagonal((1, n), golden, 0.3, mathieu5) - 0.8
             det_log = det_sequence(diag)[1][-1]
-            res = cocycle(golden, 0.3, 0.8, n, mathieu5)
+            res = single_phase(golden, 0.3, 0.8, n, mathieu5)
             assert det_log <= res.log_norm + 1e-9
 
 
