@@ -14,9 +14,8 @@ from .errors import (ConfigInvalid, DropExceeded, GateFailed,
                      PotentialConstant, QplabError, SigmaOutOfRange,
                      SingularEnergy, StripExceeded)
 from .model import (Frequency, TrigPotential, cosine_potential,
-                    golden_frequency, strip_norm, system_from_json,
-                    two_cosine_potential, two_torus_frequency,
-                    verify_diophantine, zero_potential)
+                    golden_frequency, system_from_json, two_cosine_potential,
+                    two_torus_frequency, verify_diophantine, zero_potential)
 from .transfer import cocycle_batch, verify_det_identity
 from .lyapunov import (SamplerSpec, check_subadditivity, lyapunov_n,
                        lyapunov_scan, upper_bound_check)

@@ -57,8 +57,8 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
         raise ValueError("epsilon gap search is 1-frequency only")
     if v.is_constant():
         raise PotentialConstant("all oscillating coefficients vanish")
-    if not 0.0 < delta < v.strip_width / 10.0:
-        raise ValueError("need 0 < delta < strip_width/10, the usable strip")
+    if not 0.0 < delta <= v.strip_width / 10.0:
+        raise ValueError("need 0 < delta <= strip_width/10, the usable strip")
 
     best = None
     prev_eps = None

@@ -279,6 +279,21 @@ class TestRun:
         assert doc["herman"]["sound"]
         assert 0.4 <= doc["sublevel"]["worst_c0"] <= 0.6
 
+    def test_lowerbound_defaults_sit_on_the_strip_edge(self, tmp_path, capsys):
+        # With neither rho (default 1) nor delta (default 0.1) set, delta is
+        # exactly strip_width/10, the edge of the usable strip.
+        system = {k: val for k, val in BASE_SYSTEM.items() if k != "rho"}
+        cfg = {"schema_version": 1, "command": "lowerbound",
+               "system": system, "samples": 2000, "seed": 0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["lowerbound", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "lowerbound.json").read_text())
+        assert doc["delta"] == 0.1
+        assert doc["epsilon_gap"]["y0"] < 0.1
+
     def test_recursion_ladder(self, tmp_path):
         cfg = dict(FLAGSHIP_CONFIGS["recursion"])
         cfg["schedule"] = [100, 200]

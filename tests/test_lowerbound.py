@@ -33,12 +33,18 @@ class TestEpsilonGap:
         near_top = epsilon_gap(COS, 0.1, 0.9)
         assert near_top.epsilon <= centre.epsilon + 1e-12
 
-    @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5, 1.9])
+    @pytest.mark.parametrize("delta", [0.0, 0.21, 0.5, 1.9])
     def test_delta_outside_the_usable_strip_rejected(self, delta):
         # The complexified line must stay below strip_width/10 = 0.2, where
         # eval_complex_batch stops.
         with pytest.raises(ValueError, match="strip_width/10"):
             epsilon_gap(COS, delta, 0.0)
+
+    def test_delta_on_the_strip_edge_accepted(self):
+        # Every sampled height lies strictly below delta = strip_width/10.
+        gap = epsilon_gap(COS, COS.strip_width / 10.0, 0.0)
+        assert 0.1 < gap.y0 < 0.2
+        assert gap.epsilon > 0.0
 
     def test_grid_stability(self):
         a = epsilon_gap(COS, 0.1, 0.0, x_grid=256, y_grid=32)

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplab import (Frequency, StripExceeded, TrigPotential,
-                   cosine_potential, golden_frequency, strip_norm,
-                   system_from_json, two_cosine_potential,
-                   verify_diophantine)
-from qplab.model import potential_from_json
+                   cosine_potential, golden_frequency, system_from_json,
+                   two_cosine_potential, verify_diophantine)
+from qplab.model import potential_from_json, strip_norm
 from qplab import slog
 
 
