@@ -32,14 +32,15 @@ import jsonschema
 import numpy as np
 
 from . import __version__, numfmt
-from .errors import ConfigInvalid, QplabError
+from .errors import ConfigInvalid, HypothesisUnmet, QplabError
 from .greens import decay_fit, green_solve, pave
 from .ldt import ldt_scaling_table
 from .localization import (decay_profile, eigensystem, localization_summary,
                            window_bound_check)
 from .lowerbound import (epsilon_gap, herman_style_bound, multiscale_recursion,
                          sublevel_measure)
-from .lyapunov import THREADS, SamplerSpec, lyapunov_scan, thread_cap
+from .lyapunov import (THREADS, SamplerSpec, default_sampler, lyapunov_scan,
+                       thread_cap)
 from .model import system_from_json
 
 COMMANDS = ("lyapunov", "ldt", "green", "pave", "localize", "lowerbound",
@@ -297,10 +298,8 @@ def _plot(rows: Sequence[tuple], kind: str, suffix: str = "",
 def _run_lyapunov(config, v, freq, seed) -> dict:
     energies = _energy_values(config)
     n = int(config.get("n", 1000))
-    sampler = SamplerSpec(
-        quadrature=config.get("quadrature",
-                              "grid" if freq.dim == 1 else "monte_carlo"),
-        samples=config.get("samples"), seed=seed)
+    quadrature = config.get("quadrature", default_sampler(freq.dim).quadrature)
+    sampler = SamplerSpec(quadrature, samples=config.get("samples"), seed=seed)
     estimates = lyapunov_scan(freq, energies, n, v, sampler)
     lines = [_LYAPUNOV_COLUMNS] + [
         numfmt.row((e.n, e.energy, e.value, e.std_error, e.samples))
@@ -388,6 +387,21 @@ def _run_localize(config, v, freq, seed) -> dict:
     return artifacts
 
 
+def _herman_lambda(epsilon: float) -> float:
+    """The default Herman coupling, 1000 epsilon^-100: ten times the
+    threshold 100 epsilon^-100 that ``herman_style_bound`` requires."""
+    try:
+        lam = 10.0 * 100.0 * epsilon ** -100.0
+    except OverflowError:
+        lam = math.inf
+    if math.isinf(lam):
+        raise HypothesisUnmet(
+            "coupling threshold",
+            f"the default lambda = 1000 epsilon^-100 overflows a double at "
+            f"epsilon = {epsilon:g}; set lambda or widen the gap")
+    return lam
+
+
 def _run_lowerbound(config, v, freq, seed) -> dict:
     delta = float(config.get("delta", 0.1))
     e1_values = [float(x) for x in config.get("e1_values", [0.0])]
@@ -396,16 +410,14 @@ def _run_lowerbound(config, v, freq, seed) -> dict:
     payload["epsilon_gap"] = {"y0": gap.y0, "epsilon": gap.epsilon,
                               "e1": gap.e1}
     if config.get("herman", False):
-        lam = float(config.get("lambda",
-                    10.0 * 100.0 * gap.epsilon ** -100.0
-                    if gap.epsilon > 0.5 else 1e30))
-        hb = herman_style_bound(lam, v, delta, gap.epsilon, gap.y0,
-                                omega=freq)
+        lam = (float(config["lambda"]) if "lambda" in config
+               else _herman_lambda(gap.epsilon))
+        hb = herman_style_bound(lam, v, delta, gap.epsilon, gap.y0, freq)
         payload["herman"] = {
             "lambda": lam,
             "analytic_bound": hb.analytic_bound,
             "intermediate_bound": hb.intermediate_bound,
-            "measured_L": hb.measured.value if hb.measured else None,
+            "measured_L": hb.measured.value,
             "sound": hb.sound,
         }
     deltas = config.get("sublevel_deltas")

@@ -150,7 +150,7 @@ def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
     r[:-1] += xi[1:]
     r[1:] += xi[:-1]
     r_win_norm = float(np.linalg.norm(r[win])) + 1e-15
-    row_log = 0.5 * slog.logsumexp_mags(2.0 * g.logs, axis=1)
+    row_log = 0.5 * slog.add(np.abs(g.signs.T), 2 * g.logs.T)[1]
     with np.errstate(over="ignore"):
         allowance = np.exp(row_log) * r_win_norm
 

@@ -18,9 +18,11 @@ import numpy as np
 
 from .errors import (DropExceeded, GateFailed, HypothesisUnmet,
                      PotentialConstant)
-from .lyapunov import LyapunovEstimate, SamplerSpec, lyapunov_n
+from .lyapunov import (LyapunovEstimate, SamplerSpec, default_sampler,
+                       lyapunov_n)
 from .model import Frequency, TrigPotential
-from .transfer import _LOG2, _log_norm, _orbit_rows, _phases, _products
+from .transfer import (_LOG2, _log_opnorm, _orbit_rows, _phases, _products,
+                       _unit)
 
 STRICT_GATE_CONSTANT = 1000.0
 DROP_CONSTANT = 1000.0
@@ -49,9 +51,9 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
                 x_grid: int = 256, y_grid: int = 32) -> EpsilonGap:
     """Maximize over heights the x-infimum of |v(x + iy) - e1|.
 
-    Grids are doubled, at most 7 times, until the achieved gap is stable to
-    1%.  The potential must be nonconstant, else no gap exists for e1 equal
-    to its value.
+    Grids are doubled, at most 4 times, until the achieved gap is stable to
+    1%; a gap still moving on the last grid raises ValueError.  The potential
+    must be nonconstant, else no gap exists for e1 equal to its value.
     """
     if v.dim != 1:
         raise ValueError("epsilon gap search is 1-frequency only")
@@ -60,14 +62,13 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
     if not 0.0 < delta <= v.strip_width / 10.0:
         raise ValueError("need 0 < delta <= strip_width/10, the usable strip")
 
-    best = None
     prev_eps = None
     nx, ny = x_grid, y_grid
-    for _ in range(8):
+    for _ in range(5):
         ys = delta / 2.0 + (np.arange(ny) + 1.0) * (delta / 2.0) / (ny + 1.0)
         xs = (np.arange(nx) + 0.5) / nx
         zs = xs[None, :] + 1j * ys[:, None]
-        vals = np.abs(v.eval_complex_batch(zs) - e1)
+        vals = np.abs(v.eval_batch(zs) - e1)
         infima = np.min(vals, axis=1)
         k = int(np.argmax(infima))
         eps = float(infima[k])
@@ -76,6 +77,9 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
             break
         prev_eps = eps
         nx, ny = 2 * nx, 2 * ny
+    else:
+        raise ValueError(f"the epsilon gap at delta = {delta:g} did not settle "
+                         f"to 1% on grids up to {nx // 2} x {ny // 2}")
     if best.epsilon <= 0.0:
         raise PotentialConstant("no positive gap found; potential may be constant")
     return best
@@ -111,7 +115,7 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
                               f"lambda*epsilon = {lam_eps:g} must exceed 100")
     scaled = v.with_coupling(lam * v.coupling)
     xs = (np.arange(512) + 0.5) / 512
-    line = np.abs(scaled.eval_complex_batch(xs + 1j * y0) - energy)
+    line = np.abs(scaled.eval_batch(xs + 1j * y0) - energy)
     inf_line = float(np.min(line))
     if inf_line < lam_eps * (1.0 - 1e-9):
         raise HypothesisUnmet(
@@ -129,7 +133,8 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
         log_u.append(exps[0] * _LOG2 + np.log(u))
         uv_ok = uv_ok and bool(u >= vv)
     per_step_margin = float(np.min(np.diff(log_u))) - log_growth
-    margin = float(_log_norm(top, prev, exps)[0]) - n * log_growth
+    m, ls = _unit(top, prev, exps)
+    margin = float(_log_opnorm(*m, ls)[0]) - n * log_growth
     return ComplexGrowthReport(margin=margin, per_step_margin=per_step_margin,
                                uv_ok=uv_ok)
 
@@ -142,13 +147,12 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
 class HermanBound:
     analytic_bound: float       # (delta/16) log lambda
     intermediate_bound: float   # (delta/4)((1 - 10 delta/rho) log lambda - 2 log(1/eps))
-    measured: Optional[LyapunovEstimate]
-    sound: Optional[bool]       # analytic bound <= measured + 3 se
+    measured: LyapunovEstimate  # L_500 of lambda*v on a 64-point phase grid
+    sound: bool                 # analytic bound <= measured + 3 se
 
 
 def herman_style_bound(lam: float, v: TrigPotential, delta: float,
-                       epsilon: float, y0: float,
-                       omega: Optional[Frequency] = None,
+                       epsilon: float, y0: float, omega: Frequency,
                        energy: float = 0.0) -> HermanBound:
     """Certified lower bound for the exponent of lambda*v from the gap data.
 
@@ -156,8 +160,8 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
     line Im z = y0 and is bounded by log(C*lambda) on the strip; averaging
     with the harmonic measure of y0 pushes a definite fraction of that growth
     onto the real axis.  Requires lambda above 100 * epsilon^(-100).  The
-    strip width is rho = ``v.strip_width``.  Given ``omega``, the bound is
-    compared with L_500 of lambda*v on a 64-point phase grid.
+    strip width is rho = ``v.strip_width``.  The bound is compared with
+    L_500 of lambda*v at ``omega`` on a 64-point phase grid.
     """
     if v.dim != 1:
         raise ValueError("harmonic-measure bound is 1-frequency only")
@@ -174,13 +178,9 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
     analytic = (delta / 16.0) * log_lam
     intermediate = (delta / 4.0) * ((1.0 - 10.0 * delta / rho_strip)
                                     * log_lam - 2.0 * math.log(1.0 / epsilon))
-    measured = None
-    sound = None
-    if omega is not None:
-        scaled = v.with_coupling(lam * v.coupling)
-        measured = lyapunov_n(omega, energy, 500, scaled,
-                              SamplerSpec("grid", 64))
-        sound = analytic <= measured.value + 3.0 * measured.std_error
+    scaled = v.with_coupling(lam * v.coupling)
+    measured = lyapunov_n(omega, energy, 500, scaled, SamplerSpec("grid", 64))
+    sound = analytic <= measured.value + 3.0 * measured.std_error
     return HermanBound(analytic_bound=analytic, intermediate_bound=intermediate,
                        measured=measured, sound=sound)
 
@@ -401,7 +401,7 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
     v = v0.with_coupling(lam * v0.coupling)
     log1v = math.log(1.0 + v.coefficient_bound(0.0))
     log_lam = math.log(lam)
-    quad = "monte_carlo" if omega.dim == 2 else "grid"
+    quad = default_sampler(omega.dim).quadrature
 
     rows: List[ScaleRow] = []
     prev: Optional[Tuple[int, LyapunovEstimate, float]] = None

@@ -187,17 +187,26 @@ class TrigPotential:
     def with_coupling(self, coupling: float) -> "TrigPotential":
         return replace(self, coupling=float(coupling))
 
-    # -- evaluation on the real torus
+    # -- evaluation
 
     def eval_batch(self, thetas) -> np.ndarray:
         """Evaluate at points of shape (..., d) (or (...,) when d=1).
 
         Sums c0 + a_k cos + b_k sin harmonic by harmonic, skipping zero
-        halves, so a cosine-only potential never computes a sine.
+        halves, so a cosine-only potential never computes a sine.  Complex
+        points give the analytic continuation on the strip, with complex
+        values; they raise StripExceeded when some |Im z| >= strip_width/10.
         """
-        th = np.asarray(thetas, dtype=float)
+        th = np.asarray(thetas)
+        if th.dtype.kind == "c":
+            th = th.astype(complex, copy=False)
+            if (np.abs(th.imag) >= self.strip_width / 10.0).any():
+                raise StripExceeded("|Im z| must stay below strip_width/10 = "
+                                    f"{self.strip_width / 10.0:g}")
+        else:
+            th = th.astype(float, copy=False)
         shape = th.shape if self.dim == 1 else th.shape[:-1]
-        val = np.full(shape, self._c0)
+        val = np.full(shape, self._c0, dtype=th.dtype)
         if self.dim == 1:
             angs = (TWO_PI * (th * k) for k in self._k_half[:, 0])
         else:
@@ -215,21 +224,6 @@ class TrigPotential:
         k1 = np.sum(np.abs(self._k_all), axis=1)
         return abs(self.coupling) * float(
             np.sum(np.abs(self._c_all) * np.exp(TWO_PI * k1 * rho)))
-
-    def eval_complex_batch(self, zs) -> np.ndarray:
-        """Analytic continuation at complex points of shape (..., d)."""
-        z = np.asarray(zs, dtype=complex)
-        if self.dim == 1:
-            z = z[..., np.newaxis]
-        if np.any(np.abs(z.imag) >= self.strip_width / 10.0):
-            raise StripExceeded(
-                f"|Im z| must stay below strip_width/10 = {self.strip_width / 10.0:g}"
-            )
-        if self._k_all.size == 0:
-            return np.broadcast_to(self.coupling * complex(self._c0),
-                                   z.shape[:-1]).astype(complex).copy()
-        phase = np.exp(2j * np.pi * (z @ self._k_all.T.astype(complex)))
-        return self.coupling * (phase @ self._c_all)
 
 
 def strip_norm(v: TrigPotential, rho_eff: Optional[float] = None) -> float:

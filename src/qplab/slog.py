@@ -54,12 +54,3 @@ def add(signs, logs):
     out_sign = np.where(finite, out_sign, np.int8(0)).astype(np.int8)
     return out_sign, out_log
 
-
-def logsumexp_mags(logs, axis=None):
-    """log(sum(exp(logs))) treating -inf slots as absent."""
-    logs = np.asarray(logs, dtype=float)
-    m = np.max(logs, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    s = np.sum(np.exp(logs - m_safe), axis=axis, keepdims=True)
-    out = np.where(np.isfinite(m), m_safe + np.log(np.where(s > 0, s, 1.0)), LOG_ZERO)
-    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())[()]

@@ -58,7 +58,7 @@ def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
     step = w[0] if omega.dim == 1 else w
     js = range(start + 1, start + n + 1)
     if np.iscomplexobj(th):
-        return (v.eval_complex_batch(_frac(th.real + j * step) + 1j * th.imag)
+        return (v.eval_batch(_frac(th.real + j * step) + 1j * th.imag)
                 - energy for j in js)
     return (v.eval_batch(_frac(th + j * step)) - energy for j in js)
 
@@ -153,15 +153,6 @@ def _log_opnorm(m00, m01, m10, m11, ls):
     t = sq(m00) + sq(m01) + sq(m10) + sq(m11)
     disc = np.maximum(t * t - 4.0 * sq(det), 0.0)
     return ls + np.log(np.sqrt(0.5 * (t + np.sqrt(disc))))
-
-
-def _log_norm(top, prev, exps):
-    """log spectral norm of a product as ``_products`` yields it at period 1.
-
-    Negating the bottom row leaves the norm unchanged, so ``prev`` stands in
-    for it; after a rescale the entries are of order one.
-    """
-    return _log_opnorm(*top, *prev, exps * _LOG2)
 
 
 def _entries(m00, m01, m10, m11):

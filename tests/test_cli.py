@@ -552,6 +552,48 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def lowerbound_main(self, tmp_path, **keys):
+        cfg = {"schema_version": 1, "command": "lowerbound",
+               "system": dict(BASE_SYSTEM, **{"lambda": 1.0}),
+               "samples": 10_000, "seed": 0, **keys}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return main(["lowerbound", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+
+    def test_herman_default_lambda_below_half_epsilon(self, tmp_path, capsys):
+        # epsilon is about 0.32 here; the default lambda, ten times
+        # Herman's threshold 100 epsilon^-100, clears that threshold.
+        code = self.lowerbound_main(tmp_path, delta=0.05, herman=True)
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "lowerbound.json").read_text())
+        eps = doc["epsilon_gap"]["epsilon"]
+        assert eps < 0.5
+        assert doc["herman"]["lambda"] == 10.0 * 100.0 * eps ** -100.0
+        assert doc["herman"]["sound"] is True
+
+    def test_herman_default_lambda_overflow_exit_one(self, tmp_path, capsys):
+        # At coupling 1e-4 epsilon is about 7e-5, and 1000 epsilon^-100 is
+        # far beyond the largest double.
+        code = self.lowerbound_main(
+            tmp_path, delta=0.1, herman=True,
+            system=dict(BASE_SYSTEM, **{"lambda": 1e-4}))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("HypothesisUnmet: coupling threshold: ")
+        assert "overflows a double" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unsettled_epsilon_gap_exit_two(self, tmp_path, capsys):
+        code = self.lowerbound_main(tmp_path, delta=1e-3)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ConfigInvalid: the epsilon gap at "
+                              "delta = 0.001 did not settle")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(lyap_config()))

@@ -12,6 +12,12 @@ Complex phases run through ``cocycle_batch`` itself; it must give the bits
 of the private route (rows, final product, period from |Im z|, closed-form
 norm) that complex lines were assembled from before, at tolerance 0.
 
+``TrigPotential.eval_batch`` evaluates complex points with the harmonic loop
+it runs on the real torus.  The exp/matmul formula it replaced, which summed
+exp(2 pi i z.k) c_k over every wave vector, is the oracle for complex points
+within 1e-13 (1 + sup of |v| on the line); real points must keep the bits of
+the loop as it was before complex points ran through it.
+
 ``green_solve`` is checked the same way against the banded inverse and
 signed-log conversion it replaced, at tolerance 0: the new one calls the
 LAPACK routine behind that banded solve directly and only changes where the
@@ -33,11 +39,41 @@ from qplab import (SingularEnergy, StripExceeded, complexified_growth_check,
 
 from qplab.greens import _scipy_linalg
 from qplab.model import TrigPotential
-from qplab.transfer import (_as_batch, _entries, _final, _log_norm,
-                            _log_opnorm, _orbit_rows, _period, _products,
+from qplab.transfer import (_as_batch, _entries, _final, _log_opnorm,
+                            _orbit_rows, _period, _products, _unit,
                             box_diagonal, cocycle_complex, det_sequence)
 
 from conftest import random_trig_potential
+
+
+def oracle_complex_eval(v, zs):
+    """The earlier complex evaluation: exp(2 pi i z.k) @ c over every k."""
+    z = np.asarray(zs, dtype=complex)
+    if v.dim == 1:
+        z = z[..., np.newaxis]
+    if v._k_all.size == 0:
+        return np.broadcast_to(v.coupling * complex(v._c0),
+                               z.shape[:-1]).astype(complex).copy()
+    phase = np.exp(2j * np.pi * (z @ v._k_all.T.astype(complex)))
+    return v.coupling * (phase @ v._c_all)
+
+
+def oracle_real_eval(v, thetas):
+    """The real evaluation as it was before it also took complex points."""
+    th = np.asarray(thetas, dtype=float)
+    shape = th.shape if v.dim == 1 else th.shape[:-1]
+    val = np.full(shape, v._c0)
+    if v.dim == 1:
+        angs = (2.0 * math.pi * (th * k) for k in v._k_half[:, 0])
+    else:
+        table = 2.0 * math.pi * (th @ v._k_half.T)
+        angs = (table[..., h] for h in range(table.shape[-1]))
+    for ang, a, b in zip(angs, v._a_half, v._b_half):
+        if a:
+            val += a * np.cos(ang)
+        if b:
+            val += b * np.sin(ang)
+    return v.coupling * val
 
 
 def oracle_cocycle_batch(omega, thetas, energy, n, v, start=0):
@@ -128,7 +164,7 @@ def oracle_complex_log_norm(omega, z, energy, n, v, start=0):
     ls = 0.0
     for j in range(start + 1, start + n + 1):
         zz = complex((z.real + j * w) % 1.0, z.imag)
-        a = complex(v.eval_complex_batch(np.asarray(zz)).reshape(()))
+        a = complex(oracle_complex_eval(v, zz).reshape(()))
         step = np.array([[a - energy, 1.0], [-1.0, 0.0]], dtype=complex)
         m = step @ m
         mx = float(np.max(np.abs(m)))
@@ -151,7 +187,7 @@ def oracle_uv_loop(scaled, omega, energy, y0, n, log_growth):
     uv_ok = True
     for j in range(1, n + 1):
         z = complex((j * w) % 1.0, y0)
-        a = complex(scaled.eval_complex_batch(np.asarray(z)).reshape(())) - energy
+        a = complex(oracle_complex_eval(scaled, z).reshape(())) - energy
         u_new = a * u + vv
         v_new = -u
         au = abs(u_new)
@@ -210,6 +246,73 @@ def test_cocycle_batch_bit_for_bit(name, omega, thetas, energy, n, v, start):
     m, every_step_ls = _final(rows, 1)
     assert np.array_equal(_entries(*m), entries)
     assert np.array_equal(every_step_ls, ls)
+
+
+def _eval_potentials():
+    rng = np.random.default_rng(15)
+    for dim, degree, strip_width in ((1, 3, 2.0), (1, 6, 0.7), (2, 2, 0.5),
+                                     (2, 3, 1.9)):
+        for _ in range(25):
+            yield rng, random_trig_potential(
+                rng, degree=degree, dim=dim, strip_width=strip_width,
+                amplitude=float(rng.uniform(0.1, 5.0)))
+    yield rng, cosine_potential(5.0)
+    yield rng, two_cosine_potential(50.0)
+    yield rng, zero_potential(1)
+    yield rng, zero_potential(2)
+    yield rng, TrigPotential(dim=2, coeffs={(0, 0): -1.5}, strip_width=0.5)
+
+
+def _line_points(rng, v, imag, count=200):
+    """``count`` points on the line Im z = imag (every component for d=2)."""
+    real = rng.random(count) if v.dim == 1 else rng.random((count, 2))
+    return real + 1j * imag
+
+
+def test_complex_eval_matches_exp_matmul_formula():
+    worst = 0.0
+    for rng, v in _eval_potentials():
+        edge = v.strip_width / 10.0
+        for imag in (0.0, 0.3 * edge, -0.7 * edge, 0.999 * edge,
+                     -np.nextafter(edge, 0.0)):
+            zs = _line_points(rng, v, imag)
+            got = v.eval_batch(zs)
+            assert got.dtype == complex and got.shape == zs.shape[:1]
+            tol = 1e-13 * (1.0 + v.coefficient_bound(abs(imag)))
+            gap = float(np.max(np.abs(got - oracle_complex_eval(v, zs))))
+            assert gap <= tol, (v, imag)
+            worst = max(worst, gap / tol)
+        # Mixed heights in one batch, and the scalar shape.
+        zs = _line_points(rng, v, rng.uniform(-edge, edge, 200)[:, None]
+                          if v.dim == 2 else rng.uniform(-edge, edge, 200))
+        tol = 1e-13 * (1.0 + v.coefficient_bound(edge))
+        assert np.max(np.abs(v.eval_batch(zs)
+                             - oracle_complex_eval(v, zs))) <= tol
+        z0 = zs[0]
+        assert v.eval_batch(z0).shape == ()
+        assert abs(v.eval_batch(z0) - oracle_complex_eval(v, z0)) <= tol
+    print(f"largest gap {worst:.3g} of the tolerance")
+
+
+def test_real_eval_keeps_its_bits():
+    for rng, v in _eval_potentials():
+        thetas = rng.random(300) if v.dim == 1 else rng.random((300, 2))
+        for th in (thetas, thetas[:7].tolist(), thetas[0], thetas * 0.0,
+                   thetas.astype(np.float32)):
+            want = oracle_real_eval(v, th)
+            got = v.eval_batch(th)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+
+def test_complex_eval_strip_guard():
+    for v in (cosine_potential(5.0), two_cosine_potential(1.0)):
+        edge = v.strip_width / 10.0
+        for imag in (edge, -edge, 2.0 * edge):
+            z = (0.3 + 1j * imag if v.dim == 1
+                 else np.array([[0.1, 0.2], [0.4, 0.5 + 1j * imag]]))
+            with pytest.raises(StripExceeded):
+                v.eval_batch(z)
 
 
 def _c13_inputs():
@@ -280,9 +383,12 @@ def test_complex_batch_errors():
 ], ids=["d1", "d2"])
 def test_growth_envelope_trace(omega, theta, v):
     # The per-step trace log ||M_j||, j = 1..n: the kernel at period 1 read
-    # after every step, as complexified_growth_check reads it.
+    # after every step and closed as cocycle_batch closes its product.
     rows = _orbit_rows(omega, _as_batch(omega, theta), 0.3, 500, v)
-    trace = [_log_norm(*prod)[0] for prod in _products(rows)]
+    trace = []
+    for prod in _products(rows):
+        m, ls = _unit(*prod)
+        trace.append(_log_opnorm(*m, ls)[0])
     want = oracle_log_norm_trace(500, omega, theta, 0.3, v)
     np.testing.assert_allclose(trace, want, rtol=1e-12, atol=0.0)
 

@@ -120,7 +120,8 @@ def log_hs_norm(golden, n0, energy, v):
         g = green_solve((-n0, n0), golden, 0.0, energy, v)
     except SingularEnergy:
         return math.inf
-    return 0.5 * slog.logsumexp_mags(2.0 * g.logs[g.signs != 0])
+    live = g.signs != 0
+    return 0.5 * float(slog.add(np.abs(g.signs[live]), 2.0 * g.logs[live])[1])
 
 
 class TestResonanceScan:

@@ -36,7 +36,7 @@ class TestEpsilonGap:
     @pytest.mark.parametrize("delta", [0.0, 0.21, 0.5, 1.9])
     def test_delta_outside_the_usable_strip_rejected(self, delta):
         # The complexified line must stay below strip_width/10 = 0.2, where
-        # eval_complex_batch stops.
+        # eval_batch stops.
         with pytest.raises(ValueError, match="strip_width/10"):
             epsilon_gap(COS, delta, 0.0)
 
@@ -45,6 +45,13 @@ class TestEpsilonGap:
         gap = epsilon_gap(COS, COS.strip_width / 10.0, 0.0)
         assert 0.1 < gap.y0 < 0.2
         assert gap.epsilon > 0.0
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4])
+    def test_unsettled_gap_rejected(self, delta):
+        # Near the real axis the gap still moves by more than 1% on the last
+        # grid, 4096 x 512 points.
+        with pytest.raises(ValueError, match=f"delta = {delta:g} "):
+            epsilon_gap(COS, delta, 0.0)
 
     def test_grid_stability(self):
         a = epsilon_gap(COS, 0.1, 0.0, x_grid=256, y_grid=32)
@@ -97,11 +104,11 @@ class TestHermanBound:
         assert hb.sound
         assert hb.analytic_bound == pytest.approx((0.1 / 16.0) * math.log(lam))
 
-    def test_threshold_guard(self):
+    def test_threshold_guard(self, golden):
         gap = epsilon_gap(COS, 0.1, 0.0)
         lam0 = math.exp(math.log(100.0) - 100.0 * math.log(gap.epsilon))
         with pytest.raises(HypothesisUnmet):
-            herman_style_bound(lam0, COS, 0.1, gap.epsilon, gap.y0)
+            herman_style_bound(lam0, COS, 0.1, gap.epsilon, gap.y0, golden)
 
 
 class TestSublevelMeasure:

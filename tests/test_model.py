@@ -151,20 +151,20 @@ class TestEvalPotential:
     def test_complex_restriction_matches_real(self):
         v = cosine_potential(3.0)
         ts = np.array([0.1, 0.37, 0.99])
-        assert np.allclose(v.eval_complex_batch(ts + 0j), v.eval_batch(ts),
+        assert np.allclose(v.eval_batch(ts + 0j), v.eval_batch(ts),
                            rtol=0.0, atol=1e-14)
 
     def test_complex_cosh_on_imaginary_axis(self):
         v = cosine_potential(1.0, strip_width=2.0)
         y = 0.03
-        val = complex(v.eval_complex_batch(complex(0.0, y)))
+        val = complex(v.eval_batch(complex(0.0, y)))
         assert val.real == pytest.approx(math.cosh(2 * math.pi * y), rel=1e-12)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_strip_guard(self):
         v = cosine_potential(1.0, strip_width=1.0)
         with pytest.raises(StripExceeded):
-            v.eval_complex_batch(complex(0.2, 0.2))
+            v.eval_batch(complex(0.2, 0.2))
 
 
 class TestStripNorm:
@@ -193,7 +193,7 @@ class TestStripNorm:
         for _ in range(5):
             v = random_trig_potential(rng, degree=3)
             for y in (0.02, -0.02):
-                grid_sup = np.max(np.abs(v.eval_complex_batch(xs + 1j * y)))
+                grid_sup = np.max(np.abs(v.eval_batch(xs + 1j * y)))
                 assert strip_norm(v, rho_eff=0.02) >= grid_sup
 
     def test_two_torus_strip(self):
