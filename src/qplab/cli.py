@@ -313,9 +313,9 @@ def _run_ldt(config, v, freq, seed) -> dict:
     sigma = float(config.get("sigma", 0.3))
     schedule = [int(x) for x in config.get("n_schedule", [50, 100, 200, 400])]
     samples = int(config.get("samples", 10_000))
-    table = ldt_scaling_table(freq, energy, v, sigma, schedule, samples,
-                              seed=seed)
-    profiles = [(r.profile, r.bound_reference) for r in table.rows]
+    rows = ldt_scaling_table(freq, energy, v, sigma, schedule, samples,
+                             seed=seed)
+    profiles = [(r.profile, r.bound_reference) for r in rows]
     lines = [_LDT_COLUMNS] + [
         numfmt.row((p.n, p.sigma, p.threshold, p.fraction, p.std_error, ref))
         for p, ref in profiles]
@@ -412,7 +412,8 @@ def _run_lowerbound(config, v, freq, seed) -> dict:
     if config.get("herman", False):
         lam = (float(config["lambda"]) if "lambda" in config
                else _herman_lambda(gap.epsilon))
-        hb = herman_style_bound(lam, v, delta, gap.epsilon, gap.y0, freq)
+        hb = herman_style_bound(lam, v, delta, gap.epsilon, gap.y0, freq,
+                                energy=lam * e1_values[0])
         payload["herman"] = {
             "lambda": lam,
             "analytic_bound": hb.analytic_bound,

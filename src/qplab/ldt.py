@@ -26,51 +26,34 @@ class DeviationProfile:
     sigma: float
     threshold: float
     fraction: float
-    samples: int
     std_error: float
 
 
-def _binomial_se(fraction: float, samples: int) -> float:
-    return math.sqrt(fraction * (1.0 - fraction) / samples)
-
-
 def deviation_measure(omega: Frequency, energy: float, n: int, sigma: float,
-                      v: TrigPotential, samples: int = 10_000, seed: int = 0,
-                      side: str = "both", general_form: bool = False,
-                      l_reference: Optional[float] = None) -> DeviationProfile:
+                      v: TrigPotential, samples: int = 10_000,
+                      seed: int = 0) -> DeviationProfile:
     """Monte Carlo fraction of theta with |phi(theta) - L_n| > n^{-sigma}.
 
-    The strong one-frequency regime requires sigma in (0, 1/2]; pass
-    ``general_form=True`` to accept any positive sigma (weaker tail claim).
-    ``side`` selects "both", "above" or "below" deviations.
+    phi(theta) = (1/n) log ||M_n(theta)|| and L_n is ``lyapunov_n`` at the
+    same energy; deviations on both sides count.  One frequency requires
+    sigma in (0, 1/2], the strong regime; two frequencies accept any
+    positive sigma.
     """
     if samples < 1000:
         raise ValueError("measure estimation needs at least 1e3 samples")
     if sigma <= 0.0:
         raise SigmaOutOfRange(f"sigma must be positive, got {sigma}")
-    if not general_form and omega.dim == 1 and sigma > 0.5:
-        raise SigmaOutOfRange(
-            f"sigma={sigma} outside (0, 1/2]; pass general_form=True for the weak bound"
-        )
-    if side not in ("both", "above", "below"):
-        raise ValueError("side must be 'both', 'above' or 'below'")
-    if l_reference is None:
-        l_reference = lyapunov_n(omega, energy, n, v).value
+    if omega.dim == 1 and sigma > 0.5:
+        raise SigmaOutOfRange(f"sigma={sigma} outside (0, 1/2]")
+    l_n = lyapunov_n(omega, energy, n, v).value
     threshold = n ** (-sigma)
     rng = np.random.default_rng(seed)
     thetas = rng.random(samples) if omega.dim == 1 else rng.random((samples, 2))
     phi = _phi_values(omega, thetas, energy, n, v)
-    dev = phi - l_reference
-    if side == "both":
-        hits = np.abs(dev) > threshold
-    elif side == "above":
-        hits = dev > threshold
-    else:
-        hits = -dev > threshold
-    fraction = float(np.count_nonzero(hits)) / samples
-    return DeviationProfile(n=n, sigma=sigma, threshold=threshold,
-                            fraction=fraction, samples=samples,
-                            std_error=_binomial_se(fraction, samples))
+    fraction = float(np.count_nonzero(np.abs(phi - l_n) > threshold)) / samples
+    return DeviationProfile(
+        n=n, sigma=sigma, threshold=threshold, fraction=fraction,
+        std_error=math.sqrt(fraction * (1.0 - fraction) / samples))
 
 
 @dataclass(frozen=True)
@@ -79,18 +62,13 @@ class LdtRow:
     bound_reference: float
 
 
-@dataclass(frozen=True)
-class LdtTable:
-    rows: Tuple[LdtRow, ...]
-
-
 def ldt_scaling_table(omega: Frequency, energy: float, v: TrigPotential,
                       sigma: float, n_values: Sequence[int], samples: int,
-                      seed: int = 0) -> LdtTable:
+                      seed: int = 0) -> Tuple[LdtRow, ...]:
     """Bad-set fraction per scale next to the theoretical tail reference.
 
     The reference is exp(-n^(1-2 sigma)) for one frequency and exp(-n^sigma)
-    for two.
+    for two.  Scale i draws its phases with seed ``seed + i``.
     """
     ns = [int(n) for n in n_values]
     if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -104,7 +82,7 @@ def ldt_scaling_table(omega: Frequency, energy: float, v: TrigPotential,
         else:
             bound = math.exp(-(n ** sigma))
         rows.append(LdtRow(profile=prof, bound_reference=bound))
-    return LdtTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -113,7 +91,6 @@ class FourierDecay:
     ``slope`` is None when all tested coefficients are at numerical zero."""
 
     slope: Optional[float]
-    grid: int
     coefficients: np.ndarray    # |phi_hat(k)| for k = 1..k_max
 
     def __post_init__(self):
@@ -122,13 +99,14 @@ class FourierDecay:
 
 
 def fourier_decay_check(omega: Frequency, energy: float, n: int,
-                        v: TrigPotential, k_max: int,
-                        grid: int = 8192) -> FourierDecay:
-    """DFT the pointwise exponent on a dense grid and fit log|phi_hat| vs log k."""
+                        v: TrigPotential, k_max: int) -> FourierDecay:
+    """DFT the pointwise exponent on 8192 equispaced phases and fit
+    log|phi_hat| vs log k."""
     if omega.dim != 1:
         raise ValueError("Fourier decay check is 1-frequency only")
+    grid = 8192
     if k_max > grid // 4:
-        raise ValueError("k_max must be at most grid/4")
+        raise ValueError(f"k_max must be at most {grid // 4}")
     thetas = np.arange(grid) / grid
     phi = _phi_values(omega, thetas, energy, n, v)
     coef = np.abs(np.fft.rfft(phi)) / grid
@@ -136,7 +114,7 @@ def fourier_decay_check(omega: Frequency, energy: float, n: int,
     floor = 1e-13 * max(1.0, float(coef[0]))
     live = mags > floor
     if np.count_nonzero(live) < 2:
-        return FourierDecay(slope=None, grid=grid, coefficients=mags)
+        return FourierDecay(slope=None, coefficients=mags)
     ks = np.arange(1, k_max + 1)[live]
     slope = float(np.polyfit(np.log(ks), np.log(mags[live]), 1)[0])
-    return FourierDecay(slope=slope, grid=grid, coefficients=mags)
+    return FourierDecay(slope=slope, coefficients=mags)

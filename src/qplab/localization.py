@@ -58,17 +58,17 @@ class DecayProfile:
     tail_mass: float
 
 
-def decay_profile(pair: EigenPair, tail_radius: int = 50) -> DecayProfile:
+def decay_profile(pair: EigenPair) -> DecayProfile:
     """Fit log|xi_k| against distance from the peak, beyond 5 sites of it.
 
     Components at or below 1e-14 are eigensolver noise and are excluded.
-    ``tail_mass`` is the l2 mass beyond ``tail_radius`` of the center.
+    ``tail_mass`` is the l2 mass more than 50 sites from the center.
     """
     absxi = np.abs(pair.vector)
     sites = pair.sites()
     center = int(sites[int(np.argmax(absxi))])
     dist = np.abs(sites - center)
-    tail = float(np.sqrt(np.sum(absxi[dist > tail_radius] ** 2)))
+    tail = float(np.sqrt(np.sum(absxi[dist > 50] ** 2)))
     mask = (absxi > 1e-14) & (dist > 5)
     if np.count_nonzero(mask) < 2:
         return DecayProfile(center=center, rate=0.0, r2=0.0, tail_mass=tail)
@@ -111,7 +111,6 @@ class WindowBoundReport:
     peak_value: float           # |xi_N|
     peak_bound: float           # exp(-(delta/3) N)
     peak_ok: bool
-    window: Tuple[int, int]
 
 
 def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
@@ -160,4 +159,4 @@ def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
     peak_bound = math.exp(-(delta / 3.0) * big_n)
     return WindowBoundReport(ok=bool(np.all(slack >= -1e-15)), margin=margin,
                              peak_value=peak, peak_bound=peak_bound,
-                             peak_ok=peak <= peak_bound, window=(lo, hi))
+                             peak_ok=peak <= peak_bound)

@@ -41,18 +41,17 @@ SCHEDULE_NOTE = ("scale ladder is user-supplied and geometric; per-step "
 class EpsilonGap:
     """A height y0 inside (delta/2, delta) where |v(x + i y0) - e1| >= epsilon."""
 
-    delta: float
     y0: float
     epsilon: float
     e1: float
 
 
-def epsilon_gap(v: TrigPotential, delta: float, e1: float,
-                x_grid: int = 256, y_grid: int = 32) -> EpsilonGap:
+def epsilon_gap(v: TrigPotential, delta: float, e1: float) -> EpsilonGap:
     """Maximize over heights the x-infimum of |v(x + iy) - e1|.
 
-    Grids are doubled, at most 4 times, until the achieved gap is stable to
-    1%; a gap still moving on the last grid raises ValueError.  The potential
+    The search starts on 256 x values by 32 heights and doubles both, at
+    most 4 times (to 4096 x 512), until the achieved gap is stable to 1%; a
+    gap still moving on the last grid raises ValueError.  The potential
     must be nonconstant, else no gap exists for e1 equal to its value.
     """
     if v.dim != 1:
@@ -63,7 +62,7 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
         raise ValueError("need 0 < delta <= strip_width/10, the usable strip")
 
     prev_eps = None
-    nx, ny = x_grid, y_grid
+    nx, ny = 256, 32
     for _ in range(5):
         ys = delta / 2.0 + (np.arange(ny) + 1.0) * (delta / 2.0) / (ny + 1.0)
         xs = (np.arange(nx) + 0.5) / nx
@@ -72,7 +71,7 @@ def epsilon_gap(v: TrigPotential, delta: float, e1: float,
         infima = np.min(vals, axis=1)
         k = int(np.argmax(infima))
         eps = float(infima[k])
-        best = EpsilonGap(delta=delta, y0=float(ys[k]), epsilon=eps, e1=float(e1))
+        best = EpsilonGap(y0=float(ys[k]), epsilon=eps, e1=float(e1))
         if prev_eps is not None and abs(eps - prev_eps) <= 0.01 * max(prev_eps, 1e-300):
             break
         prev_eps = eps
@@ -161,7 +160,9 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
     with the harmonic measure of y0 pushes a definite fraction of that growth
     onto the real axis.  Requires lambda above 100 * epsilon^(-100).  The
     strip width is rho = ``v.strip_width``.  The bound is compared with
-    L_500 of lambda*v at ``omega`` on a 64-point phase grid.
+    L_500 of lambda*v at ``omega`` and ``energy`` on a 64-point phase grid;
+    a gap found for the target value e1 certifies growth at energy
+    lambda*e1.
     """
     if v.dim != 1:
         raise ValueError("harmonic-measure bound is 1-frequency only")
@@ -204,8 +205,8 @@ class SublevelReport:
     rows: Tuple[SublevelRow, ...]
 
 
-def default_delta_ladder() -> np.ndarray:
-    return 2.0 ** (-np.arange(4, 11, dtype=float))
+# The deltas of a sublevel measure that is given none.
+_DELTA_LADDER = 2.0 ** (-np.arange(4, 11, dtype=float))
 
 
 def sublevel_measure(v0: TrigPotential, e1_values: Sequence[float],
@@ -221,7 +222,7 @@ def sublevel_measure(v0: TrigPotential, e1_values: Sequence[float],
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
     deltas = np.sort(np.asarray(list(deltas if deltas is not None
-                                     else default_delta_ladder()), dtype=float))
+                                     else _DELTA_LADDER), dtype=float))
     rng = np.random.default_rng(seed)
     thetas = rng.random(samples) if v0.dim == 1 else rng.random((samples, 2))
     vals = v0.eval_batch(thetas)
@@ -259,21 +260,22 @@ class InitialScaleReport:
 
 
 def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
-                        n1: int, samples: int = 20_000, seed: int = 0,
-                        energies: Sequence[float] = (0.0,)) -> InitialScaleReport:
-    """Verify the large-coupling initial scale: measure bound plus L_{n1} >= 0.97 log lambda.
+                        n1: int, seed: int = 0) -> InitialScaleReport:
+    """Verify the large-coupling initial scale at E = 0: measure bound plus
+    L_{n1} >= 0.97 log lambda.
 
-    The sublevel exponent makes the orbit-sublevel measure summable only for
-    couplings with lambda^(c0/100) > n1^2; for smaller couplings this raises
+    The sublevel exponent c0 of v0 at its value 0 = E/lambda makes the
+    orbit-sublevel measure summable only for couplings with
+    lambda^(c0/100) > n1^2; for smaller couplings this raises
     HypothesisUnmet naming the failing inequality (the honest outcome at
-    bench-top coupling strengths).
+    bench-top coupling strengths).  The sublevel fit and the orbit check
+    each draw 20 000 phases.
     """
     if n1 < 1:
         raise ValueError("n1 must be >= 1")
     log_lam = math.log(lam)
-    e1_values = sorted({float(e) / lam for e in energies})
-    fit = sublevel_measure(v0, e1_values, samples=max(samples, 10_000),
-                           seed=seed)
+    samples = 20_000
+    fit = sublevel_measure(v0, [0.0], samples=samples, seed=seed)
     c0 = fit.worst_c0 if fit.worst_c0 is not None else math.inf
     theory_bound = n1 * math.exp(-(c0 / 100.0) * log_lam) if math.isfinite(c0) \
         else 0.0
@@ -287,27 +289,23 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
     thetas = rng.random(samples) if omega.dim == 1 else rng.random((samples, 2))
     vals = v0.eval_batch(_phases(thetas[:, None], omega,
                                  np.arange(1, n1 + 1)[None, :]))
-    worst_fraction = 0.0
-    for e1 in e1_values:
-        mins = np.min(np.abs(vals - e1), axis=1)
-        worst_fraction = max(worst_fraction,
-                             float(np.count_nonzero(mins < threshold)) / samples)
-    if not worst_fraction < 1.0 / n1:
+    mins = np.min(np.abs(vals), axis=1)
+    fraction = float(np.count_nonzero(mins < threshold)) / samples
+    if not fraction < 1.0 / n1:
         raise HypothesisUnmet(
             "orbit sublevel fraction",
-            f"measured {worst_fraction:g} is not below 1/n1 = {1.0 / n1:g}")
+            f"measured {fraction:g} is not below 1/n1 = {1.0 / n1:g}")
 
     scaled = v0.with_coupling(lam * v0.coupling)
     required = 0.97 * log_lam
-    ests = tuple(lyapunov_n(omega, e, n1, scaled, SamplerSpec("grid", 256))
-                 for e in energies)
-    margin = min(e.value for e in ests) - required
+    est = lyapunov_n(omega, 0.0, n1, scaled, SamplerSpec("grid", 256))
+    margin = est.value - required
     if margin < 0.0:
         raise HypothesisUnmet(
             "initial growth",
-            f"min L_n1 = {min(e.value for e in ests):g} below 0.97 log lambda = {required:g}")
+            f"L_n1 = {est.value:g} below 0.97 log lambda = {required:g}")
     return InitialScaleReport(theory_bound=theory_bound,
-                              orbit_fraction=worst_fraction,
+                              orbit_fraction=fraction,
                               required=required, margin=margin)
 
 
@@ -341,7 +339,6 @@ class ScaleLadder:
     half_log_ok: bool
     half_log_margin: float
     telescope_ok: bool
-    note: str = SCHEDULE_NOTE
 
     def to_json(self) -> dict:
         return {
@@ -352,7 +349,7 @@ class ScaleLadder:
             "half_log_ok": self.half_log_ok,
             "half_log_margin": self.half_log_margin,
             "telescope_ok": self.telescope_ok,
-            "note": self.note,
+            "note": SCHEDULE_NOTE,
             "ladder": [
                 {
                     "n": r.n,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 import numpy as np
 
@@ -54,12 +54,12 @@ class Frequency:
         return np.asarray(self.components, dtype=float)
 
 
-def golden_frequency(dio_A: float = 2.0, dio_c: float = 0.2) -> Frequency:
-    return Frequency((GOLDEN_MEAN,), dio_A, dio_c)
+def golden_frequency() -> Frequency:
+    return Frequency((GOLDEN_MEAN,), 2.0, 0.2)
 
 
-def two_torus_frequency(dio_A: float = 4.0, dio_c: float = 0.01) -> Frequency:
-    return Frequency((math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0), dio_A, dio_c)
+def two_torus_frequency() -> Frequency:
+    return Frequency((math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0), 4.0, 0.01)
 
 
 def _torus_dist(x: np.ndarray) -> np.ndarray:
@@ -226,22 +226,19 @@ class TrigPotential:
             np.sum(np.abs(self._c_all) * np.exp(TWO_PI * k1 * rho)))
 
 
-def strip_norm(v: TrigPotential, rho_eff: Optional[float] = None) -> float:
-    """Upper bound sum |v_k| exp(2 pi |k|_1 rho_eff) for |v| on the strip
-    |Im z_j| <= rho_eff (default: the usable strip, strip_width/10)."""
-    if rho_eff is None:
-        rho_eff = v.strip_width / 10.0
-    if rho_eff < 0:
-        raise ValueError("rho_eff must be >= 0")
-    return v.coefficient_bound(rho_eff)
+def strip_norm(v: TrigPotential) -> float:
+    """Upper bound sum |v_k| exp(2 pi |k|_1 rho) for |v| on the usable strip
+    |Im z_j| <= rho = strip_width/10."""
+    return v.coefficient_bound(v.strip_width / 10.0)
 
 
 # ---------------------------------------------------------------------------
 # stock potentials
 
 
-def zero_potential(dim: int = 1, strip_width: float = 2.0) -> TrigPotential:
-    return TrigPotential(dim=dim, coeffs={}, strip_width=strip_width, coupling=1.0)
+def zero_potential() -> TrigPotential:
+    """The free potential v = 0 on the 1-torus."""
+    return TrigPotential(dim=1, coeffs={}, strip_width=2.0, coupling=1.0)
 
 
 def cosine_potential(coupling: float = 1.0, strip_width: float = 2.0) -> TrigPotential:
@@ -250,11 +247,10 @@ def cosine_potential(coupling: float = 1.0, strip_width: float = 2.0) -> TrigPot
                          strip_width=strip_width, coupling=coupling)
 
 
-def two_cosine_potential(coupling: float = 1.0,
-                         strip_width: float = 0.5) -> TrigPotential:
+def two_cosine_potential(coupling: float = 1.0) -> TrigPotential:
     """lambda * (cos(2 pi theta1) + cos(2 pi theta2)) on the 2-torus."""
     c = {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5}
-    return TrigPotential(dim=2, coeffs=c, strip_width=strip_width, coupling=coupling)
+    return TrigPotential(dim=2, coeffs=c, strip_width=0.5, coupling=coupling)
 
 
 # ---------------------------------------------------------------------------

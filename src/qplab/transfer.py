@@ -44,8 +44,8 @@ _LOG_GROWTH = 600.0
 
 
 def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
-                v: TrigPotential, start: int = 0):
-    """Rows a_j = v(th + j*omega) - E for j = start+1..start+n, one per step.
+                v: TrigPotential):
+    """Rows a_j = v(th + j*omega) - E for j = 1..n, one per step.
 
     Each row is evaluated when the kernel asks for it, so no (n, B) table is
     ever held.  The potential is evaluated once per phase and step; ``energy``
@@ -56,7 +56,7 @@ def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
         raise ValueError("need at least one step")
     w = omega.as_array()
     step = w[0] if omega.dim == 1 else w
-    js = range(start + 1, start + n + 1)
+    js = range(1, n + 1)
     if np.iscomplexobj(th):
         return (v.eval_batch(_frac(th.real + j * step) + 1j * th.imag)
                 - energy for j in js)
@@ -177,8 +177,12 @@ def _final(rows, period: int):
 
 
 def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
-                  start: int = 0, return_matrices: bool = False):
+                  return_matrices: bool = False):
     """Vectorized n-step cocycle over a batch of phases (and energies).
+
+    M_n(theta) is the product of the one-step matrices at theta + j*omega
+    for j = 1..n.  The block of n steps that starts s steps along the orbit
+    is M_n at the phase frac(theta + s*omega).
 
     ``thetas`` has shape (B,) for d=1 or (B, 2); ``energy`` is a scalar, a
     length-B array (one energy per phase) or an (E, 1) column (every phase at
@@ -191,7 +195,7 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
     energy = np.asarray(energy, dtype=float)
     th = _as_batch(omega, thetas)
     imag = float(np.max(np.abs(th.imag))) if np.iscomplexobj(th) else 0.0
-    rows = _orbit_rows(omega, th, energy, n, v, start)
+    rows = _orbit_rows(omega, th, energy, n, v)
     m, ls = _final(rows, _period(v, energy, imag))
     log_norms = _log_opnorm(*m, ls)
     if return_matrices:
@@ -200,9 +204,9 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
 
 
 def cocycle_complex(omega: Frequency, z: complex, energy: float, n: int,
-                    v: TrigPotential, start: int = 0) -> float:
+                    v: TrigPotential) -> float:
     """log ||M_n(z)|| at one complex phase: ``cocycle_batch`` of one point."""
-    return float(cocycle_batch(omega, complex(z), energy, n, v, start)[0])
+    return float(cocycle_batch(omega, complex(z), energy, n, v)[0])
 
 
 # ---------------------------------------------------------------------------

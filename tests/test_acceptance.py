@@ -142,7 +142,7 @@ def test_c08_fourier_decay():
     # symmetry kills odd modes and resonant peaks flatten the plain
     # least-squares fit, while the envelope bound k|phi_hat| <= C holds
     # everywhere (checked in the module tests).
-    fd = fourier_decay_check(GOLDEN, 2.0, 200, MATHIEU5, 256, grid=8192)
+    fd = fourier_decay_check(GOLDEN, 2.0, 200, MATHIEU5, 256)
     report(8, "Fourier coefficient decay of the pointwise exponent",
            fd.slope is not None and fd.slope <= -0.9,
            f"fitted slope {fd.slope:.3f} <= -0.9 over k in [1,256]", 10.0,

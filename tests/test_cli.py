@@ -585,6 +585,20 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_herman_measures_at_the_gap_energy(self, tmp_path, capsys):
+        # The gap found for e1 = 0.3 certifies growth of lambda v - E at
+        # E = lambda * 0.3, so that is where L_500 is measured.
+        code = self.lowerbound_main(tmp_path, delta=0.05, herman=True,
+                                    e1_values=[0.3, 0.0])
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "lowerbound.json").read_text())
+        lam = doc["herman"]["lambda"]
+        v, freq = system_from_json(dict(BASE_SYSTEM, **{"lambda": 1.0}))
+        want = lyapunov.lyapunov_n(freq, lam * 0.3, 500,
+                                   v.with_coupling(lam * v.coupling),
+                                   lyapunov.SamplerSpec("grid", 64))
+        assert doc["herman"]["measured_L"] == want.value
+
     def test_unsettled_epsilon_gap_exit_two(self, tmp_path, capsys):
         code = self.lowerbound_main(tmp_path, delta=1e-3)
         err = capsys.readouterr().err

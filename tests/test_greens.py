@@ -11,7 +11,7 @@ from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
 from qplab.greens import (GreenMatrix, PaveResult, _certificate,
                           _window_admissible)
 from qplab.model import Frequency, TrigPotential
-from qplab.transfer import box_diagonal, det_sequence
+from qplab.transfer import _phases, box_diagonal, det_sequence
 
 
 def dense_green(interval, omega, theta, energy, v):
@@ -95,8 +95,8 @@ class TestGreenCramer:
             j = int(rng.integers(i, n + 1))
             left = cocycle_batch(golden, theta, energy, i - 1,
                                  mathieu5)[0] if i > 1 else 0.0
-            right = cocycle_batch(golden, theta, energy, n - j, mathieu5,
-                                  start=j)[0] if j < n else 0.0
+            right = cocycle_batch(golden, _phases(theta, golden, j), energy,
+                                  n - j, mathieu5)[0] if j < n else 0.0
             assert g.logs[i - 1, j - 1] <= left + right - det_log + 1e-9
 
     def test_singular_energy(self, golden, free):

@@ -40,7 +40,7 @@ from qplab import (SingularEnergy, StripExceeded, complexified_growth_check,
 from qplab.greens import _scipy_linalg
 from qplab.model import TrigPotential
 from qplab.transfer import (_as_batch, _entries, _final, _log_opnorm,
-                            _orbit_rows, _period, _products, _unit,
+                            _orbit_rows, _period, _phases, _products, _unit,
                             box_diagonal, cocycle_complex, det_sequence)
 
 from conftest import random_trig_potential
@@ -76,7 +76,7 @@ def oracle_real_eval(v, thetas):
     return v.coupling * val
 
 
-def oracle_cocycle_batch(omega, thetas, energy, n, v, start=0):
+def oracle_cocycle_batch(omega, thetas, energy, n, v):
     th = np.asarray(thetas, dtype=float)
     if omega.dim == 1:
         th = np.atleast_1d(th)
@@ -92,7 +92,7 @@ def oracle_cocycle_batch(omega, thetas, energy, n, v, start=0):
     m11 = np.ones(batch)
     ls = np.zeros(batch)
     w = omega.as_array()
-    for j in range(start + 1, start + n + 1):
+    for j in range(1, n + 1):
         if omega.dim == 1:
             ph = (th + j * w[0]) % 1.0
         else:
@@ -158,11 +158,11 @@ def oracle_log_norm_trace(n, omega, theta, energy, v):
     return trace
 
 
-def oracle_complex_log_norm(omega, z, energy, n, v, start=0):
+def oracle_complex_log_norm(omega, z, energy, n, v):
     w = omega.components[0]
     m = np.eye(2, dtype=complex)
     ls = 0.0
-    for j in range(start + 1, start + n + 1):
+    for j in range(1, n + 1):
         zz = complex((z.real + j * w) % 1.0, z.imag)
         a = complex(oracle_complex_eval(v, zz).reshape(()))
         step = np.array([[a - energy, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -214,35 +214,38 @@ def _real_cases():
     per_phase = rng.uniform(-4.0, 4.0, 64)
     rand1 = random_trig_potential(rng, degree=3)
     rand2 = random_trig_potential(rng, degree=2, dim=2, strip_width=0.5)
+    # The "start" cases run a block that starts 137 (41) steps along the
+    # orbit, as the cocycle at the shifted phase.
     return [
-        ("d1-scalar-E", GOLDEN, th1, 0.7, 300, cosine_potential(5.0), 0),
-        ("d1-per-phase-E", GOLDEN, th1, per_phase, 300, rand1, 0),
-        ("d1-start", GOLDEN, th1, -1.3, 200, cosine_potential(2.0), 137),
+        ("d1-scalar-E", GOLDEN, th1, 0.7, 300, cosine_potential(5.0)),
+        ("d1-per-phase-E", GOLDEN, th1, per_phase, 300, rand1),
+        ("d1-start", GOLDEN, _phases(th1, GOLDEN, 137), -1.3, 200,
+         cosine_potential(2.0)),
         ("d1-huge-coupling", GOLDEN, th1[:8], 0.0, 50,
-         cosine_potential(1e300), 0),
-        ("d2-scalar-E", OMEGA2, th2, 0.0, 300, two_cosine_potential(50.0), 0),
-        ("d2-per-phase-E", OMEGA2, th2, per_phase, 200, rand2, 0),
-        ("d2-start", OMEGA2, th2, 0.4, 150, two_cosine_potential(3.0), 41),
+         cosine_potential(1e300)),
+        ("d2-scalar-E", OMEGA2, th2, 0.0, 300, two_cosine_potential(50.0)),
+        ("d2-per-phase-E", OMEGA2, th2, per_phase, 200, rand2),
+        ("d2-start", OMEGA2, _phases(th2, OMEGA2, 41), 0.4, 150,
+         two_cosine_potential(3.0)),
     ]
 
 
-@pytest.mark.parametrize("name,omega,thetas,energy,n,v,start", _real_cases(),
+@pytest.mark.parametrize("name,omega,thetas,energy,n,v", _real_cases(),
                          ids=[c[0] for c in _real_cases()])
-def test_cocycle_batch_bit_for_bit(name, omega, thetas, energy, n, v, start):
+def test_cocycle_batch_bit_for_bit(name, omega, thetas, energy, n, v):
     """Close to the oracle; bit for bit whatever the rescaling period."""
     want_norms, want_entries, want_ls = oracle_cocycle_batch(
-        omega, thetas, energy, n, v, start=start)
+        omega, thetas, energy, n, v)
     norms, entries, ls = cocycle_batch(omega, thetas, energy, n, v,
-                                       start=start, return_matrices=True)
+                                       return_matrices=True)
     np.testing.assert_allclose(norms, want_norms, rtol=1e-12, atol=0.0)
     aligned = np.exp(ls - want_ls)[:, None, None] * entries
     assert np.max(np.abs(aligned - want_entries)) <= 1e-10
-    assert np.array_equal(cocycle_batch(omega, thetas, energy, n, v,
-                                        start=start), norms)
+    assert np.array_equal(cocycle_batch(omega, thetas, energy, n, v), norms)
     # Power-of-two rescales are exact: rescaling after every step instead
     # of every few gives the same bits.
     rows = _orbit_rows(omega, _as_batch(omega, thetas), np.asarray(energy),
-                       n, v, start)
+                       n, v)
     m, every_step_ls = _final(rows, 1)
     assert np.array_equal(_entries(*m), entries)
     assert np.array_equal(every_step_ls, ls)
@@ -258,8 +261,8 @@ def _eval_potentials():
                 amplitude=float(rng.uniform(0.1, 5.0)))
     yield rng, cosine_potential(5.0)
     yield rng, two_cosine_potential(50.0)
-    yield rng, zero_potential(1)
-    yield rng, zero_potential(2)
+    yield rng, zero_potential()
+    yield rng, TrigPotential(dim=2, coeffs={}, strip_width=2.0)
     yield rng, TrigPotential(dim=2, coeffs={(0, 0): -1.5}, strip_width=0.5)
 
 
@@ -323,10 +326,10 @@ def _c13_inputs():
         yield cos1, lam, lam * e1, gap
 
 
-def private_complex_route(omega, zs, energy, n, v, imag, start=0):
+def private_complex_route(omega, zs, energy, n, v, imag):
     """log norms along complex phases as assembled from the kernel's private
     parts, with the rescale period read at height ``imag``."""
-    rows = _orbit_rows(omega, zs, energy, n, v, start)
+    rows = _orbit_rows(omega, zs, energy, n, v)
     m, ls = _final(rows, _period(v, energy, imag))
     return _log_opnorm(*m, ls)
 
@@ -346,23 +349,25 @@ def test_complex_batch_matches_private_route(eps):
 
 def _complex_points():
     mathieu5 = cosine_potential(5.0)
-    cases = [(mathieu5, complex(0.37, 0.0), 1.1, 200, 0),
-             (mathieu5, complex(0.2, 0.15), -0.5, 300, 17),
-             (mathieu5, complex(0.61, -0.12), 0.3, 250, 5)]
+    # Two blocks start 17 and 5 steps along the orbit: their real parts
+    # are shifted by that many steps.
+    cases = [(mathieu5, complex(0.37, 0.0), 1.1, 200),
+             (mathieu5, complex(_phases(0.2, GOLDEN, 17), 0.15), -0.5, 300),
+             (mathieu5, complex(_phases(0.61, GOLDEN, 5), -0.12), 0.3, 250)]
     for cos1, lam, energy, gap in _c13_inputs():
         cases.append((cos1.with_coupling(lam), complex(0.0, gap.y0), energy,
-                      1000, 0))
+                      1000))
     return cases
 
 
 def test_cocycle_complex_log_norm():
-    for v, z, energy, n, start in _complex_points():
-        got = cocycle_complex(GOLDEN, z, energy, n, v, start=start)
+    for v, z, energy, n in _complex_points():
+        got = cocycle_complex(GOLDEN, z, energy, n, v)
         assert isinstance(got, float)
         want = private_complex_route(GOLDEN, np.array([z]), energy, n, v,
-                                     abs(z.imag), start=start)
+                                     abs(z.imag))
         assert got == want[0]
-        oracle = oracle_complex_log_norm(GOLDEN, z, energy, n, v, start=start)
+        oracle = oracle_complex_log_norm(GOLDEN, z, energy, n, v)
         assert got == pytest.approx(oracle, rel=1e-12)
 
 

@@ -92,9 +92,12 @@ class TestDecayProfile:
     def test_tail_mass_monotone_in_radius(self, golden, mathieu5):
         pairs = eigensystem((-200, 200), golden, 0.0, mathieu5)
         p = pairs[200]
-        t1 = decay_profile(p, tail_radius=20).tail_mass
-        t2 = decay_profile(p, tail_radius=50).tail_mass
-        assert t2 <= t1 <= 1.0 + 1e-12
+        prof = decay_profile(p)
+        dist = np.abs(p.sites() - prof.center)
+        assert prof.tail_mass == pytest.approx(
+            np.linalg.norm(p.vector[dist > 50]), rel=1e-12)
+        assert prof.tail_mass <= np.linalg.norm(p.vector[dist > 20]) \
+            <= 1.0 + 1e-12
 
     def test_profile_csv(self, golden, mathieu5):
         config = {"interval": [0, 5], "theta": 0.0, "top_profiles": 1}
@@ -152,7 +155,6 @@ class TestWindowBound:
         localized = sorted(pairs, key=lambda p: decay_profile(p).tail_mass)
         rep = window_bound_check(localized[0], 200, golden, 0.0, 0.5, mathieu5)
         assert rep.ok
-        assert rep.window == (100, 400)
 
     def test_support_away_from_window(self):
         # synthetic vector supported left of the window: the bound is 0 <= 0

@@ -158,10 +158,14 @@ class TestShiftAverage:
             0.0, abs=1e-12)
 
     def test_single_shift_degenerate(self, golden, mathieu5):
-        # The product started one step along the orbit is the product at the
-        # shifted phase.
+        # The product at the phase shifted by one step is the 31-step
+        # product with its first factor [[a, 1], [-1, 0]] divided off.
         got = orbit_average(golden, 0.2, 0.0, 30, 1, mathieu5)
-        want = cocycle_batch(golden, 0.2, 0.0, 30, mathieu5, start=1)[0] / 30
+        _, m31, ls = cocycle_batch(golden, 0.2, 0.0, 31, mathieu5,
+                                   return_matrices=True)
+        a = float(mathieu5.eval_batch(_phases(0.2, golden, 1)))
+        inv_first = np.array([[0.0, -1.0], [1.0, a]])
+        want = (ls[0] + math.log(np.linalg.norm(m31[0] @ inv_first, 2))) / 30
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_long_average_matches_lyapunov(self, golden, mathieu5):

@@ -168,20 +168,22 @@ class TestEvalPotential:
 
 
 class TestStripNorm:
-    # strip_norm is the coefficient bound sum |v_k| exp(2 pi |k|_1 rho); the
-    # exact sups below are the oracles it must dominate.
+    # strip_norm is the coefficient bound sum |v_k| exp(2 pi |k|_1 rho) at
+    # rho = strip_width/10; the exact sups below are the oracles the
+    # coefficient bound must dominate.
     def test_constant(self):
         v = TrigPotential(dim=1, coeffs={(0,): -2.5}, strip_width=2.0)
-        assert strip_norm(v, rho_eff=0.05) == pytest.approx(2.5)
+        assert strip_norm(v) == v.coefficient_bound(0.2)
+        assert v.coefficient_bound(0.05) == pytest.approx(2.5)
 
     def test_cosine_real_axis(self):
-        assert strip_norm(cosine_potential(1.0), rho_eff=0.0) == \
+        assert cosine_potential(1.0).coefficient_bound(0.0) == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_cosine_on_strip_matches_cosh(self):
         # |cos(2 pi (x + i rho))| peaks at x = 0 with value cosh(2 pi rho)
         rho = 0.05
-        bound = strip_norm(cosine_potential(1.0), rho_eff=rho)
+        bound = cosine_potential(1.0).coefficient_bound(rho)
         assert bound == pytest.approx(math.exp(2 * math.pi * rho), rel=1e-12)
         assert bound >= math.cosh(2 * math.pi * rho)
 
@@ -194,12 +196,12 @@ class TestStripNorm:
             v = random_trig_potential(rng, degree=3)
             for y in (0.02, -0.02):
                 grid_sup = np.max(np.abs(v.eval_batch(xs + 1j * y)))
-                assert strip_norm(v, rho_eff=0.02) >= grid_sup
+                assert v.coefficient_bound(0.02) >= grid_sup
 
     def test_two_torus_strip(self):
         # both cosines peak together at the origin, at 2 cosh(2 pi rho)
         rho = 0.02
-        bound = strip_norm(two_cosine_potential(1.0), rho_eff=rho)
+        bound = two_cosine_potential(1.0).coefficient_bound(rho)
         assert bound == pytest.approx(2.0 * math.exp(2 * math.pi * rho),
                                       rel=1e-12)
         assert bound >= 2.0 * math.cosh(2 * math.pi * rho)

@@ -125,6 +125,153 @@ def test_every_public_name_has_a_consumer(path):
     assert unconsumed(path, CONSUMERS, readme) == []
 
 
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_field(node):
+    """An annotated dataclass field that ``__init__`` takes, i.e. not
+    ``field(init=False, ...)``."""
+    value = node.value
+    return not (isinstance(value, ast.Call)
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords))
+
+
+def _params(fn, method):
+    """(name, default or None, positional) of a function's parameters,
+    without the ``self`` of a method."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    defaults = [None] * (len(pos) - len(args.defaults)) + args.defaults
+    params = [(a.arg, d, True) for a, d in zip(pos, defaults)]
+    params += [(a.arg, d, False)
+               for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+    return params[1:] if method else params
+
+
+def signatures(tree):
+    """(label, callee name, params) of every public function, every public
+    method and ``__init__`` of a public class, and the generated
+    ``__init__`` of a public dataclass."""
+    for name, node in public(tree.body):
+        if isinstance(node, ast.FunctionDef):
+            yield name, name, _params(node, method=False)
+        elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                fields = [(f.target.id, f.value, True) for f in node.body
+                          if isinstance(f, ast.AnnAssign) and _init_field(f)]
+                yield name, name, fields
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                if sub.name == "__init__":
+                    yield name, name, _params(sub, method=True)
+                elif not sub.name.startswith("_"):
+                    yield (f"{name}.{sub.name}", sub.name,
+                           _params(sub, method=True))
+
+
+def _is_default(arg, default):
+    """Whether an argument is the default itself, written out."""
+    if ast.dump(arg) == ast.dump(default):
+        return True
+    try:
+        return ast.literal_eval(arg) == ast.literal_eval(default)
+    except ValueError:              # not a literal
+        return False
+
+
+def varied_by(call, params):
+    """Parameters a call passes a value other than their default; a
+    ``*args`` splat varies every positional parameter from its place on,
+    a ``**kw`` splat every parameter."""
+    positional = [(name, default) for name, default, pos in params if pos]
+    defaults = {name: default for name, default, _ in params}
+    varied = set()
+    for i, ((name, default), arg) in enumerate(zip(positional, call.args)):
+        if isinstance(arg, ast.Starred):
+            varied |= {name for name, _ in positional[i:]}
+            break
+        if default is None or not _is_default(arg, default):
+            varied.add(name)
+    for kw in call.keywords:
+        if kw.arg is None:
+            varied |= set(defaults)
+        elif defaults.get(kw.arg) is None \
+                or not _is_default(kw.value, defaults[kw.arg]):
+            varied.add(kw.arg)
+    return varied
+
+
+def unvaried_defaults(path, consumers):
+    """``label(param)`` of each defaulted parameter defined in ``path`` that
+    no call in ``consumers`` sets to another value.  A call is matched to a
+    definition by the bare name it calls."""
+    by_callee = {}
+    for label, callee, params in signatures(ast.parse(path.read_text())):
+        by_callee.setdefault(callee, []).append((label, params))
+    varied = set()
+    for src in consumers:
+        for call in ast.walk(ast.parse(src.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            callee = (func.id if isinstance(func, ast.Name) else
+                      func.attr if isinstance(func, ast.Attribute) else None)
+            for label, params in by_callee.get(callee, ()):
+                varied |= {(label, name) for name in varied_by(call, params)}
+    return sorted(f"{label}({name})"
+                  for label, params in sum(by_callee.values(), [])
+                  for name, default, _ in params
+                  if default is not None and (label, name) not in varied)
+
+
+def test_scan_finds_unvaried_defaults(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("from dataclasses import dataclass, field\n\n"
+                   "def by_keyword(x, a=1, b=2):\n    pass\n\n"
+                   "def by_position(x, a=1, b=2):\n    pass\n\n"
+                   "def by_splat(x, a=1, *, b=2):\n    pass\n\n"
+                   "def by_default(x, a=1, b='s'):\n    pass\n\n"
+                   "def _private(x, a=1):\n    pass\n\n"
+                   "@dataclass(frozen=True)\n"
+                   "class Spec:\n"
+                   "    n: int\n"
+                   "    size: int = 8\n"
+                   "    note: str = 'x'\n"
+                   "    _cache: int = field(init=False, default=0)\n"
+                   "    def scaled(self, k=2.0):\n        return k\n\n"
+                   "class Error(Exception):\n"
+                   "    def __init__(self, msg, path=()):\n        pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import *\n"
+                    "by_keyword(0, b=n)\n"
+                    "by_position(0, 1, 5)\n"
+                    "by_splat(*args)\n"
+                    "by_splat(0, **kw)\n"
+                    "by_default(0, 1.0, b='s')\n"
+                    "_private(0, 2)\n"
+                    "Spec(3, 16).scaled(2.0)\n"
+                    "Error('m', ('k',))\n")
+    assert unvaried_defaults(lib, [lib, user]) == [
+        "Spec(note)", "Spec.scaled(k)", "by_default(a)", "by_default(b)",
+        "by_keyword(a)", "by_position(a)"]
+
+
+# Defaults that no consumer varies but that stay: the benchmark harness
+# passes ``cosine_potential``'s strip_width=2.0 by keyword.
+KEPT_DEFAULTS = {"model.py": ["cosine_potential(strip_width)"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_default_is_varied(path):
+    assert unvaried_defaults(path, CONSUMERS) == KEPT_DEFAULTS.get(path.name,
+                                                                   [])
+
+
 def imported_from(tree, module):
     """Names a module's ``from <module> import ...`` statements bind."""
     return {alias.name for node in ast.walk(tree)

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 from conftest import dense_box, random_trig_potential
 from qplab import (StripExceeded, cocycle_batch, cosine_potential,
                    golden_frequency, slog, two_torus_frequency,
-                   verify_det_identity, zero_potential)
+                   verify_det_identity)
+from qplab.model import TrigPotential
 from qplab.transfer import (_entries, _log_opnorm, _orbit_rows, _period,
                             _phases, _products, box_diagonal,
                             cocycle_complex, det_sequence)
 
 
-def single_phase(omega, theta, energy, n, v, start=0):
+def single_phase(omega, theta, energy, n, v):
     """``cocycle_batch`` at one phase: its log norm, Frobenius-1 entries and
     log scale."""
     log_norms, entries, ls = cocycle_batch(omega, theta, energy, n, v,
-                                           start=start, return_matrices=True)
+                                           return_matrices=True)
     return SimpleNamespace(log_norm=float(log_norms[0]), entries=entries[0],
                            log_scale=float(ls[0]))
 
@@ -93,9 +94,9 @@ class TestKernel:
         w = omega.as_array()
         step = w[0] if dim == 1 else w
         energy = rng.uniform(-3.0, 3.0, 50)
-        start, n = 37, 25
-        rows = _orbit_rows(omega, th, energy, n, v, start=start)
-        for j, row in zip(range(start + 1, start + n + 1), rows):
+        n = 25
+        rows = _orbit_rows(omega, th, energy, n, v)
+        for j, row in zip(range(1, n + 1), rows):
             want = v.eval_batch((th + j * step) % 1.0) - energy
             assert np.array_equal(row, want)
         js = np.arange(-300, 301, 7)
@@ -168,7 +169,8 @@ class TestCocycle:
         n1, n2 = 137, 263
         full = single_phase(golden, 0.29, 0.4, n1 + n2, mathieu5)
         first = single_phase(golden, 0.29, 0.4, n1, mathieu5)
-        second = single_phase(golden, 0.29, 0.4, n2, mathieu5, start=n1)
+        second = single_phase(golden, _phases(0.29, golden, n1), 0.4, n2,
+                              mathieu5)
         comp = second.entries @ first.entries
         assert np.all(np.sign(comp) == np.sign(full.entries))
         lhs = second.log_scale + first.log_scale + np.log(np.abs(comp))
@@ -181,7 +183,8 @@ class TestCocycle:
     def test_composition_property_random(self, golden, mathieu5, n1, n2,
                                          theta, energy):
         full = single_phase(golden, theta, energy, n1 + n2, mathieu5)
-        second = single_phase(golden, theta, energy, n2, mathieu5, start=n1)
+        second = single_phase(golden, _phases(theta, golden, n1), energy, n2,
+                              mathieu5)
         first = single_phase(golden, theta, energy, n1, mathieu5)
         # compare unit-scale entries after aligning the log scales: this is
         # stable even when an individual entry happens to sit near zero
@@ -223,7 +226,7 @@ class TestCocycleComplex:
         assert res_c == pytest.approx(res_r.log_norm, rel=1e-10)
 
     def test_free_is_flat_off_axis(self, golden):
-        free_wide = zero_potential(strip_width=5.0)
+        free_wide = TrigPotential(dim=1, coeffs={}, strip_width=5.0)
         res = cocycle_complex(golden, complex(0.2, 0.3), 0.0, 300, free_wide)
         assert abs(res) <= 1e-10
 
