@@ -86,10 +86,12 @@ CONFIG_SCHEMA = {
                                   "max": {"type": "number"},
                                   "points": {"type": "integer", "minimum": 1}},
                    "additionalProperties": False},
-        "e_values": {"type": "array", "items": {"type": "number"}},
+        "e_values": {"type": "array", "items": {"type": "number"},
+                     "minItems": 1},
         "E": {"type": "number"},
         "sigma": {"type": "number"},
-        "n_schedule": {"type": "array", "items": {"type": "integer"}},
+        "n_schedule": {"type": "array", "items": {"type": "integer"},
+                       "minItems": 1},
         "schedule": {"type": "array", "items": {"type": "integer"}},
         "theta": {"type": ["number", "array"], "items": {"type": "number"}},
         "interval": {"type": "array", "items": {"type": "integer"},
@@ -115,7 +117,7 @@ CONFIG_SCHEMA = {
         "sublevel_deltas": {"type": "array", "minItems": 1,
                             "items": {"type": "number",
                                       "exclusiveMinimum": 0}},
-        "lambda": {"type": "number"},
+        "lambda": {"type": "number", "exclusiveMinimum": 0},
         "gate_constant": {"type": "number"},
     },
     # Keys a command cannot run without.
@@ -273,15 +275,10 @@ _PROFILE_COLUMNS = "index,abs,log_abs"
 def _plot(rows: Sequence[tuple], kind: str, suffix: str = "",
           header: Optional[str] = None) -> dict:
     """Two-column whitespace data plus a gnuplot stub (no rendering)."""
-    kinds = {"lyapunov_vs_E": ("E", "L_n"),
-             "decay_profile": ("distance", "log_abs"),
-             "ldt_scaling": ("n", "fraction"),
-             "ladder": ("n", "L")}
-    if kind not in kinds:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    if not rows:
-        raise ValueError("refusing to emit empty plot data")
-    xl, yl = kinds[kind]
+    xl, yl = {"lyapunov_vs_E": ("E", "L_n"),
+              "decay_profile": ("distance", "log_abs"),
+              "ldt_scaling": ("n", "fraction"),
+              "ladder": ("n", "L")}[kind]
     data_name = f"{kind}{suffix}.dat"
     lines = [f"# {xl} {yl}"]
     if header:
@@ -423,7 +420,7 @@ def _run_lowerbound(config, v, freq, seed) -> dict:
         }
     deltas = config.get("sublevel_deltas")
     fit = sublevel_measure(v, e1_values, deltas=deltas,
-                           samples=max(10_000, int(config.get("samples", 100_000))),
+                           samples=int(config.get("samples", 100_000)),
                            seed=seed)
     payload["sublevel"] = {"worst_c0": fit.worst_c0,
                            "fits": {str(k): val for k, val in fit.fits.items()}}

@@ -51,7 +51,6 @@ class GreenMatrix:
     interval: Tuple[int, int]
     signs: np.ndarray
     logs: np.ndarray
-    energy: float
 
     @property
     def size(self) -> int:
@@ -127,8 +126,7 @@ def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
     signs = np.where(upper, signs, signs.T).astype(np.int8)
     logs = np.where(upper, logs, logs.T)
     logs = np.where(signs == 0, -math.inf, logs)
-    return GreenMatrix(interval=(a, b), signs=signs, logs=logs,
-                       energy=float(energy))
+    return GreenMatrix(interval=(a, b), signs=signs, logs=logs)
 
 
 def green_solve(interval: Tuple[int, int], omega: Frequency, theta,
@@ -155,8 +153,7 @@ def green_solve(interval: Tuple[int, int], omega: Frequency, theta,
         raise SingularEnergy((a, b), -math.inf)
     _check_det((a, b), 1, float(np.sum(np.log(np.abs(u)))))
     signs, logs = slog.from_values(inv)
-    return GreenMatrix(interval=(a, b), signs=signs, logs=logs,
-                       energy=float(energy))
+    return GreenMatrix(interval=(a, b), signs=signs, logs=logs)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +214,6 @@ class PavingCertificate:
     window_rate: float
     beta: float
     windows: List[Tuple[int, int]]
-    failures: List[int]
     contraction: float
     iterations: int
 
@@ -231,7 +227,8 @@ class PavingCertificate:
             "window_rate": self.window_rate,
             "beta": self.beta,
             "windows_used": [list(w) for w in self.windows],
-            "failures": list(self.failures),
+            # pave raises PavingFailed rather than certify a failed site.
+            "failures": [],
             "contraction": self.contraction,
             "iterations": self.iterations,
         }
@@ -382,8 +379,7 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
             f"no fixed point after {cap} sweeps (contraction {contraction:.3g})")
 
     g_signs, g_logs = resolvent(np.arange(big))
-    green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs,
-                        energy=float(energy))
+    green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs)
     cert = _certificate(green, c, beta, n, windows, contraction, iterations)
     return PaveResult(green=green, certificate=cert)
 
@@ -402,5 +398,5 @@ def _certificate(green: GreenMatrix, c: float, beta: float, n: int,
     return PavingCertificate(
         rate=fit.rate, intercept=fit.intercept, required_rate=c / 2.0,
         rate_ok=fit.rate >= c / 2.0, sup_logmag=sup_log, window_rate=c,
-        beta=beta, windows=windows, failures=[], contraction=contraction,
+        beta=beta, windows=windows, contraction=contraction,
         iterations=iterations)

@@ -152,7 +152,7 @@ class HermanBound:
 
 def herman_style_bound(lam: float, v: TrigPotential, delta: float,
                        epsilon: float, y0: float, omega: Frequency,
-                       energy: float = 0.0) -> HermanBound:
+                       energy: float) -> HermanBound:
     """Certified lower bound for the exponent of lambda*v from the gap data.
 
     The subharmonic pointwise exponent exceeds log(lambda*eps - 1) on the
@@ -191,18 +191,9 @@ def herman_style_bound(lam: float, v: TrigPotential, delta: float,
 
 
 @dataclass(frozen=True)
-class SublevelRow:
-    e1: float
-    delta: float
-    fraction: float
-    std_error: float
-
-
-@dataclass(frozen=True)
 class SublevelReport:
     worst_c0: Optional[float]
     fits: Dict[float, Optional[float]]
-    rows: Tuple[SublevelRow, ...]
 
 
 # The deltas of a sublevel measure that is given none.
@@ -226,16 +217,12 @@ def sublevel_measure(v0: TrigPotential, e1_values: Sequence[float],
     rng = np.random.default_rng(seed)
     thetas = rng.random(samples) if v0.dim == 1 else rng.random((samples, 2))
     vals = v0.eval_batch(thetas)
-    rows: List[SublevelRow] = []
     fits: Dict[float, Optional[float]] = {}
     worst = None
     for e1 in e1_values:
         dist = np.abs(vals - e1)
         fracs = np.array([float(np.count_nonzero(dist < d)) / samples
                           for d in deltas])
-        for d, f in zip(deltas, fracs):
-            rows.append(SublevelRow(e1=float(e1), delta=float(d), fraction=f,
-                                    std_error=math.sqrt(f * (1 - f) / samples)))
         live = fracs > 0
         if np.count_nonzero(live) >= 2:
             c0 = float(np.polyfit(np.log(deltas[live]), np.log(fracs[live]), 1)[0])
@@ -244,7 +231,7 @@ def sublevel_measure(v0: TrigPotential, e1_values: Sequence[float],
         fits[float(e1)] = c0
         if c0 is not None and (worst is None or c0 < worst):
             worst = c0
-    return SublevelReport(worst_c0=worst, fits=fits, rows=tuple(rows))
+    return SublevelReport(worst_c0=worst, fits=fits)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +242,7 @@ def sublevel_measure(v0: TrigPotential, e1_values: Sequence[float],
 class InitialScaleReport:
     theory_bound: float         # n1 * lambda^(-c0/100), must be < 1/n1
     orbit_fraction: float       # orbit points within lambda^(-0.01) of e1
-    required: float             # 0.97 log lambda
-    margin: float               # min L - required
+    margin: float               # min L - 0.97 log lambda
 
 
 def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
@@ -305,8 +291,7 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
             "initial growth",
             f"L_n1 = {est.value:g} below 0.97 log lambda = {required:g}")
     return InitialScaleReport(theory_bound=theory_bound,
-                              orbit_fraction=fraction,
-                              required=required, margin=margin)
+                              orbit_fraction=fraction, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +305,6 @@ class ScaleRow:
     std_error: float
     rho: float
     gate_margin: float
-    gate_ok: bool
     gate_strict_ok: bool
     rho_admissible: bool
     drop: Optional[float]
@@ -356,7 +340,8 @@ class ScaleLadder:
                     "L": r.l_value,
                     "std_error": r.std_error,
                     "rho": r.rho,
-                    "gate_ok": r.gate_ok,
+                    # multiscale_recursion raises GateFailed on a failing gate.
+                    "gate_ok": True,
                     "gate_margin": r.gate_margin,
                     "gate_strict_ok": r.gate_strict_ok,
                     "rho_admissible": r.rho_admissible,
@@ -426,7 +411,7 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
                 - RECURSION_LOSS_CONSTANT * rho_prev * log1v - slack
         rows.append(ScaleRow(
             n=n, l_value=est.value, std_error=est.std_error, rho=rho,
-            gate_margin=gate_margin, gate_ok=True,
+            gate_margin=gate_margin,
             gate_strict_ok=gate_margin > STRICT_GATE_CONSTANT,
             rho_admissible=rho < 0.5,
             drop=drop, drop_bound=drop_bound, drop_margin=drop_margin,

@@ -179,9 +179,8 @@ def lyapunov_scan(omega: Frequency, energies: Sequence[float], n: int,
 
 @dataclass(frozen=True)
 class SubadditivityReport:
-    residual: float
-    tolerance: float
-    ok: bool
+    residual: float             # L_{n1+n2} minus the weighted mean
+    tolerance: float            # 3 combined standard errors
 
 
 def check_subadditivity(omega: Frequency, energy: float, n1: int, n2: int,
@@ -199,8 +198,7 @@ def check_subadditivity(omega: Frequency, energy: float, n1: int, n2: int,
     combined = math.sqrt(est12.std_error ** 2 + (w1 * est1.std_error) ** 2
                          + (w2 * est2.std_error) ** 2)
     tolerance = 3.0 * combined + 1e-9
-    return SubadditivityReport(residual=residual, tolerance=tolerance,
-                               ok=residual <= tolerance)
+    return SubadditivityReport(residual=residual, tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -208,13 +206,8 @@ class UpperBoundReport:
     """Largest excess of the pointwise exponent above L_n over a phase grid."""
 
     max_excess: float
-    sigma: float
     reference: float          # C * n^{-sigma} with C = 2 log(1 + sup|v| + |E|)
     margin: float             # reference - max_excess
-
-    @property
-    def ok(self) -> bool:
-        return self.max_excess <= self.reference
 
 
 def upper_bound_check(omega: Frequency, energy: float, n: int, v: TrigPotential,
@@ -227,5 +220,5 @@ def upper_bound_check(omega: Frequency, energy: float, n: int, v: TrigPotential,
     excess = float(np.max(phi - ref_est.value))
     const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0) + abs(energy))
     reference = const * n ** (-sigma)
-    return UpperBoundReport(max_excess=excess, sigma=sigma, reference=reference,
+    return UpperBoundReport(max_excess=excess, reference=reference,
                             margin=reference - excess)

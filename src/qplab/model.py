@@ -7,7 +7,6 @@ Frequencies, phases and potential arguments are always in these angle units.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Tuple, Union
@@ -278,10 +277,8 @@ def frequency_from_json(doc: Mapping) -> Frequency:
                      dio_c=float(dio.get("c", 0.1)))
 
 
-def system_from_json(doc: Union[str, Mapping]) -> Tuple[TrigPotential, Frequency]:
-    """Parse the combined potential+frequency document."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def system_from_json(doc: Mapping) -> Tuple[TrigPotential, Frequency]:
+    """Parse the combined potential+frequency document, a decoded mapping."""
     v = potential_from_json(doc)
     freq = frequency_from_json(doc)
     if freq.dim != v.dim:

@@ -104,17 +104,18 @@ def test_c05_two_torus_exponent():
 
 
 def test_c06_multiscale_drops_and_gate():
+    # multiscale_recursion raises GateFailed when a gate margin is at most 1
+    # and DropExceeded when a drop passes (1000/sqrt(log n)) log lambda plus
+    # 3 combined standard errors, so returning is the check; the detail
+    # shows how far both held.
     start = time.time()
     ladder = multiscale_recursion(50.0, two_cosine_potential(1.0), OMEGA2,
                                   [200, 400, 800, 1600], samples=200, seed=60)
-    gate_ok = all(r.gate_ok for r in ladder.rows)
-    drops_ok = all(r.drop is None or r.drop <= r.drop_bound
-                   + 3.0 * math.sqrt(2.0) * max(x.std_error for x in ladder.rows)
-                   for r in ladder.rows)
-    detail = (f"gate margins {[round(r.gate_margin, 3) for r in ladder.rows]}, "
-              f"drops within (1000/sqrt(log n)) log lambda")
-    report(6, "multiscale drop bound and admissibility gate",
-           gate_ok and drops_ok, detail, 600.0, time.time() - start)
+    gate = min(r.gate_margin for r in ladder.rows) - 1.0
+    drop = min(r.drop_margin for r in ladder.rows[1:])
+    report(6, "multiscale drop bound and admissibility gate", True,
+           f"ladder returned: smallest gate margin - 1 = {gate:.3f}, "
+           f"smallest drop margin {drop:.3f}", 600.0, time.time() - start)
 
 
 def test_c07_ldt_monotone_ladder():

@@ -123,6 +123,10 @@ class TestValidation:
         without(PAVE, "window"),
         without(GREEN_2D, "interval"),
         dict(LOCALIZE_CHECK, window_check={"delta": 0.5}),
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "herman": True, "lambda": 0},
+        lyap_config(e_values=[]),
+        dict(LDT, n_schedule=[]),
     ])
     def test_error_matches_jsonschema_validate(self, cfg):
         with pytest.raises(jsonschema.ValidationError) as expected:
@@ -284,7 +288,7 @@ class TestRun:
         # exactly strip_width/10, the edge of the usable strip.
         system = {k: val for k, val in BASE_SYSTEM.items() if k != "rho"}
         cfg = {"schema_version": 1, "command": "lowerbound",
-               "system": system, "samples": 2000, "seed": 0}
+               "system": system, "samples": 10_000, "seed": 0}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code = main(["lowerbound", "--config", str(path), "--out",
@@ -479,6 +483,14 @@ class TestMainEntry:
          "system": dict(BASE_SYSTEM), "sublevel_deltas": []},
         {"schema_version": 1, "command": "lowerbound",
          "system": dict(BASE_SYSTEM), "sublevel_deltas": [0.01, 0.0]},
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "samples": 2000},
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "herman": True, "lambda": 0},
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM), "herman": True, "lambda": -5},
+        lyap_config(e_values=[]),
+        dict(LDT, n_schedule=[]),
         dict(LOCALIZE_CHECK, interval=[-100, 100],
              window_check={"N": 1000, "delta": 0.5}),
         # Keys the command does not read.
@@ -498,6 +510,9 @@ class TestMainEntry:
             "recursion-scale-one", "lowerbound-delta",
             "lowerbound-delta-past-usable-strip", "lowerbound-no-e1_values",
             "lowerbound-no-sublevel_deltas", "lowerbound-zero-sublevel-delta",
+            "lowerbound-samples-below-1e4", "lowerbound-herman-lambda-zero",
+            "lowerbound-herman-lambda-negative", "lyapunov-empty-e_values",
+            "ldt-empty-n_schedule",
             "window_check-N-too-large", "ldt-e_values",
             "ldt-n", "format", "two-energy-keys"])
     def test_invalid_input_exit_two(self, tmp_path, capsys, cfg):
@@ -669,15 +684,11 @@ class TestMainEntry:
 
 
 class TestPlotData:
-    def test_kinds_and_refusal(self):
+    def test_data_and_gnuplot_stub(self):
         files = _plot([(1.0, 2.0), (2.0, 1.0)], "ladder", suffix="_00")
         assert files["ladder_00.dat"] == ["# n L", "1.0 2.0", "2.0 1.0"]
         assert "plot 'ladder_00.dat' using 1:2" in files["ladder_00.gp"][-1]
         assert len(files) == 2
-        with pytest.raises(ValueError):
-            _plot([], "ladder")
-        with pytest.raises(ValueError):
-            _plot([(1, 2)], "nope")
 
 
 # Every command at small size; localize also writes profiles, their plot

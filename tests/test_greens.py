@@ -199,7 +199,7 @@ class TestDecayFit:
             zero = rng.random((n, n)) < 0.05
             signs[zero], logs[zero] = 0, -math.inf
             logs[rng.random((n, n)) < 0.02] = -math.inf
-            g = GreenMatrix((1, n), signs, logs, 0.0)
+            g = GreenMatrix((1, n), signs, logs)
             min_sep = 12
         else:
             g = green_solve((-150, 150), golden, 0.2, 0.5, mathieu5)
@@ -428,8 +428,7 @@ def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
             f"no fixed point after {cap} sweeps (contraction {contraction:.3g})")
 
     g_signs, g_logs = resolvent(np.arange(big))
-    green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs,
-                        energy=float(energy))
+    green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs)
     cert = _certificate(green, c, beta, n, windows, contraction, iterations)
     return PaveResult(green=green, certificate=cert)
 
@@ -489,7 +488,7 @@ class TestOrderedSweeps:
             n = int(rng.integers(2, 13))
             logs = 5.0 * rng.normal(size=(n, n))
             logs[rng.random((n, n)) < 0.1] = -math.inf
-            gw = GreenMatrix((1, n), np.ones((n, n), dtype=np.int8), logs, 0.0)
+            gw = GreenMatrix((1, n), np.ones((n, n), dtype=np.int8), logs)
             args = (rng.uniform(0.0, 2.0), 5.0 * rng.normal(),
                     int(rng.integers(1, n + 1)))
             assert _window_admissible(gw, *args) == \

@@ -219,7 +219,8 @@ def system_doc(v, freq):
 class TestJson:
     def test_round_trip(self, golden):
         v = cosine_potential(5.0)
-        v2, f2 = system_from_json(json.dumps(system_doc(v, golden)))
+        text = json.dumps(system_doc(v, golden))
+        v2, f2 = system_from_json(json.loads(text))
         assert v2 == v and v2.coeffs == v.coeffs
         assert f2 == golden
 
