@@ -21,8 +21,7 @@ from .errors import (DropExceeded, GateFailed, HypothesisUnmet,
 from .lyapunov import (LyapunovEstimate, SamplerSpec, default_sampler,
                        lyapunov_n)
 from .model import Frequency, TrigPotential
-from .transfer import (_LOG2, _log_opnorm, _orbit_rows, _phases, _products,
-                       _unit)
+from .transfer import _LOG2, _log_opnorm, _orbit_rows, _products, _unit
 
 STRICT_GATE_CONSTANT = 1000.0
 DROP_CONSTANT = 1000.0
@@ -273,9 +272,9 @@ def initial_scale_bound(lam: float, v0: TrigPotential, omega: Frequency,
     threshold = math.exp(-0.01 * log_lam)
     rng = np.random.default_rng(seed + 1)
     thetas = rng.random(samples) if omega.dim == 1 else rng.random((samples, 2))
-    vals = v0.eval_batch(_phases(thetas[:, None], omega,
-                                 np.arange(1, n1 + 1)[None, :]))
-    mins = np.min(np.abs(vals), axis=1)
+    mins = np.full(samples, np.inf)
+    for row in _orbit_rows(omega, thetas, 0.0, n1, v0):
+        np.minimum(mins, np.abs(row), out=mins)
     fraction = float(np.count_nonzero(mins < threshold)) / samples
     if not fraction < 1.0 / n1:
         raise HypothesisUnmet(

@@ -199,9 +199,7 @@ class TrigPotential:
         th = np.asarray(thetas)
         if th.dtype.kind == "c":
             th = th.astype(complex, copy=False)
-            if (np.abs(th.imag) >= self.strip_width / 10.0).any():
-                raise StripExceeded("|Im z| must stay below strip_width/10 = "
-                                    f"{self.strip_width / 10.0:g}")
+            self._check_strip(th.imag)
         else:
             th = th.astype(float, copy=False)
         shape = th.shape if self.dim == 1 else th.shape[:-1]
@@ -217,6 +215,12 @@ class TrigPotential:
             if b:
                 val += b * np.sin(ang)
         return self.coupling * val
+
+    def _check_strip(self, imag) -> None:
+        """Raise StripExceeded when some |Im z| reaches strip_width/10."""
+        if (np.abs(imag) >= self.strip_width / 10.0).any():
+            raise StripExceeded("|Im z| must stay below strip_width/10 = "
+                                f"{self.strip_width / 10.0:g}")
 
     def coefficient_bound(self, rho: float = 0.0) -> float:
         """Upper bound sum |v_k| exp(2 pi |k|_1 rho) for |v| on |Im z_j| <= rho."""

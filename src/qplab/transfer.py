@@ -4,8 +4,16 @@ The one-step matrix is [[v - E, 1], [-1, 0]].  Products are rescaled by
 powers of two often enough that norms of order exp(c n) never overflow; the
 accumulated exponents carry the growth.  The entries of the n-step product
 coincide with signed determinants of trailing tridiagonal truncations, which
-`verify_det_identity` checks to floating-point accuracy.  `box_diagonal` is
-the one place that evaluates the potential on a finite box.
+`verify_det_identity` checks to floating-point accuracy.
+
+One orbit evaluator gives the potential at theta + j omega to both the
+cocycle rows (`_orbit_rows`) and the box diagonals (`box_diagonal`).  It
+expands each angle by phase rotation: cos and sin of 2 pi k.theta once per
+phase, and per step the coefficients turned by the angle 2 pi frac(j k.omega),
+which is formed from an exact head product; a row is then a sum of products
+in a fixed order, the same for both consumers, so a cocycle row and the box
+diagonal entry at the same site have the same bits.  The head product limits
+j |k|_1 to below 2^27.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import Frequency, TrigPotential
+from .model import TWO_PI, Frequency, TrigPotential
 
 
 def _frac(x):
@@ -24,14 +32,72 @@ def _frac(x):
     return x - np.floor(x)
 
 
-def _phases(theta, omega: Frequency, j):
-    """Torus points theta + j*omega for integer (array) j."""
+# Bits of omega kept in its head: j (k.head) is exact below j |k|_1 = 2^27.
+_HEAD_BITS = 26
+_MAX_REACH = 2 ** (53 - _HEAD_BITS)
+
+
+def _phase_harmonics(v: TrigPotential, th):
+    """cos and sin of 2 pi k_h.frac(th) for each positive harmonic k_h of v.
+
+    Both arrays have shape (H,) + the batch shape: ``th.shape`` for d=1,
+    ``th.shape[:-1]`` for d=2.  A complex ``th`` (d=1) keeps its imaginary
+    part, and raises StripExceeded where ``eval_batch`` would.
+    """
+    if np.iscomplexobj(th):
+        v._check_strip(th.imag)
+        f = _frac(th.real) + 1j * th.imag
+    else:
+        f = _frac(np.asarray(th, dtype=float))
+    if v.dim == 1:
+        turns = [f * k[0] for k in v._k_half]
+    else:
+        turns = [f[..., 0] * k[0] + f[..., 1] * k[1] for k in v._k_half]
+    batch = f.shape if v.dim == 1 else f.shape[:-1]
+    ang = TWO_PI * np.array(turns, dtype=f.dtype).reshape(
+        (len(turns),) + batch)
+    return np.cos(ang), np.sin(ang)
+
+
+def _step_rotations(omega: Frequency, v: TrigPotential, first: int,
+                    last: int):
+    """Coefficients turned by alpha_jh = 2 pi frac(j k_h.omega), per step j.
+
+    For j = first..last, returns p = a cos(alpha) + b sin(alpha) and
+    q = b cos(alpha) - a sin(alpha), each of shape (last - first + 1, H), so
+    that a_h cos(x + alpha) + b_h sin(x + alpha) = p cos(x) + q sin(x).
+    omega splits into a head of _HEAD_BITS fractional bits and its exact
+    tail, so frac(j k.head) is exact while j |k|_1 < 2^27; a larger reach
+    raises ValueError.
+    """
+    k = v._k_half
+    reach = max(abs(first), abs(last)) * int(np.abs(k).sum(1).max(initial=0))
+    if reach >= _MAX_REACH:
+        raise ValueError(f"orbit reach j |k|_1 = {reach} is not below 2^27, "
+                         "where the phase rotation stays exact")
     w = omega.as_array()
-    th = np.asarray(theta, dtype=float)
-    j = np.asarray(j, dtype=float)
-    if omega.dim == 1:
-        return _frac(th + j * w[0])
-    return _frac(th + j[..., np.newaxis] * w)
+    head = np.rint(w * 2.0 ** _HEAD_BITS) / 2.0 ** _HEAD_BITS
+    j = np.arange(first, last + 1, dtype=float)[:, np.newaxis]
+    ang = TWO_PI * (_frac(j * (k @ head)) + j * (k @ (w - head)))
+    c, s = np.cos(ang), np.sin(ang)
+    a, b = v._a_half, v._b_half
+    return a * c + b * s, b * c - a * s
+
+
+def _harmonic_sum(v: TrigPotential, p, q, x, y, shape):
+    """coupling * (c0 + sum_h p_h x_h + q_h y_h), terms added in order of h.
+
+    The first axis of each argument runs over the harmonics and the other
+    axes broadcast to ``shape``: one step's row takes scalar p_h, q_h
+    against a batch of phases, a box takes a column of steps against one
+    phase, and both round the same way.
+    """
+    val = np.full(shape, v._c0, dtype=x.dtype)
+    for ph, qh, xh, yh in zip(p, q, x, y):
+        val += ph * xh
+        val += qh * yh
+    val *= v.coupling
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -47,20 +113,18 @@ def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
                 v: TrigPotential):
     """Rows a_j = v(th + j*omega) - E for j = 1..n, one per step.
 
-    Each row is evaluated when the kernel asks for it, so no (n, B) table is
-    ever held.  The potential is evaluated once per phase and step; ``energy``
-    broadcasts against it, so an (E, 1) column gives (E, B) rows.  A complex
-    ``th`` (d=1) runs along its line Im z = th.imag.
+    Each row is summed when the kernel asks for it, so no (n, B) table is
+    ever held; it has the bits of ``box_diagonal((1, n), omega, th_i, v)``
+    at site j, phase by phase.  ``energy`` broadcasts against it, so an
+    (E, 1) column gives (E, B) rows.  A complex ``th`` (d=1) runs along its
+    line Im z = th.imag.
     """
     if n < 1:
         raise ValueError("need at least one step")
-    w = omega.as_array()
-    step = w[0] if omega.dim == 1 else w
-    js = range(1, n + 1)
-    if np.iscomplexobj(th):
-        return (v.eval_batch(_frac(th.real + j * step) + 1j * th.imag)
-                - energy for j in js)
-    return (v.eval_batch(_frac(th + j * step)) - energy for j in js)
+    x, y = _phase_harmonics(v, th)
+    p, q = _step_rotations(omega, v, 1, n)
+    return (_harmonic_sum(v, pj, qj, x, y, x.shape[1:]) - energy
+            for pj, qj in zip(p, q))
 
 
 def _period(v: TrigPotential, energy, imag: float = 0.0) -> int:
@@ -228,12 +292,15 @@ def box_diagonal(interval: Tuple[int, int], omega: Frequency, theta,
     """Potential values v(theta + j omega), j = a..b, on the box [a, b].
 
     The box operator is symmetric tridiagonal with these values on its
-    diagonal and ones off it.
+    diagonal and ones off it.  They come from the orbit evaluator that
+    gives the cocycle rows, so site j has the bits of row j.
     """
     a, b = int(interval[0]), int(interval[1])
     if b < a:
         raise ValueError("interval is empty")
-    return v.eval_batch(_phases(theta, omega, np.arange(a, b + 1)))
+    x, y = _phase_harmonics(v, theta)
+    p, q = _step_rotations(omega, v, a, b)
+    return _harmonic_sum(v, p.T, q.T, x, y, (b - a + 1,))
 
 
 def det_sequence(diag: np.ndarray):

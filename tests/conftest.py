@@ -92,3 +92,58 @@ def dense_box(interval, omega, theta, energy, v):
     m[idx, idx + 1] = 1.0
     m[idx + 1, idx] = 1.0
     return m
+
+
+def orbit_phases(theta, omega, j):
+    """Torus points frac(theta + j*omega) for integer (array) j."""
+    w = omega.as_array()
+    th = np.asarray(theta, dtype=float)
+    j = np.asarray(j, dtype=float)
+    x = th + j * w[0] if omega.dim == 1 else th + j[..., np.newaxis] * w
+    return x - np.floor(x)
+
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63,
+    reason="np.longdouble has no 64-bit mantissa on this platform, so it "
+           "cannot serve as the extended-precision reference")
+
+
+def reference_orbit(v, omega, theta, j):
+    """v(theta + j*omega) in long double, rounded to float64 at the end.
+
+    Every sum and angle runs in long double.  j*omega mod 1 is formed from a
+    32-bit head of omega, whose product with |j| < 2^31 is exact there, and
+    the exact float64 tail; adding theta keeps its low bits, which a float64
+    sum theta + j*omega rounds away.  ``j`` is an integer, or an array of
+    them against one phase.  A complex theta (d=1) keeps its imaginary part
+    on the line Im z = theta.imag.
+    """
+    ld = np.longdouble
+    two_pi = 2 * np.arccos(ld(-1))
+    th = np.asarray(theta)
+    jj = np.asarray(j, dtype=ld)[..., np.newaxis]
+    w = omega.as_array()
+    head = np.round(w * 2.0 ** 32) / 2.0 ** 32
+    jh = jj * head.astype(ld)
+    jw = (jh - np.floor(jh)) + jj * (w - head).astype(ld)
+    if omega.dim == 1:
+        jw = jw[..., 0]
+    if np.iscomplexobj(th):
+        x = th.real.astype(ld) + jw
+        z = (x - np.floor(x)) + 1j * th.imag.astype(ld)
+        turns = [z * ld(k[0]) for k in v._k_half]
+    else:
+        x = th.astype(ld) + jw
+        x = x - np.floor(x)
+        turns = [x * ld(k[0]) if v.dim == 1
+                 else x[..., 0] * ld(k[0]) + x[..., 1] * ld(k[1])
+                 for k in v._k_half]
+    val = ld(v._c0)
+    for t, a, b in zip(turns, v._a_half, v._b_half):
+        val = val + ld(a) * np.cos(two_pi * t) + ld(b) * np.sin(two_pi * t)
+    val = ld(v.coupling) * val
+    batch = th.shape if omega.dim == 1 else th.shape[:-1]
+    shape = np.broadcast_shapes(batch, np.shape(j))
+    return np.broadcast_to(val, shape).astype(
+        complex if np.iscomplexobj(val) else float)

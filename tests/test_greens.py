@@ -4,14 +4,14 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from conftest import dense_box, random_trig_potential
+from conftest import dense_box, orbit_phases, random_trig_potential
 from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    cocycle_batch, cosine_potential, decay_fit,
                    green_cramer_matrix, green_solve, lyapunov_n, pave, slog)
 from qplab.greens import (GreenMatrix, PaveResult, _certificate,
                           _window_admissible)
 from qplab.model import Frequency, TrigPotential
-from qplab.transfer import _phases, box_diagonal, det_sequence
+from qplab.transfer import box_diagonal, det_sequence
 
 
 def dense_green(interval, omega, theta, energy, v):
@@ -95,8 +95,8 @@ class TestGreenCramer:
             j = int(rng.integers(i, n + 1))
             left = cocycle_batch(golden, theta, energy, i - 1,
                                  mathieu5)[0] if i > 1 else 0.0
-            right = cocycle_batch(golden, _phases(theta, golden, j), energy,
-                                  n - j, mathieu5)[0] if j < n else 0.0
+            right = cocycle_batch(golden, orbit_phases(theta, golden, j),
+                                  energy, n - j, mathieu5)[0] if j < n else 0.0
             assert g.logs[i - 1, j - 1] <= left + right - det_log + 1e-9
 
     def test_singular_energy(self, golden, free):

@@ -8,6 +8,12 @@ most 7.8e-15) and entries, once aligned to the same log scale, within 1e-10
 (measured at most 2.1e-12).  Complex and per-step paths must agree to the
 stated tolerances.
 
+The batch oracle takes its rows from a long-double evaluation of
+v(theta + j omega), the reference the orbit evaluator's rows must also meet
+directly, within 1e-14 (1 + coefficient_bound), up to its 2^27 reach.  A
+float64 theta + j omega rounds away theta's low bits, so rows evaluated that
+way miss the reference by about 1e-11 and are no oracle for these rows.
+
 Complex phases run through ``cocycle_batch`` itself; it must give the bits
 of the private route (rows, final product, period from |Im z|, closed-form
 norm) that complex lines were assembled from before, at tolerance 0.
@@ -34,16 +40,17 @@ import pytest
 from qplab import (SingularEnergy, StripExceeded, complexified_growth_check,
                    cocycle_batch, cosine_potential, epsilon_gap,
                    golden_frequency, green_cramer_matrix, green_solve,
-                   greens, two_cosine_potential, two_torus_frequency,
+                   greens, transfer, two_cosine_potential, two_torus_frequency,
                    zero_potential)
 
 from qplab.greens import _scipy_linalg
 from qplab.model import TrigPotential
 from qplab.transfer import (_as_batch, _entries, _final, _log_opnorm,
-                            _orbit_rows, _period, _phases, _products, _unit,
+                            _orbit_rows, _period, _products, _unit,
                             box_diagonal, cocycle_complex, det_sequence)
 
-from conftest import random_trig_potential
+from conftest import (needs_long_double, orbit_phases, random_trig_potential,
+                      reference_orbit)
 
 
 def oracle_complex_eval(v, zs):
@@ -91,13 +98,8 @@ def oracle_cocycle_batch(omega, thetas, energy, n, v):
     m10 = np.zeros(batch)
     m11 = np.ones(batch)
     ls = np.zeros(batch)
-    w = omega.as_array()
     for j in range(1, n + 1):
-        if omega.dim == 1:
-            ph = (th + j * w[0]) % 1.0
-        else:
-            ph = (th + j * w) % 1.0
-        a = v.eval_batch(ph) - energy
+        a = reference_orbit(v, omega, th, j) - energy
         n00 = a * m00 + m10
         n01 = a * m01 + m11
         n10 = -m00
@@ -219,17 +221,18 @@ def _real_cases():
     return [
         ("d1-scalar-E", GOLDEN, th1, 0.7, 300, cosine_potential(5.0)),
         ("d1-per-phase-E", GOLDEN, th1, per_phase, 300, rand1),
-        ("d1-start", GOLDEN, _phases(th1, GOLDEN, 137), -1.3, 200,
+        ("d1-start", GOLDEN, orbit_phases(th1, GOLDEN, 137), -1.3, 200,
          cosine_potential(2.0)),
         ("d1-huge-coupling", GOLDEN, th1[:8], 0.0, 50,
          cosine_potential(1e300)),
         ("d2-scalar-E", OMEGA2, th2, 0.0, 300, two_cosine_potential(50.0)),
         ("d2-per-phase-E", OMEGA2, th2, per_phase, 200, rand2),
-        ("d2-start", OMEGA2, _phases(th2, OMEGA2, 41), 0.4, 150,
+        ("d2-start", OMEGA2, orbit_phases(th2, OMEGA2, 41), 0.4, 150,
          two_cosine_potential(3.0)),
     ]
 
 
+@needs_long_double
 @pytest.mark.parametrize("name,omega,thetas,energy,n,v", _real_cases(),
                          ids=[c[0] for c in _real_cases()])
 def test_cocycle_batch_bit_for_bit(name, omega, thetas, energy, n, v):
@@ -249,6 +252,67 @@ def test_cocycle_batch_bit_for_bit(name, omega, thetas, energy, n, v):
     m, every_step_ls = _final(rows, 1)
     assert np.array_equal(_entries(*m), entries)
     assert np.array_equal(every_step_ls, ls)
+
+
+def _row_cases():
+    rng = np.random.default_rng(19)
+    return [
+        ("d1-cos", GOLDEN, rng.random(40), cosine_potential(5.0)),
+        ("d1-random", GOLDEN, rng.random(40),
+         random_trig_potential(rng, degree=3, amplitude=2.0)),
+        ("d2-random", OMEGA2, rng.random((40, 2)),
+         random_trig_potential(rng, degree=2, dim=2, strip_width=0.5)),
+        ("d1-line", GOLDEN, rng.random(40) + 0.15j, cosine_potential(5.0)),
+        ("d1-line-random", GOLDEN, rng.random(40) - 0.05j,
+         random_trig_potential(rng, degree=3, strip_width=0.7)),
+    ]
+
+
+def _row_tolerance(v, thetas):
+    return 1e-14 * (1.0 + v.coefficient_bound(
+        float(np.max(np.abs(np.imag(thetas))))))
+
+
+@needs_long_double
+@pytest.mark.parametrize("name,omega,thetas,v", _row_cases(),
+                         ids=[c[0] for c in _row_cases()])
+def test_orbit_rows_match_long_double_reference(name, omega, thetas, v):
+    """Rows of n = 2000 steps, and real boxes [-1000, 1000], against the
+    long-double evaluation of v(theta + j omega)."""
+    tol = _row_tolerance(v, thetas)
+    rows = _orbit_rows(omega, _as_batch(omega, thetas), 0.0, 2000, v)
+    gaps = [np.max(np.abs(row - reference_orbit(v, omega, thetas, j)))
+            for j, row in enumerate(rows, 1)]
+    assert len(gaps) == 2000
+    if not np.iscomplexobj(thetas):
+        for theta in thetas[:3]:
+            box = box_diagonal((-1000, 1000), omega, theta, v)
+            want = reference_orbit(v, omega, theta, np.arange(-1000, 1001))
+            gaps.append(np.max(np.abs(box - want)))
+    print(f"{name}: largest gap {max(gaps):.3g}, tolerance {tol:.3g}")
+    assert max(gaps) <= tol
+
+
+@needs_long_double
+@pytest.mark.parametrize("omega,theta,v", [
+    (GOLDEN, 0.37, random_trig_potential(np.random.default_rng(5), degree=3)),
+    (OMEGA2, np.array([0.21, 0.64]),
+     random_trig_potential(np.random.default_rng(6), degree=1, dim=2,
+                           strip_width=0.5)),
+], ids=["d1", "d2"])
+def test_orbit_reach_limit(omega, theta, v):
+    """Sites with j |k|_1 just below 2^27 still meet the row tolerance;
+    from 2^27 on, both consumers raise ValueError."""
+    reach = int(np.max(np.sum(np.abs(v._k_half), axis=1)))
+    top = (2 ** 27 - 1) // reach        # last j with j |k|_1 < 2^27
+    for a, b in ((top - 200, top), (-top, -top + 200)):
+        box = box_diagonal((a, b), omega, theta, v)
+        want = reference_orbit(v, omega, theta, np.arange(a, b + 1))
+        assert np.max(np.abs(box - want)) <= _row_tolerance(v, theta)
+    with pytest.raises(ValueError, match=r"2\^27"):
+        box_diagonal((top - 3, top + 1), omega, theta, v)
+    with pytest.raises(ValueError, match=r"2\^27"):
+        cocycle_batch(omega, theta, 0.0, top + 1, v)
 
 
 def _eval_potentials():
@@ -352,8 +416,10 @@ def _complex_points():
     # Two blocks start 17 and 5 steps along the orbit: their real parts
     # are shifted by that many steps.
     cases = [(mathieu5, complex(0.37, 0.0), 1.1, 200),
-             (mathieu5, complex(_phases(0.2, GOLDEN, 17), 0.15), -0.5, 300),
-             (mathieu5, complex(_phases(0.61, GOLDEN, 5), -0.12), 0.3, 250)]
+             (mathieu5, complex(orbit_phases(0.2, GOLDEN, 17), 0.15), -0.5,
+              300),
+             (mathieu5, complex(orbit_phases(0.61, GOLDEN, 5), -0.12), 0.3,
+              250)]
     for cos1, lam, energy, gap in _c13_inputs():
         cases.append((cos1.with_coupling(lam), complex(0.0, gap.y0), energy,
                       1000))
@@ -505,13 +571,14 @@ def test_green_solve_rejects_non_finite_energy(energy):
 
 @pytest.mark.parametrize("route", [green_solve, green_cramer_matrix])
 def test_routes_evaluate_the_potential_once(route, monkeypatch):
+    # One build of the orbit evaluator's phase harmonics, at the one phase.
     calls = []
-    eval_batch = TrigPotential.eval_batch
+    harmonics = transfer._phase_harmonics
 
-    def counted(self, thetas):
-        calls.append(np.shape(thetas))
-        return eval_batch(self, thetas)
+    def counted(v, th):
+        calls.append(np.shape(th))
+        return harmonics(v, th)
 
-    monkeypatch.setattr(TrigPotential, "eval_batch", counted)
+    monkeypatch.setattr(transfer, "_phase_harmonics", counted)
     route((-3, 40), GOLDEN, 0.3, 0.7, cosine_potential(5.0))
-    assert calls == [(44,)]
+    assert calls == [()]

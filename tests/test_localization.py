@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_box
+from conftest import dense_box, orbit_phases
 from qplab import (SingularEnergy, cocycle_batch, decay_profile, eigensystem,
                    golden_frequency, green_solve, lyapunov_n, slog,
                    window_bound_check, zero_potential)
 from qplab.cli import _run_localize
 from qplab.localization import EigenPair, localization_summary
-from qplab.transfer import _phases, box_diagonal, det_sequence
+from qplab.transfer import box_diagonal, det_sequence
 
 
 class TestEigensystem:
@@ -181,9 +181,10 @@ class TestWindowBound:
 def two_sided_growth(golden, energy, n1, shifts, v):
     """(1/n1) log ||M_n1|| per shift j at the phases j omega and
     (-j - n1) omega: the blocks just after j and just before -j."""
-    fwd = cocycle_batch(golden, _phases(0.0, golden, shifts), energy, n1, v)
-    bwd = cocycle_batch(golden, _phases(0.0, golden, -shifts - n1), energy,
+    fwd = cocycle_batch(golden, orbit_phases(0.0, golden, shifts), energy,
                         n1, v)
+    bwd = cocycle_batch(golden, orbit_phases(0.0, golden, -shifts - n1),
+                        energy, n1, v)
     return fwd / n1, bwd / n1
 
 

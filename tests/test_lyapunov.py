@@ -5,10 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import orbit_phases
 from qplab import (SamplerSpec, check_subadditivity, cosine_potential,
                    lyapunov_n, lyapunov_scan, upper_bound_check)
 from qplab.lyapunov import THREADS, _CHUNK, _SPLIT_FLOOR, _phi_values
-from qplab.transfer import _phases, cocycle_batch
+from qplab.transfer import cocycle_batch
 
 CONST_TARGET = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -148,7 +149,7 @@ class TestLimit:
 def orbit_average(omega, theta, energy, n, shifts, v):
     """Mean of (1/n) log ||M_n|| over the orbit points theta + j omega,
     j = 1..shifts."""
-    phases = _phases(theta, omega, np.arange(1, shifts + 1))
+    phases = orbit_phases(theta, omega, np.arange(1, shifts + 1))
     return float(np.mean(cocycle_batch(omega, phases, energy, n, v))) / n
 
 
@@ -163,7 +164,7 @@ class TestShiftAverage:
         got = orbit_average(golden, 0.2, 0.0, 30, 1, mathieu5)
         _, m31, ls = cocycle_batch(golden, 0.2, 0.0, 31, mathieu5,
                                    return_matrices=True)
-        a = float(mathieu5.eval_batch(_phases(0.2, golden, 1)))
+        a = float(mathieu5.eval_batch(orbit_phases(0.2, golden, 1)))
         inv_first = np.array([[0.0, -1.0], [1.0, a]])
         want = (ls[0] + math.log(np.linalg.norm(m31[0] @ inv_first, 2))) / 30
         assert got == pytest.approx(want, rel=1e-12)

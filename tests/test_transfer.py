@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_box, random_trig_potential
+from conftest import dense_box, orbit_phases, random_trig_potential
 from qplab import (StripExceeded, cocycle_batch, cosine_potential,
                    golden_frequency, slog, two_torus_frequency,
                    verify_det_identity)
 from qplab.model import TrigPotential
 from qplab.transfer import (_entries, _log_opnorm, _orbit_rows, _period,
-                            _phases, _products, box_diagonal,
-                            cocycle_complex, det_sequence)
+                            _products, box_diagonal, cocycle_complex,
+                            det_sequence)
 
 
 def single_phase(omega, theta, energy, n, v):
@@ -83,6 +83,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_orbit_rows_and_phases_match_mod_one(self, dim):
+        # Row j at each phase has the bits of the box diagonal at site j,
+        # for the phase as given and for its representative mod one.
         rng = np.random.default_rng(4)
         if dim == 1:
             omega, v = golden_frequency(), random_trig_potential(rng, degree=3)
@@ -91,19 +93,14 @@ class TestKernel:
             omega = two_torus_frequency()
             v = random_trig_potential(rng, degree=2, dim=2, strip_width=0.5)
             th = rng.uniform(-2.0, 2.0, (50, 2))
-        w = omega.as_array()
-        step = w[0] if dim == 1 else w
         energy = rng.uniform(-3.0, 3.0, 50)
         n = 25
-        rows = _orbit_rows(omega, th, energy, n, v)
-        for j, row in zip(range(1, n + 1), rows):
-            want = v.eval_batch((th + j * step) % 1.0) - energy
-            assert np.array_equal(row, want)
-        js = np.arange(-300, 301, 7)
-        for theta in th[:5]:
-            want = ((theta + js * w[0]) % 1.0 if dim == 1
-                    else (theta + js[:, None] * w) % 1.0)
-            assert np.array_equal(_phases(theta, omega, js), want)
+        rows = np.array(list(_orbit_rows(omega, th, energy, n, v)))
+        assert rows.shape == (n, 50)
+        for i in range(50):
+            for theta in (th[i], th[i] % 1.0):
+                want = box_diagonal((1, n), omega, theta, v) - energy[i]
+                assert np.array_equal(rows[:, i], want)
 
     def test_opnorm_matches_svd(self):
         rng = np.random.default_rng(1)
@@ -169,8 +166,8 @@ class TestCocycle:
         n1, n2 = 137, 263
         full = single_phase(golden, 0.29, 0.4, n1 + n2, mathieu5)
         first = single_phase(golden, 0.29, 0.4, n1, mathieu5)
-        second = single_phase(golden, _phases(0.29, golden, n1), 0.4, n2,
-                              mathieu5)
+        second = single_phase(golden, orbit_phases(0.29, golden, n1), 0.4,
+                              n2, mathieu5)
         comp = second.entries @ first.entries
         assert np.all(np.sign(comp) == np.sign(full.entries))
         lhs = second.log_scale + first.log_scale + np.log(np.abs(comp))
@@ -183,8 +180,8 @@ class TestCocycle:
     def test_composition_property_random(self, golden, mathieu5, n1, n2,
                                          theta, energy):
         full = single_phase(golden, theta, energy, n1 + n2, mathieu5)
-        second = single_phase(golden, _phases(theta, golden, n1), energy, n2,
-                              mathieu5)
+        second = single_phase(golden, orbit_phases(theta, golden, n1), energy,
+                              n2, mathieu5)
         first = single_phase(golden, theta, energy, n1, mathieu5)
         # compare unit-scale entries after aligning the log scales: this is
         # stable even when an individual entry happens to sit near zero
@@ -308,6 +305,21 @@ class TestDetIdentity:
                 n, golden, rng.random(), rng.uniform(-10, 10), v))
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("seed", [4, 19])
+    def test_benchmark_orbit_boxes(self, golden, seed):
+        # The 200 boxes the benchmark's orbit operation draws at this seed.
+        # Near-singular ones amplify any disagreement between the cocycle
+        # rows and the box diagonal, so both must come from one evaluation.
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(200):
+            v = random_trig_potential(rng, degree=3)
+            n = int(rng.integers(3, 65))
+            theta = float(rng.random())
+            worst = max(worst, verify_det_identity(
+                n, golden, theta, rng.uniform(-10.0, 10.0), v))
+        assert worst <= 1e-9
+
     def test_det_bounded_by_cocycle_norm(self, golden, mathieu5):
         # |det(A_n - E)| is one matrix entry, so it cannot exceed the norm
         for n in (5, 20, 60):
@@ -321,8 +333,8 @@ def shift_deviations(n, omega, theta, energy, v, shifts):
     """|phi(theta + r omega) - phi(theta)| per shift r, phi = (1/n) log ||M_n||,
     and the bound C |r| / n with C = 2 log(1 + sup|v| + |E|)."""
     r = np.asarray(list(shifts))
-    phi = cocycle_batch(omega, _phases(theta, omega, np.concatenate([[0], r])),
-                        energy, n, v) / n
+    phases = orbit_phases(theta, omega, np.concatenate([[0], r]))
+    phi = cocycle_batch(omega, phases, energy, n, v) / n
     const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0) + abs(energy))
     return np.abs(phi[1:] - phi[0]), const * np.abs(r) / n
 
@@ -337,8 +349,8 @@ class TestGrowthEnvelope:
         dev, _ = shift_deviations(200, golden, 0.3, 0.5, mathieu5, [0, 1, 2])
         assert dev[0] == 0.0
         alone = cocycle_batch(golden, 0.3, 0.5, 200, mathieu5)[0]
-        batch = cocycle_batch(golden, _phases(0.3, golden, np.arange(3)), 0.5,
-                              200, mathieu5)
+        batch = cocycle_batch(golden, orbit_phases(0.3, golden, np.arange(3)),
+                              0.5, 200, mathieu5)
         assert batch[0] == alone
 
     def test_mathieu_shift_bound(self, golden, mathieu5):
