@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigInvalid, DropExceeded, GateFailed,
                      HypothesisUnmet, IterationDiverged, PavingFailed,
                      PotentialConstant, QplabError, SigmaOutOfRange,
-                     SingularEnergy, StripExceeded)
+                     SingularEnergy, StripExceeded, WorkerFailed)
 from .model import (Frequency, TrigPotential, cosine_potential,
                     golden_frequency, system_from_json, two_cosine_potential,
                     two_torus_frequency, verify_diophantine, zero_potential)

@@ -4,13 +4,13 @@ Each run validates its JSON config against a schema.  The command's handler
 computes: it returns every artifact, the lines of a CSV/plot file or the
 payload of a JSON file by file name, and touches no file.  The lines may be a
 lazy iterable, such as the n^2 lines of a Green's matrix, which are formatted
-one matrix row at a time while they are written.  `run` writes: it adds a
-manifest recording the config hash, package versions, seed, thread cap and
-wall time, and only then creates the output directory and writes every file
-to a temporary name beside its own.  Only when all of them are written does
-it rename each into place, so a command that fails, while computing or while
-writing, writes nothing.  Seeded runs reproduce byte for byte at every thread
-count.
+in spans of rows while they are written, by up to as many forked processes
+as the thread cap allows.  `run` writes: it adds a manifest recording the
+config hash, package versions, seed, thread cap and wall time, and only then
+creates the output directory and writes every file to a temporary name
+beside its own.  Only when all of them are written does it rename each into
+place, so a command that fails, while computing or while writing, writes
+nothing.  Seeded runs reproduce byte for byte at every thread count.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence)
 
 import jsonschema
 import numpy as np
 
 from . import __version__, numfmt
-from .errors import ConfigInvalid, HypothesisUnmet, QplabError
-from .greens import decay_fit, green_solve, pave
+from .errors import ConfigInvalid, HypothesisUnmet, QplabError, WorkerFailed
+from .greens import CsvLines, decay_fit, green_solve, pave
 from .ldt import ldt_scaling_table
 from .localization import (decay_profile, eigensystem, localization_summary,
                            window_bound_check)
@@ -177,7 +178,7 @@ FLAGSHIP_CONFIGS: Dict[str, dict] = {
 _BLOCK_LINES = 1 << 16
 
 
-def _write_temp(path: Path, chunks: Iterable[str]) -> str:
+def _write_temp(path: Path, chunks: Iterable[bytes]) -> str:
     """Write ``chunks`` to a new temporary file beside ``path``; return its
     name.  The caller renames it into place, or removes it."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
@@ -186,7 +187,7 @@ def _write_temp(path: Path, chunks: Iterable[str]) -> str:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
     except BaseException:
         os.unlink(tmp)
@@ -209,18 +210,110 @@ def _write_json(path: Path, payload) -> str:
     """Strict JSON: an undefined number (NaN, infinity) is written as null."""
     text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
                       allow_nan=False)
-    return _write_temp(path, [text + "\n"])
+    return _write_temp(path, [(text + "\n").encode()])
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> str:
+def _write_lines(path: Path, lines: Iterable[str], workers: int) -> str:
     """Write newline-terminated lines, joined in blocks of bounded size.
 
     ``lines`` may be any iterable, a lazy one included: it is consumed one
-    block at a time, so at most one block of its lines exists at once.
+    block of `_BLOCK_LINES` lines at a time, so at most one block of its
+    lines exists at once.  A `CsvLines` is written in spans of rows of about
+    that many lines instead, formatted by up to ``workers`` processes.
     """
+    with contextlib.closing(_line_chunks(lines, workers)) as chunks:
+        return _write_temp(path, chunks)
+
+
+def _line_chunks(lines, workers: int) -> Iterator[bytes]:
+    if isinstance(lines, CsvLines):
+        spans = lines.spans(_BLOCK_LINES)
+        yield (lines.HEADER + "\n").encode()
+        yield from _in_order(lambda k: lines.span_text(spans[k]).encode(),
+                             len(spans), workers)
+        return
     it = iter(lines)
-    blocks = iter(lambda: list(itertools.islice(it, _BLOCK_LINES)), [])
-    return _write_temp(path, ("\n".join(block) + "\n" for block in blocks))
+    for block in iter(lambda: list(itertools.islice(it, _BLOCK_LINES)), []):
+        yield ("\n".join(block) + "\n").encode()
+
+
+def _in_order(fmt: Callable[[int], bytes], count: int,
+              workers: int) -> Iterator[bytes]:
+    """``fmt(0)``, ..., ``fmt(count - 1)``, in order.
+
+    With two or more workers and spans, and where ``os.fork`` exists,
+    ``min(workers, count)`` forked children call ``fmt``: child ``w`` formats
+    ``w``, ``w + workers``, ... and writes each result, length-prefixed, to
+    its own pipe, which this process reads round-robin.  Forked, not
+    spawned: a child reads what ``fmt`` needs from this process's memory,
+    without a copy, and runs only ``fmt``.  A full pipe holds its child
+    back, so memory stays bounded without a queue.  A child ends
+    with ``os._exit``, so no inherited buffer or exit handler runs twice,
+    and none outlives the generator: once it finishes, fails or is closed,
+    every child is killed and reaped.  An error in a child is raised here as
+    `WorkerFailed`.
+    """
+    workers = min(workers, count)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(fmt, range(count))
+        return
+    import signal
+
+    readers, pids = [], []
+    try:
+        for w in range(workers):
+            r, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _format_in_child(fmt, range(w, count, workers), wfd)
+            pids.append(pid)
+            os.close(wfd)
+            readers.append(os.fdopen(r, "rb"))
+        for k in range(count):
+            yield _read_frame(readers[k % workers])
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):    # SIGCHLD ignored
+                os.waitpid(pid, 0)
+
+
+def _format_in_child(fmt, indices, fd: int):
+    """Write ``fmt(k)`` for each of ``indices`` to ``fd`` as frames of an
+    8-byte signed length and the bytes, or a negative length and the text of
+    the error; never returns."""
+    status = 1
+    try:
+        try:
+            for k in indices:
+                data = fmt(k)
+                _write_all(fd, len(data).to_bytes(8, "little") + data)
+            status = 0
+        except Exception as exc:
+            text = f"{type(exc).__name__}: {exc}".encode()
+            _write_all(fd, (-len(text)).to_bytes(8, "little", signed=True)
+                       + text)
+    finally:
+        os._exit(status)
+
+
+def _write_all(fd: int, data: bytes):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_frame(reader) -> bytes:
+    head = reader.read(8)
+    size = int.from_bytes(head, "little", signed=True)
+    data = reader.read(abs(size)) if len(head) == 8 else b""
+    if len(head) < 8 or len(data) < abs(size):
+        raise WorkerFailed("a line formatting process ended early")
+    if size < 0:
+        raise WorkerFailed(data.decode(errors="replace"))
+    return data
 
 
 def validate_config(config: dict) -> None:
@@ -486,8 +579,10 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
     """Validate, compute every artifact, then write them and a provenance
     manifest; a command that fails writes nothing.
 
-    ``threads`` caps the worker threads of phase averages (default: every CPU
-    this process may use); artifacts are the same bytes at every value.
+    ``threads`` caps the worker threads of phase averages and the forked
+    processes that format Green CSV lines (default: every CPU this process
+    may use); the manifest's ``threads`` is that cap, and artifacts are the
+    same bytes at every value.
     After a run into a directory that holds an earlier run, the files that
     the earlier manifest lists and this run did not write are removed.
     """
@@ -537,8 +632,10 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
         # Lazy lines are formatted here, so errors can still surface: every
         # file goes to its temporary name before any replaces its target.
         for name, payload in artifacts.items():
-            write = _write_json if name.endswith(".json") else _write_lines
-            temps[name] = write(out / name, payload)
+            if name.endswith(".json"):
+                temps[name] = _write_json(out / name, payload)
+            else:
+                temps[name] = _write_lines(out / name, payload, cap)
     except BaseException:
         for tmp in temps.values():
             os.unlink(tmp)
@@ -615,9 +712,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="most worker threads for phase averages "
-                            "(default: every CPU this process may use); "
-                            "output is byte-identical at every value")
+                       help="most worker threads for phase averages and "
+                            "processes formatting Green CSV lines (default: "
+                            "every CPU this process may use); the manifest "
+                            "records it as 'threads', and output is "
+                            "byte-identical at every value")
         p.add_argument("--out", type=str, default="qplab_out")
         p.add_argument("--schedule", type=str, default=None,
                        help="comma-separated scale list (recursion only)")

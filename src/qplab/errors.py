@@ -87,6 +87,14 @@ class DropExceeded(QplabError):
         )
 
 
+class WorkerFailed(QplabError):
+    """A forked process formatting artifact lines failed or ended early.
+
+    The message carries the worker's own error, name included, when it could
+    send one.
+    """
+
+
 class ConfigInvalid(QplabError):
     """Experiment configuration fails schema validation."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import ClassVar, Iterator, List, Tuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .transfer import box_diagonal, det_sequence
 
 # log|det| below which a box counts as singular at the energy.
 DET_FLOOR = -700.0
+# Rows of the paved G that `pave`'s final pass assembles at once.
+_PAVE_BLOCK_ROWS = 64
 
 
 def _scipy_linalg():
@@ -67,25 +69,55 @@ class GreenMatrix:
 
 @dataclass(frozen=True)
 class CsvLines:
-    """The CSV lines of a `GreenMatrix`: sized, and formatted one matrix row
-    at a time on each iteration, so its n^2 strings never exist at once."""
+    """The CSV lines of a `GreenMatrix`, sized and formatted lazily.
 
+    `span_text` formats the lines of a range of matrix rows, and `spans` cuts
+    the matrix into such ranges; `cli.run` writes the ranges in order, each
+    formatted in one of up to ``--threads`` forked processes (the cap the
+    manifest records as ``threads``), so its n^2 strings never exist at once
+    and the bytes are the same at every thread count.  Iterating yields the header and then every line, formatted one
+    matrix row at a time, afresh on each iteration.
+    """
+
+    HEADER: ClassVar[str] = "n1,n2,sign,log_mag"
     green: GreenMatrix
 
     def __len__(self) -> int:
         return self.green.size ** 2 + 1
 
     def __iter__(self) -> Iterator[str]:
-        g = self.green
-        a, _ = g.interval
-        sites = range(a, a + g.size)
+        yield self.HEADER
+        tails = self._tails()
+        for i in range(self.green.size):
+            yield from self._row(i, tails)
+
+    def spans(self, lines: int) -> List[range]:
+        """Consecutive ranges of whole rows, about ``lines`` lines each (at
+        least one row), that cover the matrix."""
+        n = self.green.size
+        step = max(1, lines // n)
+        return [range(i, min(i + step, n)) for i in range(0, n, step)]
+
+    def span_text(self, rows: range) -> str:
+        """The newline-terminated lines of matrix ``rows``."""
+        tails = self._tails()
+        lines: List[str] = []
+        for i in rows:
+            lines += self._row(i, tails)
+        return "\n".join(lines) + "\n"
+
+    def _tails(self) -> List[Tuple[str, str, str]]:
         # The ",n2,sign," middle of a line, per column, indexed by the sign:
         # 0 and 1 index directly and -1 picks the last element.
-        tails = [(f",{c},0,", f",{c},1,", f",{c},-1,") for c in sites]
-        yield "n1,n2,sign,log_mag"
-        for head, srow, lrow in zip(map(str, sites), g.signs, g.logs):
-            yield from [f"{head}{t[s]}{x}" for t, s, x in
-                        zip(tails, srow.tolist(), numfmt.nums(lrow))]
+        a = self.green.interval[0]
+        return [(f",{c},0,", f",{c},1,", f",{c},-1,")
+                for c in range(a, a + self.green.size)]
+
+    def _row(self, i: int, tails) -> List[str]:
+        g = self.green
+        head = str(g.interval[0] + i)
+        return [f"{head}{t[s]}{x}" for t, s, x in
+                zip(tails, g.signs[i].tolist(), numfmt.nums(g.logs[i]))]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +410,14 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
             contraction,
             f"no fixed point after {cap} sweeps (contraction {contraction:.3g})")
 
-    g_signs, g_logs = resolvent(np.arange(big))
+    # Every row from the edge rows, in blocks of rows so that the stacks
+    # slog.add sums stay small; it works entry by entry, so the bits are
+    # those of one pass over all rows.
+    g_signs = np.empty((big, big), dtype=np.int8)
+    g_logs = np.empty((big, big))
+    for lo in range(0, big, _PAVE_BLOCK_ROWS):
+        rows = slice(lo, lo + _PAVE_BLOCK_ROWS)
+        g_signs[rows], g_logs[rows] = resolvent(rows)
     green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs)
     cert = _certificate(green, c, beta, n, windows, contraction, iterations)
     return PaveResult(green=green, certificate=cert)

@@ -1,6 +1,7 @@
 import errno
 import itertools
 import json
+import math
 import os
 import stat
 import subprocess
@@ -435,6 +436,144 @@ class TestRun:
         (out / "manifest.json").write_text(manifest)
         run(lyap_config(), out_dir=out)
         assert (out / "old.csv").exists()
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children ``os.fork`` starts in this process, counted."""
+    count = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            count.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+class TestForkedCsv:
+    """Green CSV lines formatted in forked processes, one per worker."""
+
+    # (config, lines per span): ten rows in spans of 3, 3, 3 and 1; seven
+    # in spans of 5 and 2, fewer than three workers, with a fit; one site in
+    # one span; and the paved 120 sites in spans of 40 rows.
+    CASES = [(GREEN_1D, 30), (dict(GREEN_1D, interval=[-3, 3], min_sep=1), 35),
+             (dict(GREEN_1D, interval=[4, 4]), 30), (PAVE, 4800)]
+
+    @pytest.mark.parametrize("cfg, block", CASES)
+    def test_byte_identical_at_every_thread_count(self, tmp_path, monkeypatch,
+                                                  forks, cfg, block):
+        monkeypatch.setattr(cli, "_BLOCK_LINES", block)
+        n = cfg["interval"][1] - cfg["interval"][0] + 1
+        spans = math.ceil(n / max(1, block // n))
+        found = {}
+        for threads in (1, 2, 3):
+            forks.clear()
+            out = tmp_path / str(threads)
+            run(cfg, out_dir=out, threads=threads)
+            workers = min(threads, spans)
+            assert len(forks) == (workers if workers > 1 else 0)
+            assert no_child_left()
+            found[threads] = artifacts(out)
+        assert found[1] == found[2] == found[3]
+        name = "green.csv" if cfg["command"] == "green" else "paved_green.csv"
+        lines = found[1][0][name].decode().splitlines()
+        assert len(lines) == n * n + 1
+
+    def test_one_thread_never_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 20)
+        cfg = dict(GREEN_1D, min_sep=2)
+        run(cfg, out_dir=tmp_path / "two", threads=2)
+
+        def no_fork():
+            raise OSError("fork called under --threads 1")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["green", "--config", str(path), "--threads", "1",
+                     "--out", str(tmp_path / "one")]) == 0
+        assert artifacts(tmp_path / "one") == artifacts(tmp_path / "two")
+
+    def test_no_fork_formats_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 20)
+        run(GREEN_1D, out_dir=tmp_path / "fork", threads=2)
+        monkeypatch.delattr(os, "fork")
+        run(GREEN_1D, out_dir=tmp_path / "none", threads=2)
+        assert artifacts(tmp_path / "fork") == artifacts(tmp_path / "none")
+
+    def test_error_in_a_worker_exits_one(self, tmp_path, capsys, monkeypatch,
+                                         forks):
+        # The second span of rows raises, in the worker that formats it.
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 20)
+        span_text = greens.CsvLines.span_text
+
+        def failing(lines, rows):
+            if rows.start > 0:
+                raise SingularEnergy(lines.green.interval, -800.0)
+            return span_text(lines, rows)
+
+        monkeypatch.setattr(greens.CsvLines, "span_text", failing)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(GREEN_1D))
+        out = tmp_path / "new" / "out"
+        assert main(["green", "--config", str(path), "--threads", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "WorkerFailed: SingularEnergy: box (1, 10) resonates" in err
+        assert len(forks) == 2
+        assert list(tmp_path.iterdir()) == [path]
+        assert no_child_left()
+
+    def test_worker_ending_early_keeps_earlier_artifacts(self, tmp_path,
+                                                         capsys, monkeypatch):
+        out = tmp_path / "out"
+        run(GREEN_1D, out_dir=out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 20)
+        parent = os.getpid()
+        span_text = greens.CsvLines.span_text
+
+        def dying(lines, rows):
+            if os.getpid() != parent and rows.start > 0:
+                os._exit(3)
+            return span_text(lines, rows)
+
+        monkeypatch.setattr(greens.CsvLines, "span_text", dying)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(GREEN_1D, E=0.7)))
+        assert main(["green", "--config", str(path), "--threads", "2",
+                     "--out", str(out)]) == 1
+        assert "WorkerFailed" in capsys.readouterr().err
+        assert not list(out.glob("*.tmp*"))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert no_child_left()
+
+    def test_closing_the_stream_part_way_ends_every_worker(self, golden,
+                                                           monkeypatch, forks):
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 10)
+        g = greens.green_solve((1, 40), golden, 0.0, 9.0,
+                               system_from_json(BASE_SYSTEM)[0])
+        chunks = cli._line_chunks(g.csv_lines(), 3)
+        assert next(chunks) == b"n1,n2,sign,log_mag\n"
+        first = next(chunks).decode()
+        assert first == "".join(f"1,{j},{s},{x!r}\n" for j, s, x in zip(
+            range(1, 41), g.signs[0].tolist(), g.logs[0].tolist()))
+        assert len(forks) == 3
+        chunks.close()
+        assert no_child_left()
 
 
 class TestMainEntry:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from typing import List, Tuple
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from conftest import dense_box, orbit_phases, random_trig_potential
 from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    cocycle_batch, cosine_potential, decay_fit,
-                   green_cramer_matrix, green_solve, lyapunov_n, pave, slog)
+                   green_cramer_matrix, green_solve, greens, lyapunov_n, pave,
+                   slog)
 from qplab.greens import (GreenMatrix, PaveResult, _certificate,
                           _window_admissible)
 from qplab.model import Frequency, TrigPotential
@@ -165,6 +167,18 @@ class TestGreenSolve:
         assert list(lines) == want
 
 
+    @pytest.mark.parametrize("lines", [1, 12, 30, 100, 1000])
+    def test_csv_spans_join_to_the_lines(self, golden, mathieu5, lines):
+        g = green_solve((-4, 7), golden, 0.2, 0.5, mathieu5)
+        csv = g.csv_lines()
+        spans = csv.spans(lines)
+        assert [i for rows in spans for i in rows] == list(range(12))
+        assert all(len(rows) == max(1, min(12, lines // 12))
+                   for rows in spans[:-1])
+        text = "".join(csv.span_text(rows) for rows in spans)
+        assert [csv.HEADER] + text.splitlines() == list(csv)
+
+
 class TestDecayFit:
     def test_free_offdiagonal_rate(self, golden, free):
         # oracle: dense inverse of the free chain at E = 3 decays at the
@@ -296,6 +310,35 @@ class TestPave:
             live = direct.signs != 0
             assert np.max(np.abs(res.green.logs[live]
                                  - direct.logs[live])) <= 1e-9
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_final_pass_in_row_blocks_matches_one_pass(self, golden,
+                                                       monkeypatch, rows):
+        v = cosine_potential(10.0)
+        monkeypatch.setattr(greens, "_PAVE_BLOCK_ROWS", 300)
+        one = pave((1, 300), 50, golden, 0.0, 13.0, v, c=1.0)
+        monkeypatch.setattr(greens, "_PAVE_BLOCK_ROWS", rows)
+        res = pave((1, 300), 50, golden, 0.0, 13.0, v, c=1.0)
+        assert np.array_equal(res.green.signs, one.green.signs)
+        assert np.array_equal(res.green.logs, one.green.logs)
+        assert res.certificate == one.certificate
+
+    def test_memory_follows_the_matrix(self, golden):
+        # Peak traced memory of a 1000-site paving, bounded from the layout:
+        # 9 bytes of window rows and 9 of assembled rows per entry, the n^2
+        # masks and copies of the certificate's fit, and one block of rows.
+        # One pass over all rows stacks three n x n terms of slog.add and
+        # takes the peak to about 104 bytes per entry.
+        big = 1000
+        greens._scipy_linalg()          # its import is not the run's memory
+        tracemalloc.start()
+        try:
+            pave((1, big), 50, golden, 0.0, 13.0, cosine_potential(10.0),
+                 c=0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * big * big
 
     def test_certificate_json_round_trip(self, golden):
         import json
