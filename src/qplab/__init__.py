@@ -1,10 +1,11 @@
 """qplab: numerical laboratory for quasi-periodic Schrodinger cocycles.
 
-Transfer-matrix products in overflow-safe signed-log arithmetic, finite-scale
-Lyapunov exponents and their large-deviation statistics, Green's functions by
-Cramer minors and banded solves, resolvent-identity paving, finite-box
-localization diagnostics, and the multiscale lower-bound recursion for
-strongly coupled potentials.
+Transfer-matrix products rescaled by powers of two so that they never
+overflow, finite-scale Lyapunov exponents and their large-deviation
+statistics, Green's functions in signed-log arithmetic by Cramer minors and
+banded solves, resolvent-identity paving, finite-box localization
+diagnostics, and the multiscale lower-bound recursion for strongly coupled
+potentials.
 """
 
 __version__ = "0.1.0"

@@ -2,15 +2,16 @@
 
 Each run validates its JSON config against a schema.  The command's handler
 computes: it returns every artifact, the lines of a CSV/plot file or the
-payload of a JSON file by file name, and touches no file.  The lines may be a
-lazy iterable, such as the n^2 lines of a Green's matrix, which are formatted
-in spans of rows while they are written, by up to as many forked processes
-as the thread cap allows.  `run` writes: it adds a manifest recording the
-config hash, package versions, seed, thread cap and wall time, and only then
-creates the output directory and writes every file to a temporary name
-beside its own.  Only when all of them are written does it rename each into
-place, so a command that fails, while computing or while writing, writes
-nothing.  Seeded runs reproduce byte for byte at every thread count.
+payload of a JSON file by file name, and touches no file.  The lines are a
+list, or for the n^2 lines of a Green's matrix a `CsvLines`, which is
+formatted in spans of rows while it is written, by up to as many forked
+processes as the thread cap allows.  `run` writes: it adds a manifest
+recording the config hash, package versions, seed, thread cap and wall time,
+and only then creates the output directory and writes every file to a
+temporary name beside its own.  Only when all of them are written does it
+rename each into place, so a command that fails, while computing or while
+writing, writes nothing.  Seeded runs reproduce byte for byte at every
+thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -213,13 +213,12 @@ def _write_json(path: Path, payload) -> str:
     return _write_temp(path, [(text + "\n").encode()])
 
 
-def _write_lines(path: Path, lines: Iterable[str], workers: int) -> str:
+def _write_lines(path: Path, lines, workers: int) -> str:
     """Write newline-terminated lines, joined in blocks of bounded size.
 
-    ``lines`` may be any iterable, a lazy one included: it is consumed one
-    block of `_BLOCK_LINES` lines at a time, so at most one block of its
-    lines exists at once.  A `CsvLines` is written in spans of rows of about
-    that many lines instead, formatted by up to ``workers`` processes.
+    A list is joined `_BLOCK_LINES` lines at a time.  A `CsvLines` is
+    written in spans of rows of about that many lines, formatted by up to
+    ``workers`` processes, so at most a few spans of its lines exist at once.
     """
     with contextlib.closing(_line_chunks(lines, workers)) as chunks:
         return _write_temp(path, chunks)
@@ -232,9 +231,8 @@ def _line_chunks(lines, workers: int) -> Iterator[bytes]:
         yield from _in_order(lambda k: lines.span_text(spans[k]).encode(),
                              len(spans), workers)
         return
-    it = iter(lines)
-    for block in iter(lambda: list(itertools.islice(it, _BLOCK_LINES)), []):
-        yield ("\n".join(block) + "\n").encode()
+    for i in range(0, len(lines), _BLOCK_LINES):
+        yield ("\n".join(lines[i:i + _BLOCK_LINES]) + "\n").encode()
 
 
 def _in_order(fmt: Callable[[int], bytes], count: int,
@@ -250,8 +248,8 @@ def _in_order(fmt: Callable[[int], bytes], count: int,
     back, so memory stays bounded without a queue.  A child ends
     with ``os._exit``, so no inherited buffer or exit handler runs twice,
     and none outlives the generator: once it finishes, fails or is closed,
-    every child is killed and reaped.  An error in a child is raised here as
-    `WorkerFailed`.
+    every child with frames still unread is killed, and every child reaped.
+    An error in a child is raised here as `WorkerFailed`.
     """
     workers = min(workers, count)
     if workers < 2 or not hasattr(os, "fork"):
@@ -260,6 +258,7 @@ def _in_order(fmt: Callable[[int], bytes], count: int,
     import signal
 
     readers, pids = [], []
+    read = 0
     try:
         for w in range(workers):
             r, wfd = os.pipe()
@@ -270,12 +269,20 @@ def _in_order(fmt: Callable[[int], bytes], count: int,
             os.close(wfd)
             readers.append(os.fdopen(r, "rb"))
         for k in range(count):
-            yield _read_frame(readers[k % workers])
+            frame = _read_frame(readers[k % workers])
+            read = k + 1
+            yield frame
     finally:
         for reader in readers:
             reader.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+        # A child whose frames were all read has ended or is ending, and
+        # where SIGCHLD is ignored the kernel reaps it at once: its pid is
+        # not signalled, as it may be gone or even reused.
+        busy = {k % workers for k in range(read, count)}
+        for w, pid in enumerate(pids):
+            if w in busy:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):    # SIGCHLD ignored
                 os.waitpid(pid, 0)
 
@@ -524,11 +531,12 @@ def _run_recursion(config, v, freq, seed) -> dict:
     lam = float(config.get("lambda", 50.0))
     schedule = [int(x) for x in config["schedule"]]
     ladder = multiscale_recursion(
-        lam, v, freq, schedule, sigma=float(config.get("sigma", 0.1)),
-        samples=int(config.get("samples", 200)), seed=seed,
-        energy=float(config.get("E", 0.0)),
+        lam, v, freq, schedule, samples=int(config.get("samples", 200)),
+        seed=seed, energy=float(config.get("E", 0.0)),
         gate_constant=float(config.get("gate_constant", 1.0)))
-    return {"ladder.json": ladder.to_json(),
+    # sigma drives no step of the ladder; ladder.json records it as given.
+    return {"ladder.json": {**ladder.to_json(),
+                            "sigma": float(config.get("sigma", 0.1))},
             **_plot([(r.n, r.l_value) for r in ladder.rows], "ladder",
                     header="# half_log_lambda = "
                            + numfmt.num(ladder.half_log_coupling))}

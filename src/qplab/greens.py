@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, List, Tuple
+from typing import ClassVar, List, Tuple
 
 import numpy as np
 
@@ -72,11 +72,11 @@ class CsvLines:
     """The CSV lines of a `GreenMatrix`, sized and formatted lazily.
 
     `span_text` formats the lines of a range of matrix rows, and `spans` cuts
-    the matrix into such ranges; `cli.run` writes the ranges in order, each
-    formatted in one of up to ``--threads`` forked processes (the cap the
-    manifest records as ``threads``), so its n^2 strings never exist at once
-    and the bytes are the same at every thread count.  Iterating yields the header and then every line, formatted one
-    matrix row at a time, afresh on each iteration.
+    the matrix into such ranges.  `cli.run` writes `HEADER` and then the
+    ranges in order, each formatted in one of up to ``--threads`` forked
+    processes (the cap the manifest records as ``threads``), so the n^2
+    strings never exist at once and the bytes are the same at every thread
+    count.
     """
 
     HEADER: ClassVar[str] = "n1,n2,sign,log_mag"
@@ -84,12 +84,6 @@ class CsvLines:
 
     def __len__(self) -> int:
         return self.green.size ** 2 + 1
-
-    def __iter__(self) -> Iterator[str]:
-        yield self.HEADER
-        tails = self._tails()
-        for i in range(self.green.size):
-            yield from self._row(i, tails)
 
     def spans(self, lines: int) -> List[range]:
         """Consecutive ranges of whole rows, about ``lines`` lines each (at
@@ -100,24 +94,18 @@ class CsvLines:
 
     def span_text(self, rows: range) -> str:
         """The newline-terminated lines of matrix ``rows``."""
-        tails = self._tails()
-        lines: List[str] = []
-        for i in rows:
-            lines += self._row(i, tails)
-        return "\n".join(lines) + "\n"
-
-    def _tails(self) -> List[Tuple[str, str, str]]:
+        g = self.green
         # The ",n2,sign," middle of a line, per column, indexed by the sign:
         # 0 and 1 index directly and -1 picks the last element.
-        a = self.green.interval[0]
-        return [(f",{c},0,", f",{c},1,", f",{c},-1,")
-                for c in range(a, a + self.green.size)]
-
-    def _row(self, i: int, tails) -> List[str]:
-        g = self.green
-        head = str(g.interval[0] + i)
-        return [f"{head}{t[s]}{x}" for t, s, x in
-                zip(tails, g.signs[i].tolist(), numfmt.nums(g.logs[i]))]
+        a = g.interval[0]
+        tails = [(f",{c},0,", f",{c},1,", f",{c},-1,")
+                 for c in range(a, a + g.size)]
+        lines: List[str] = []
+        for i in rows:
+            head = str(a + i)
+            lines += [f"{head}{t[s]}{x}" for t, s, x in
+                      zip(tails, g.signs[i].tolist(), numfmt.nums(g.logs[i]))]
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,6 @@ class FourierDecay:
     slope: Optional[float]
     coefficients: np.ndarray    # |phi_hat(k)| for k = 1..k_max
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           np.asarray(self.coefficients, dtype=float))
-
 
 def fourier_decay_check(omega: Frequency, energy: float, n: int,
                         v: TrigPotential, k_max: int) -> FourierDecay:

@@ -27,11 +27,6 @@ class EigenPair:
     vector: np.ndarray
     interval: Tuple[int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
-        object.__setattr__(self, "interval",
-                           (int(self.interval[0]), int(self.interval[1])))
-
     def sites(self) -> np.ndarray:
         return np.arange(self.interval[0], self.interval[1] + 1)
 
@@ -39,6 +34,7 @@ class EigenPair:
 def eigensystem(interval: Tuple[int, int], omega: Frequency, theta,
                 v: TrigPotential) -> List[EigenPair]:
     """Full eigendecomposition of the box operator, energies ascending."""
+    interval = (int(interval[0]), int(interval[1]))
     diag = box_diagonal(interval, omega, theta, v)
     n = diag.size
     if n == 1:

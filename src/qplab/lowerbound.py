@@ -315,7 +315,6 @@ class ScaleRow:
 @dataclass(frozen=True)
 class ScaleLadder:
     rows: Tuple[ScaleRow, ...]
-    sigma: float
     coupling: float
     log_norm_bound: float
     half_log_coupling: float
@@ -325,7 +324,6 @@ class ScaleLadder:
 
     def to_json(self) -> dict:
         return {
-            "sigma": self.sigma,
             "lambda": self.coupling,
             "log_norm_bound": self.log_norm_bound,
             "half_log_lambda": self.half_log_coupling,
@@ -355,9 +353,8 @@ class ScaleLadder:
 
 
 def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
-                         schedule: Sequence[int], sigma: float = 0.1,
-                         samples: int = 200, seed: int = 0,
-                         energy: float = 0.0,
+                         schedule: Sequence[int], samples: int = 200,
+                         seed: int = 0, energy: float = 0.0,
                          gate_constant: float = 1.0) -> ScaleLadder:
     """Walk an increasing scale ladder checking gates and drop bounds.
 
@@ -431,7 +428,7 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
         slack = 3.0 * math.sqrt(r.std_error ** 2 + rows[0].std_error ** 2)
         if not r.l_value > product * first - slack:
             telescope_ok = False
-    return ScaleLadder(rows=tuple(rows), sigma=sigma, coupling=lam,
+    return ScaleLadder(rows=tuple(rows), coupling=lam,
                        log_norm_bound=log1v, half_log_coupling=half,
                        half_log_ok=half_log_ok, half_log_margin=min_l - half,
                        telescope_ok=telescope_ok)

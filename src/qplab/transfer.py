@@ -219,11 +219,6 @@ def _log_opnorm(m00, m01, m10, m11, ls):
     return ls + np.log(np.sqrt(0.5 * (t + np.sqrt(disc))))
 
 
-def _entries(m00, m01, m10, m11):
-    return np.stack([np.stack([m00, m01], axis=-1),
-                     np.stack([m10, m11], axis=-1)], axis=-2)
-
-
 def _as_batch(omega: Frequency, thetas) -> np.ndarray:
     th = np.asarray(thetas)
     if np.iscomplexobj(th):
@@ -240,8 +235,7 @@ def _final(rows, period: int):
     return _unit(top, prev, exps)
 
 
-def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
-                  return_matrices: bool = False):
+def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential):
     """Vectorized n-step cocycle over a batch of phases (and energies).
 
     M_n(theta) is the product of the one-step matrices at theta + j*omega
@@ -253,18 +247,14 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential,
     every energy, giving (E, B) results).  Complex phases (d=1 only, else
     ValueError) run along the complexified lines Im z = thetas.imag; the
     potential raises StripExceeded when some |Im z| >= strip_width/10.
-    Returns the array of log spectral norms, and optionally the Frobenius-1
-    entry arrays with their log scales.
+    Returns the array of log spectral norms.
     """
     energy = np.asarray(energy, dtype=float)
     th = _as_batch(omega, thetas)
     imag = float(np.max(np.abs(th.imag))) if np.iscomplexobj(th) else 0.0
     rows = _orbit_rows(omega, th, energy, n, v)
     m, ls = _final(rows, _period(v, energy, imag))
-    log_norms = _log_opnorm(*m, ls)
-    if return_matrices:
-        return log_norms, _entries(*m), ls
-    return log_norms
+    return _log_opnorm(*m, ls)
 
 
 def cocycle_complex(omega: Frequency, z: complex, energy: float, n: int,
@@ -337,8 +327,8 @@ def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
     """
     if n < 3:
         raise ValueError("identity check needs n >= 3")
-    _, entries, ls = cocycle_batch(omega, theta, energy, n, v,
-                                   return_matrices=True)
+    rows = _orbit_rows(omega, _as_batch(omega, theta), energy, n, v)
+    m, ls = _final(rows, _period(v, energy))
     diag = box_diagonal((1, n), omega, theta, v) - energy
     s_full, l_full = det_sequence(diag)
     s_shift, l_shift = det_sequence(diag[1:])
@@ -348,10 +338,10 @@ def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
         (-int(s_full[n - 1]), float(l_full[n - 1])),   # bottom-left
         (-int(s_shift[n - 2]), float(l_shift[n - 2])),  # bottom-right
     ]
-    entries, ls = entries[0], float(ls[0])
+    ls = float(ls[0])
     worst = 0.0
-    for (i, j), (es, el) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), expected):
-        val = entries[i, j]
+    for entry, (es, el) in zip(m, expected):
+        val = entry[0]
         if val == 0.0 and es == 0:
             continue
         if val == 0.0 or es == 0:

@@ -6,6 +6,7 @@ import pytest
 
 from qplab import (cosine_potential, golden_frequency, two_cosine_potential,
                    two_torus_frequency, zero_potential)
+from qplab.transfer import _as_batch, _final, _orbit_rows
 
 
 @pytest.fixture(scope="session")
@@ -92,6 +93,23 @@ def dense_box(interval, omega, theta, energy, v):
     m[idx, idx + 1] = 1.0
     m[idx + 1, idx] = 1.0
     return m
+
+
+def as_matrices(m00, m01, m10, m11):
+    """(..., 2, 2) matrices from arrays of their four entries."""
+    return np.stack([np.stack([m00, m01], axis=-1),
+                     np.stack([m10, m11], axis=-1)], axis=-2)
+
+
+def cocycle_product(omega, thetas, energy, n, v, period=1):
+    """Frobenius-1 matrices, shape (B, 2, 2), and log scales of the n-step
+    products whose log norms ``cocycle_batch`` returns, rescaled every
+    ``period`` steps; the rescales are exact powers of two, so every period
+    gives the same bits."""
+    rows = _orbit_rows(omega, _as_batch(omega, thetas),
+                       np.asarray(energy, dtype=float), n, v)
+    m, ls = _final(rows, period)
+    return as_matrices(*m), ls
 
 
 def orbit_phases(theta, omega, j):

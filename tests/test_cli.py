@@ -3,9 +3,11 @@ import itertools
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -153,17 +155,17 @@ class TestValidation:
 
 
 def fail_green_csv_after_three_rows(monkeypatch):
-    """Make Green CSV lines raise after three matrix rows, written in blocks
-    of four lines so that some reach the temporary file first."""
-    def csv_lines(green):
-        def lines():
-            yield from itertools.islice(greens.CsvLines(green),
-                                        3 * green.size + 1)
-            raise SingularEnergy(green.interval, -800.0)
-        return lines()
+    """Make Green CSV spans raise after three matrix rows of ten, written in
+    spans of three rows so that the first span is written before the error."""
+    span_text = greens.CsvLines.span_text
 
-    monkeypatch.setattr(greens.GreenMatrix, "csv_lines", csv_lines)
-    monkeypatch.setattr(cli, "_BLOCK_LINES", 4)
+    def failing(lines, rows):
+        if rows.start >= 3:
+            raise SingularEnergy(lines.green.interval, -800.0)
+        return span_text(lines, rows)
+
+    monkeypatch.setattr(greens.CsvLines, "span_text", failing)
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 30)
 
 
 class TestRun:
@@ -308,6 +310,32 @@ class TestRun:
         assert doc["half_log_ok"]
         assert len(doc["ladder"]) == 2
 
+    def test_recursion_ladder_records_sigma(self, tmp_path):
+        # sigma drives no step of the ladder: ladder.json records the
+        # config's value, or 0.1 when the config leaves it out.
+        cfg = dict(FLAGSHIP_CONFIGS["recursion"], schedule=[100, 200],
+                   samples=60)
+        run(dict(cfg, sigma=0.25), out_dir=tmp_path / "given")
+        run(without(cfg, "sigma"), out_dir=tmp_path / "default")
+        given, default = (
+            json.loads((tmp_path / d / "ladder.json").read_text())
+            for d in ("given", "default"))
+        assert given.pop("sigma") == 0.25
+        assert default.pop("sigma") == 0.1
+        assert given == default
+
+    def test_integral_float_interval_writes_integer_sites(self, tmp_path):
+        # The schema's integer admits -100.0; profiles still index by int.
+        cfg = CONTRACT_CONFIGS["localize"]
+        run(cfg, out_dir=tmp_path / "int")
+        run(dict(cfg, interval=[-100.0, 100.0]), out_dir=tmp_path / "float")
+        found = {}
+        for name in ("int", "float"):
+            files, _ = artifacts(tmp_path / name)
+            del files["localization.json"]     # its box echoes the config
+            found[name] = files
+        assert found["float"] == found["int"]
+
     def test_outputs_follow_umask(self, tmp_path):
         old = os.umask(0o027)
         try:
@@ -351,7 +379,8 @@ class TestRun:
         path.write_text(json.dumps(GREEN_1D))
         fail_green_csv_after_three_rows(monkeypatch)
         out = tmp_path / "new" / "out"
-        assert main(["green", "--config", str(path), "--out", str(out)]) == 1
+        assert main(["green", "--config", str(path), "--threads", "1",
+                     "--out", str(out)]) == 1
         assert "SingularEnergy" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
@@ -363,9 +392,23 @@ class TestRun:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         fail_green_csv_after_three_rows(monkeypatch)
         path.write_text(json.dumps(dict(GREEN_1D, E=0.7)))
-        assert main(["green", "--config", str(path), "--out", str(out)]) == 1
+        assert main(["green", "--config", str(path), "--threads", "1",
+                     "--out", str(out)]) == 1
         assert not list(out.glob("*.tmp*"))
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("block", [4, 5])
+    def test_lists_longer_than_a_block_are_written_whole(self, tmp_path,
+                                                         monkeypatch, block):
+        # Ten lines in blocks of 4, 4 and 2, or of exactly 5 and 5.
+        cfg = lyap_config(e_values=[0.25 * k for k in range(9)])
+        run(cfg, out_dir=tmp_path / "default")
+        monkeypatch.setattr(cli, "_BLOCK_LINES", block)
+        run(cfg, out_dir=tmp_path / "blocks")
+        csv = (tmp_path / "blocks" / "lyapunov.csv").read_text()
+        assert len(csv.splitlines()) == 10
+        assert (artifacts(tmp_path / "blocks")
+                == artifacts(tmp_path / "default"))
 
     def test_error_in_a_later_file_keeps_earlier_artifacts(self, tmp_path,
                                                            monkeypatch):
@@ -443,6 +486,15 @@ def no_child_left():
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
+        return True
+    return False
+
+
+def pid_gone(pid):
+    """True when no process, running or unreaped, has this pid."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
         return True
     return False
 
@@ -559,6 +611,31 @@ class TestForkedCsv:
         assert "WorkerFailed" in capsys.readouterr().err
         assert not list(out.glob("*.tmp*"))
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert no_child_left()
+
+    def test_closing_after_every_frame_with_sigchld_ignored(self, golden,
+                                                             forks):
+        # With SIGCHLD ignored the kernel reaps each child as it ends, so
+        # once every frame is read the children may be gone before the
+        # stream is closed; closing it must not signal their pids.
+        g = greens.green_solve((1, 40), golden, 0.0, 9.0,
+                               system_from_json(BASE_SYSTEM)[0])
+        csv = g.csv_lines()
+        spans = csv.spans(80)
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            chunks = cli._in_order(lambda k: csv.span_text(spans[k]).encode(),
+                                   len(spans), 3)
+            text = b"".join(itertools.islice(chunks, len(spans)))
+            assert len(forks) == 3
+            deadline = time.monotonic() + 60
+            while not all(map(pid_gone, forks)):
+                assert time.monotonic() < deadline, "children still running"
+                time.sleep(0.01)
+            chunks.close()
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert text.decode() == csv.span_text(range(40))
         assert no_child_left()
 
     def test_closing_the_stream_part_way_ends_every_worker(self, golden,

@@ -45,12 +45,12 @@ from qplab import (SingularEnergy, StripExceeded, complexified_growth_check,
 
 from qplab.greens import _scipy_linalg
 from qplab.model import TrigPotential
-from qplab.transfer import (_as_batch, _entries, _final, _log_opnorm,
-                            _orbit_rows, _period, _products, _unit,
-                            box_diagonal, cocycle_complex, det_sequence)
+from qplab.transfer import (_as_batch, _final, _log_opnorm, _orbit_rows,
+                            _period, _products, _unit, box_diagonal,
+                            cocycle_complex, det_sequence)
 
-from conftest import (needs_long_double, orbit_phases, random_trig_potential,
-                      reference_orbit)
+from conftest import (cocycle_product, needs_long_double, orbit_phases,
+                      random_trig_potential, reference_orbit)
 
 
 def oracle_complex_eval(v, zs):
@@ -239,18 +239,22 @@ def test_cocycle_batch_bit_for_bit(name, omega, thetas, energy, n, v):
     """Close to the oracle; bit for bit whatever the rescaling period."""
     want_norms, want_entries, want_ls = oracle_cocycle_batch(
         omega, thetas, energy, n, v)
-    norms, entries, ls = cocycle_batch(omega, thetas, energy, n, v,
-                                       return_matrices=True)
+    norms = cocycle_batch(omega, thetas, energy, n, v)
     np.testing.assert_allclose(norms, want_norms, rtol=1e-12, atol=0.0)
+    assert np.array_equal(cocycle_batch(omega, thetas, energy, n, v), norms)
+    # The products at cocycle_batch's rescaling period, whose log norms it
+    # returns.
+    entries, ls = cocycle_product(omega, thetas, energy, n, v,
+                                  _period(v, np.asarray(energy)))
     aligned = np.exp(ls - want_ls)[:, None, None] * entries
     assert np.max(np.abs(aligned - want_entries)) <= 1e-10
-    assert np.array_equal(cocycle_batch(omega, thetas, energy, n, v), norms)
+    e = entries
+    assert np.array_equal(_log_opnorm(e[..., 0, 0], e[..., 0, 1], e[..., 1, 0],
+                                      e[..., 1, 1], ls), norms)
     # Power-of-two rescales are exact: rescaling after every step instead
     # of every few gives the same bits.
-    rows = _orbit_rows(omega, _as_batch(omega, thetas), np.asarray(energy),
-                       n, v)
-    m, every_step_ls = _final(rows, 1)
-    assert np.array_equal(_entries(*m), entries)
+    every_step, every_step_ls = cocycle_product(omega, thetas, energy, n, v)
+    assert np.array_equal(every_step, entries)
     assert np.array_equal(every_step_ls, ls)
 
 

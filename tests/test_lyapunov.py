@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import orbit_phases
+from conftest import cocycle_product, orbit_phases
 from qplab import (SamplerSpec, check_subadditivity, cosine_potential,
                    lyapunov_n, lyapunov_scan, upper_bound_check)
 from qplab.lyapunov import THREADS, _CHUNK, _SPLIT_FLOOR, _phi_values
@@ -162,8 +162,7 @@ class TestShiftAverage:
         # The product at the phase shifted by one step is the 31-step
         # product with its first factor [[a, 1], [-1, 0]] divided off.
         got = orbit_average(golden, 0.2, 0.0, 30, 1, mathieu5)
-        _, m31, ls = cocycle_batch(golden, 0.2, 0.0, 31, mathieu5,
-                                   return_matrices=True)
+        m31, ls = cocycle_product(golden, 0.2, 0.0, 31, mathieu5)
         a = float(mathieu5.eval_batch(orbit_phases(0.2, golden, 1)))
         inv_first = np.array([[0.0, -1.0], [1.0, a]])
         want = (ls[0] + math.log(np.linalg.norm(m31[0] @ inv_first, 2))) / 30

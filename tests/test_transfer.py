@@ -6,23 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_box, orbit_phases, random_trig_potential
+from conftest import (as_matrices, cocycle_product, dense_box, orbit_phases,
+                      random_trig_potential)
 from qplab import (StripExceeded, cocycle_batch, cosine_potential,
                    golden_frequency, slog, two_torus_frequency,
                    verify_det_identity)
 from qplab.model import TrigPotential
-from qplab.transfer import (_entries, _log_opnorm, _orbit_rows, _period,
-                            _products, box_diagonal, cocycle_complex,
-                            det_sequence)
+from qplab.transfer import (_log_opnorm, _orbit_rows, _period, _products,
+                            box_diagonal, cocycle_complex, det_sequence)
 
 
 def single_phase(omega, theta, energy, n, v):
-    """``cocycle_batch`` at one phase: its log norm, Frobenius-1 entries and
-    log scale."""
-    log_norms, entries, ls = cocycle_batch(omega, theta, energy, n, v,
-                                           return_matrices=True)
-    return SimpleNamespace(log_norm=float(log_norms[0]), entries=entries[0],
-                           log_scale=float(ls[0]))
+    """``cocycle_batch`` at one phase, its log norm, with the Frobenius-1
+    entries and log scale of its product."""
+    entries, ls = cocycle_product(omega, theta, energy, n, v)
+    return SimpleNamespace(
+        log_norm=float(cocycle_batch(omega, theta, energy, n, v)[0]),
+        entries=entries[0], log_scale=float(ls[0]))
 
 
 def cofactor_det(m):
@@ -66,7 +66,7 @@ class TestKernel:
                     step = np.zeros((3, 2, 2), dtype=dtype)
                     step[:, 0, 0], step[:, 0, 1], step[:, 1, 0] = a, 1.0, -1.0
                     direct = step @ direct
-                    entries = _entries(top[0], top[1], -prev[0], -prev[1])
+                    entries = as_matrices(top[0], top[1], -prev[0], -prev[1])
                     for k in range(3):
                         err = np.abs(2.0 ** exps[k] * entries[k] - direct[k])
                         assert np.max(err) <= 1e-13 * np.linalg.norm(direct[k])
@@ -74,8 +74,7 @@ class TestKernel:
     def test_returned_entries_have_unit_frobenius_norm(self, golden, mathieu5):
         thetas = np.linspace(0.0, 1.0, 7, endpoint=False)
         for n in (1, 5, 300):
-            _, entries, _ = cocycle_batch(golden, thetas, 0.4, n, mathieu5,
-                                          return_matrices=True)
+            entries, _ = cocycle_product(golden, thetas, 0.4, n, mathieu5)
             assert np.allclose(np.sum(entries ** 2, axis=(1, 2)), 1.0,
                                rtol=1e-14, atol=0)
         res = single_phase(golden, complex(0.2, 0.1), 0.4, 300, mathieu5)
