@@ -449,7 +449,8 @@ def _run_pave(config, v, freq, seed) -> dict:
 
 
 def _run_localize(config, v, freq, seed) -> dict:
-    interval = tuple(config["interval"])
+    # The schema's integer admits -100.0; the box and its sites are ints.
+    interval = tuple(int(x) for x in config["interval"])
     theta = _theta_of(config, freq.dim)
     rate_thr = float(config.get("rate_threshold", 0.0))
     r2_thr = float(config.get("r2_threshold", 0.95))

@@ -9,8 +9,10 @@ class StripExceeded(QplabError):
     """A complex argument left the usable analyticity strip."""
 
 
-class SigmaOutOfRange(QplabError):
-    """Deviation exponent outside the admissible range for the strong bound."""
+class SigmaOutOfRange(QplabError, ValueError):
+    """Deviation exponent outside the admissible range for the strong bound.
+
+    A ValueError too, so the CLI exits 2 with ``ConfigInvalid``."""
 
 
 class SingularEnergy(QplabError):

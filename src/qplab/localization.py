@@ -34,7 +34,6 @@ class EigenPair:
 def eigensystem(interval: Tuple[int, int], omega: Frequency, theta,
                 v: TrigPotential) -> List[EigenPair]:
     """Full eigendecomposition of the box operator, energies ascending."""
-    interval = (int(interval[0]), int(interval[1]))
     diag = box_diagonal(interval, omega, theta, v)
     n = diag.size
     if n == 1:

@@ -3,6 +3,14 @@
 Conventions: the torus is [0,1)^d and a wave index k contributes the phase
 exp(2*pi*i*k.theta), so "cos theta" means cos(2*pi*theta) internally.
 Frequencies, phases and potential arguments are always in these angle units.
+
+One orbit evaluator gives the potential at theta + j omega to the cocycle
+rows and box diagonals of `transfer`, and is `TrigPotential.eval_batch` at
+step 0.  It expands each angle by phase rotation: cos and sin of
+2 pi k.frac(theta) once per phase, and per step the coefficients turned by
+2 pi frac(j k.omega), formed from an exact head product that limits j |k|_1
+to below 2^27.  Every consumer sums the same products in the same order, so
+all give the same bits at the same site.
 """
 
 from __future__ import annotations
@@ -191,30 +199,14 @@ class TrigPotential:
     def eval_batch(self, thetas) -> np.ndarray:
         """Evaluate at points of shape (..., d) (or (...,) when d=1).
 
-        Sums c0 + a_k cos + b_k sin harmonic by harmonic, skipping zero
-        halves, so a cosine-only potential never computes a sine.  Complex
-        points give the analytic continuation on the strip, with complex
-        values; they raise StripExceeded when some |Im z| >= strip_width/10.
+        This is the orbit evaluator's row at step 0, so real parts are
+        reduced mod 1 as for orbit rows.  Complex points give the analytic
+        continuation on the strip, with complex values; they raise
+        StripExceeded when some |Im z| >= strip_width/10.
         """
-        th = np.asarray(thetas)
-        if th.dtype.kind == "c":
-            th = th.astype(complex, copy=False)
-            self._check_strip(th.imag)
-        else:
-            th = th.astype(float, copy=False)
-        shape = th.shape if self.dim == 1 else th.shape[:-1]
-        val = np.full(shape, self._c0, dtype=th.dtype)
-        if self.dim == 1:
-            angs = (TWO_PI * (th * k) for k in self._k_half[:, 0])
-        else:
-            table = TWO_PI * (th @ self._k_half.T)
-            angs = (table[..., h] for h in range(table.shape[-1]))
-        for ang, a, b in zip(angs, self._a_half, self._b_half):
-            if a:
-                val += a * np.cos(ang)
-            if b:
-                val += b * np.sin(ang)
-        return self.coupling * val
+        x, y = _phase_harmonics(self, np.asarray(thetas))
+        return _harmonic_sum(self, self._a_half, self._b_half, x, y,
+                             x.shape[1:])
 
     def _check_strip(self, imag) -> None:
         """Raise StripExceeded when some |Im z| reaches strip_width/10."""
@@ -233,6 +225,83 @@ def strip_norm(v: TrigPotential) -> float:
     """Upper bound sum |v_k| exp(2 pi |k|_1 rho) for |v| on the usable strip
     |Im z_j| <= rho = strip_width/10."""
     return v.coefficient_bound(v.strip_width / 10.0)
+
+
+# ---------------------------------------------------------------------------
+# the orbit evaluator
+
+
+def _frac(x):
+    """x mod 1 as x - floor(x): the same bits as x % 1.0, at less cost."""
+    return x - np.floor(x)
+
+
+# Bits of omega kept in its head: j (k.head) is exact below j |k|_1 = 2^27.
+_HEAD_BITS = 26
+_MAX_REACH = 2 ** (53 - _HEAD_BITS)
+
+
+def _phase_harmonics(v: TrigPotential, th):
+    """cos and sin of 2 pi k_h.frac(th) for each positive harmonic k_h of v.
+
+    Both arrays have shape (H,) + the batch shape: ``th.shape`` for d=1,
+    ``th.shape[:-1]`` for d=2.  A complex ``th`` keeps its imaginary part,
+    and raises StripExceeded when some |Im z| >= strip_width/10.
+    """
+    if np.iscomplexobj(th):
+        v._check_strip(th.imag)
+        f = _frac(th.real) + 1j * th.imag
+    else:
+        f = _frac(np.asarray(th, dtype=float))
+    if v.dim == 1:
+        turns = [f * k[0] for k in v._k_half]
+    else:
+        turns = [f[..., 0] * k[0] + f[..., 1] * k[1] for k in v._k_half]
+    batch = f.shape if v.dim == 1 else f.shape[:-1]
+    ang = TWO_PI * np.array(turns, dtype=f.dtype).reshape(
+        (len(turns),) + batch)
+    return np.cos(ang), np.sin(ang)
+
+
+def _step_rotations(omega: Frequency, v: TrigPotential, first: int,
+                    last: int):
+    """Coefficients turned by alpha_jh = 2 pi frac(j k_h.omega), per step j.
+
+    For j = first..last, returns p = a cos(alpha) + b sin(alpha) and
+    q = b cos(alpha) - a sin(alpha), each of shape (last - first + 1, H), so
+    that a_h cos(x + alpha) + b_h sin(x + alpha) = p cos(x) + q sin(x).
+    omega splits into a head of _HEAD_BITS fractional bits and its exact
+    tail, so frac(j k.head) is exact while j |k|_1 < 2^27; a larger reach
+    raises ValueError.
+    """
+    k = v._k_half
+    reach = max(abs(first), abs(last)) * int(np.abs(k).sum(1).max(initial=0))
+    if reach >= _MAX_REACH:
+        raise ValueError(f"orbit reach j |k|_1 = {reach} is not below 2^27, "
+                         "where the phase rotation stays exact")
+    w = omega.as_array()
+    head = np.rint(w * 2.0 ** _HEAD_BITS) / 2.0 ** _HEAD_BITS
+    j = np.arange(first, last + 1, dtype=float)[:, np.newaxis]
+    ang = TWO_PI * (_frac(j * (k @ head)) + j * (k @ (w - head)))
+    c, s = np.cos(ang), np.sin(ang)
+    a, b = v._a_half, v._b_half
+    return a * c + b * s, b * c - a * s
+
+
+def _harmonic_sum(v: TrigPotential, p, q, x, y, shape):
+    """coupling * (c0 + sum_h p_h x_h + q_h y_h), terms added in order of h.
+
+    The first axis of each argument runs over the harmonics and the other
+    axes broadcast to ``shape``: one step's row takes scalar p_h, q_h
+    against a batch of phases, a box takes a column of steps against one
+    phase, and both round the same way.
+    """
+    val = np.full(shape, v._c0, dtype=x.dtype)
+    for ph, qh, xh, yh in zip(p, q, x, y):
+        val += ph * xh
+        val += qh * yh
+    val *= v.coupling
+    return val
 
 
 # ---------------------------------------------------------------------------

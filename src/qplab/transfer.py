@@ -6,14 +6,8 @@ accumulated exponents carry the growth.  The entries of the n-step product
 coincide with signed determinants of trailing tridiagonal truncations, which
 `verify_det_identity` checks to floating-point accuracy.
 
-One orbit evaluator gives the potential at theta + j omega to both the
-cocycle rows (`_orbit_rows`) and the box diagonals (`box_diagonal`).  It
-expands each angle by phase rotation: cos and sin of 2 pi k.theta once per
-phase, and per step the coefficients turned by the angle 2 pi frac(j k.omega),
-which is formed from an exact head product; a row is then a sum of products
-in a fixed order, the same for both consumers, so a cocycle row and the box
-diagonal entry at the same site have the same bits.  The head product limits
-j |k|_1 to below 2^27.
+The cocycle rows (`_orbit_rows`) and box diagonals (`box_diagonal`) take
+v(theta + j omega) from the orbit evaluator of `model`, with the same bits.
 """
 
 from __future__ import annotations
@@ -24,80 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import TWO_PI, Frequency, TrigPotential
-
-
-def _frac(x):
-    """x mod 1 as x - floor(x): the same bits as x % 1.0, at less cost."""
-    return x - np.floor(x)
-
-
-# Bits of omega kept in its head: j (k.head) is exact below j |k|_1 = 2^27.
-_HEAD_BITS = 26
-_MAX_REACH = 2 ** (53 - _HEAD_BITS)
-
-
-def _phase_harmonics(v: TrigPotential, th):
-    """cos and sin of 2 pi k_h.frac(th) for each positive harmonic k_h of v.
-
-    Both arrays have shape (H,) + the batch shape: ``th.shape`` for d=1,
-    ``th.shape[:-1]`` for d=2.  A complex ``th`` (d=1) keeps its imaginary
-    part, and raises StripExceeded where ``eval_batch`` would.
-    """
-    if np.iscomplexobj(th):
-        v._check_strip(th.imag)
-        f = _frac(th.real) + 1j * th.imag
-    else:
-        f = _frac(np.asarray(th, dtype=float))
-    if v.dim == 1:
-        turns = [f * k[0] for k in v._k_half]
-    else:
-        turns = [f[..., 0] * k[0] + f[..., 1] * k[1] for k in v._k_half]
-    batch = f.shape if v.dim == 1 else f.shape[:-1]
-    ang = TWO_PI * np.array(turns, dtype=f.dtype).reshape(
-        (len(turns),) + batch)
-    return np.cos(ang), np.sin(ang)
-
-
-def _step_rotations(omega: Frequency, v: TrigPotential, first: int,
-                    last: int):
-    """Coefficients turned by alpha_jh = 2 pi frac(j k_h.omega), per step j.
-
-    For j = first..last, returns p = a cos(alpha) + b sin(alpha) and
-    q = b cos(alpha) - a sin(alpha), each of shape (last - first + 1, H), so
-    that a_h cos(x + alpha) + b_h sin(x + alpha) = p cos(x) + q sin(x).
-    omega splits into a head of _HEAD_BITS fractional bits and its exact
-    tail, so frac(j k.head) is exact while j |k|_1 < 2^27; a larger reach
-    raises ValueError.
-    """
-    k = v._k_half
-    reach = max(abs(first), abs(last)) * int(np.abs(k).sum(1).max(initial=0))
-    if reach >= _MAX_REACH:
-        raise ValueError(f"orbit reach j |k|_1 = {reach} is not below 2^27, "
-                         "where the phase rotation stays exact")
-    w = omega.as_array()
-    head = np.rint(w * 2.0 ** _HEAD_BITS) / 2.0 ** _HEAD_BITS
-    j = np.arange(first, last + 1, dtype=float)[:, np.newaxis]
-    ang = TWO_PI * (_frac(j * (k @ head)) + j * (k @ (w - head)))
-    c, s = np.cos(ang), np.sin(ang)
-    a, b = v._a_half, v._b_half
-    return a * c + b * s, b * c - a * s
-
-
-def _harmonic_sum(v: TrigPotential, p, q, x, y, shape):
-    """coupling * (c0 + sum_h p_h x_h + q_h y_h), terms added in order of h.
-
-    The first axis of each argument runs over the harmonics and the other
-    axes broadcast to ``shape``: one step's row takes scalar p_h, q_h
-    against a batch of phases, a box takes a column of steps against one
-    phase, and both round the same way.
-    """
-    val = np.full(shape, v._c0, dtype=x.dtype)
-    for ph, qh, xh, yh in zip(p, q, x, y):
-        val += ph * xh
-        val += qh * yh
-    val *= v.coupling
-    return val
+from .model import (Frequency, TrigPotential, _harmonic_sum, _phase_harmonics,
+                    _step_rotations)
 
 
 # ---------------------------------------------------------------------------

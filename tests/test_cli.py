@@ -325,16 +325,12 @@ class TestRun:
         assert given == default
 
     def test_integral_float_interval_writes_integer_sites(self, tmp_path):
-        # The schema's integer admits -100.0; profiles still index by int.
+        # The schema's integer admits -100.0; the box and profiles use ints.
         cfg = CONTRACT_CONFIGS["localize"]
         run(cfg, out_dir=tmp_path / "int")
         run(dict(cfg, interval=[-100.0, 100.0]), out_dir=tmp_path / "float")
-        found = {}
-        for name in ("int", "float"):
-            files, _ = artifacts(tmp_path / name)
-            del files["localization.json"]     # its box echoes the config
-            found[name] = files
-        assert found["float"] == found["int"]
+        found = [artifacts(tmp_path / name)[0] for name in ("int", "float")]
+        assert found[1] == found[0]
 
     def test_outputs_follow_umask(self, tmp_path):
         old = os.umask(0o027)
@@ -684,6 +680,11 @@ class TestMainEntry:
         # Values the schema admits but the library rejects.
         dict(LDT, samples=10),
         dict(LDT, n_schedule=[100, 50]),
+        dict(LDT, sigma=0.0),
+        dict(LDT, sigma=-0.2),
+        dict(LDT, sigma=0.7),           # above 1/2 on one frequency
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(TWO_TORUS_SYSTEM)},
         dict(GREEN_1D, interval=[1, 20], min_sep=10),
         dict(GREEN_1D, interval=[20, 1]),
         dict(FLAGSHIP_CONFIGS["recursion"], schedule=[400, 200]),
@@ -721,7 +722,9 @@ class TestMainEntry:
             "pave-no-window", "green-no-interval", "window_check-no-N",
             "dio-C", "e_grid-pionts", "window_check-cuont",
             "window_check-negative-count", "window_check-N-string",
-            "ldt-samples", "ldt-decreasing-schedule", "green-min_sep",
+            "ldt-samples", "ldt-decreasing-schedule", "ldt-sigma-zero",
+            "ldt-sigma-negative", "ldt-sigma-above-half",
+            "lowerbound-two-torus", "green-min_sep",
             "green-reversed-interval", "recursion-decreasing-schedule",
             "recursion-scale-one", "lowerbound-delta",
             "lowerbound-delta-past-usable-strip", "lowerbound-no-e1_values",
@@ -838,6 +841,14 @@ class TestMainEntry:
                               "delta = 0.001 did not settle")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_ldt_sigma_above_half_runs_on_two_torus(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(LDT, system=TWO_TORUS_SYSTEM,
+                                        sigma=0.7)))
+        assert main(["ldt", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "ldt.csv").exists()
 
     def test_config_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

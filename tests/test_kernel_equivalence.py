@@ -18,11 +18,17 @@ Complex phases run through ``cocycle_batch`` itself; it must give the bits
 of the private route (rows, final product, period from |Im z|, closed-form
 norm) that complex lines were assembled from before, at tolerance 0.
 
-``TrigPotential.eval_batch`` evaluates complex points with the harmonic loop
-it runs on the real torus.  The exp/matmul formula it replaced, which summed
+``TrigPotential.eval_batch`` is the orbit evaluator's row at step 0, with
+the bits of ``box_diagonal((0, 0), ...)``, and evaluates complex points the
+same way.  The exp/matmul formula it replaced there, which summed
 exp(2 pi i z.k) c_k over every wave vector, is the oracle for complex points
-within 1e-13 (1 + sup of |v| on the line); real points must keep the bits of
-the loop as it was before complex points ran through it.
+within 1e-13 (1 + sup of |v| on the line).  On one frequency, real points
+keep the bits of the harmonic loop it replaced on the torus.  On the
+2-torus that loop formed its angles by a matmul, which may fuse multiply
+and add; the evaluator forms them as products and a sum, so there the loop
+is an oracle within 1e-14 (1 + coefficient_bound), the row tolerance.  Real
+points far from [0, 1) must meet that tolerance against the long-double
+reference too.
 
 ``green_solve`` is checked the same way against the banded inverse and
 signed-log conversion it replaced, at tolerance 0: the new one calls the
@@ -368,12 +374,37 @@ def test_complex_eval_matches_exp_matmul_formula():
 def test_real_eval_keeps_its_bits():
     for rng, v in _eval_potentials():
         thetas = rng.random(300) if v.dim == 1 else rng.random((300, 2))
+        tol = _row_tolerance(v, thetas)
         for th in (thetas, thetas[:7].tolist(), thetas[0], thetas * 0.0,
                    thetas.astype(np.float32)):
             want = oracle_real_eval(v, th)
             got = v.eval_batch(th)
             assert got.dtype == np.float64
-            assert np.array_equal(got, want)
+            if v.dim == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= tol
+
+
+def test_eval_batch_is_the_orbit_row_at_step_0():
+    for rng, v in _eval_potentials():
+        omega = GOLDEN if v.dim == 1 else OMEGA2
+        thetas = rng.random(20) if v.dim == 1 else rng.random((20, 2))
+        want = [box_diagonal((0, 0), omega, th, v)[0] for th in thetas]
+        assert np.array_equal(v.eval_batch(thetas), want)
+
+
+@needs_long_double
+def test_eval_batch_reduces_real_parts_mod_1():
+    """At t + 1e6 the row tolerance still holds: frac is taken exactly
+    before the angle is scaled by 2 pi k."""
+    for rng, v in _eval_potentials():
+        omega = GOLDEN if v.dim == 1 else OMEGA2
+        thetas = (rng.random(200) if v.dim == 1
+                  else rng.random((200, 2))) + 1e6
+        gap = np.abs(v.eval_batch(thetas)
+                     - reference_orbit(v, omega, thetas, 0))
+        assert np.max(gap) <= _row_tolerance(v, thetas)
 
 
 def test_complex_eval_strip_guard():
