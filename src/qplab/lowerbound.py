@@ -21,7 +21,8 @@ from .errors import (DropExceeded, GateFailed, HypothesisUnmet,
 from .lyapunov import (LyapunovEstimate, SamplerSpec, default_sampler,
                        lyapunov_n)
 from .model import Frequency, TrigPotential
-from .transfer import _LOG2, _log_opnorm, _orbit_rows, _products, _unit
+from .transfer import (_LOG2, _log_opnorm, _orbit_rows, _period, _products,
+                       _unit, box_diagonal)
 
 STRICT_GATE_CONSTANT = 1000.0
 DROP_CONSTANT = 1000.0
@@ -123,10 +124,11 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
     log_growth = math.log(lam_eps - 1.0)
     # (u, v) = M_(n)(1, 0) is the first column of each renormalized product.
     # The bottom row is minus the previous top row, so |v| = |prev[0]|.
-    rows = _orbit_rows(omega, np.array([complex(0.0, y0)]), energy, n, scaled)
+    diag = box_diagonal((1, n), omega, complex(0.0, y0), scaled)
+    rows = diag[:, np.newaxis] - energy
     log_u = [0.0]
     uv_ok = True
-    for top, prev, exps in _products(rows):
+    for top, prev, exps in _products(rows, _period(scaled, energy, y0)):
         u, vv = abs(top[0, 0]), abs(prev[0, 0])
         log_u.append(exps[0] * _LOG2 + np.log(u))
         uv_ok = uv_ok and bool(u >= vv)

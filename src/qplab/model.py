@@ -117,15 +117,6 @@ def _canon_key(k, dim: int) -> KVec:
     return t
 
 
-def _positive_half(k: KVec) -> bool:
-    for ki in k:
-        if ki > 0:
-            return True
-        if ki < 0:
-            return False
-    return False
-
-
 @dataclass(frozen=True)
 class TrigPotential:
     """Real trigonometric polynomial lambda * v0 given by Fourier coefficients.
@@ -179,7 +170,8 @@ class TrigPotential:
             if not math.isfinite(self.coefficient_bound(0.0)):
                 raise ValueError("sup |v| overflows: the coefficients times "
                                  "the coupling must sum to a finite number")
-        half = [k for k in keys if _positive_half(k)]
+        # Tuple order: the first nonzero component of k is positive.
+        half = [k for k in keys if k > zero]
         object.__setattr__(self, "_k_half",
                            np.array(half, dtype=float).reshape(len(half), self.dim))
         ch = np.array([canon[k] for k in half], dtype=complex)
@@ -202,7 +194,8 @@ class TrigPotential:
         This is the orbit evaluator's row at step 0, so real parts are
         reduced mod 1 as for orbit rows.  Complex points give the analytic
         continuation on the strip, with complex values; they raise
-        StripExceeded when some |Im z| >= strip_width/10.
+        StripExceeded when some |Im z| >= strip_width/10.  A non-finite
+        point raises ValueError.
         """
         x, y = _phase_harmonics(self, np.asarray(thetas))
         return _harmonic_sum(self, self._a_half, self._b_half, x, y,
@@ -246,13 +239,16 @@ def _phase_harmonics(v: TrigPotential, th):
 
     Both arrays have shape (H,) + the batch shape: ``th.shape`` for d=1,
     ``th.shape[:-1]`` for d=2.  A complex ``th`` keeps its imaginary part,
-    and raises StripExceeded when some |Im z| >= strip_width/10.
+    and raises StripExceeded when some |Im z| >= strip_width/10; a
+    non-finite phase raises ValueError.
     """
     if np.iscomplexobj(th):
         v._check_strip(th.imag)
-        f = _frac(th.real) + 1j * th.imag
     else:
-        f = _frac(np.asarray(th, dtype=float))
+        th = np.asarray(th, dtype=float)
+    if not np.isfinite(th).all():
+        raise ValueError("phases must be finite")
+    f = _frac(th.real) + 1j * th.imag if np.iscomplexobj(th) else _frac(th)
     if v.dim == 1:
         turns = [f * k[0] for k in v._k_half]
     else:

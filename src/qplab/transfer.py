@@ -18,6 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import slog
 from .model import (Frequency, TrigPotential, _harmonic_sum, _phase_harmonics,
                     _step_rotations)
 
@@ -73,7 +74,7 @@ def _rescale(top, prev, exps):
     exps += e
 
 
-def _products(rows, period: int = 1):
+def _products(rows, period: int):
     """Running products of the one-step factors [[a, 1], [-1, 0]].
 
     ``rows`` yields one array a = v - E per step, over a batch.  The product
@@ -168,10 +169,13 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential):
     length-B array (one energy per phase) or an (E, 1) column (every phase at
     every energy, giving (E, B) results).  Complex phases (d=1 only, else
     ValueError) run along the complexified lines Im z = thetas.imag; the
-    potential raises StripExceeded when some |Im z| >= strip_width/10.
-    Returns the array of log spectral norms.
+    potential raises StripExceeded when some |Im z| >= strip_width/10.  A
+    non-finite energy or phase raises ValueError.  Returns the array of log
+    spectral norms.
     """
     energy = np.asarray(energy, dtype=float)
+    if not np.isfinite(energy).all():
+        raise ValueError("energies must be finite")
     th = _as_batch(omega, thetas)
     imag = float(np.max(np.abs(th.imag))) if np.iscomplexobj(th) else 0.0
     rows = _orbit_rows(omega, th, energy, n, v)
@@ -221,8 +225,10 @@ def det_sequence(diag: np.ndarray):
     ``diag`` is the shifted diagonal v - E of n sites; the sequence has
     length n + 1 and entry i is det over its first i sites (entry 0 is the
     empty determinant, +1).  ``det_sequence(diag[::-1])`` gives the trailing
-    truncations.
+    truncations.  A non-finite entry raises ValueError.
     """
+    if not np.isfinite(diag).all():
+        raise ValueError("box diagonal v - E must be finite")
     n = diag.shape[0]
     signs = np.empty(n + 1, dtype=np.int8)
     logs = np.empty(n + 1, dtype=float)
@@ -245,33 +251,23 @@ def verify_det_identity(n: int, omega: Frequency, theta, energy: float,
 
     The four entries of the n-step product equal, with signs, the
     determinants of the box [1,n], its two phase-shifted trailing
-    sub-boxes [2,n], [2,n-1], and the leading sub-box [1,n-1].
+    sub-boxes [2,n], [2,n-1], and the leading sub-box [1,n-1].  Both sides
+    read the one diagonal of ``box_diagonal((1, n), ...)``; a sign that
+    disagrees gives inf.
     """
     if n < 3:
         raise ValueError("identity check needs n >= 3")
-    rows = _orbit_rows(omega, _as_batch(omega, theta), energy, n, v)
-    m, ls = _final(rows, _period(v, energy))
     diag = box_diagonal((1, n), omega, theta, v) - energy
     s_full, l_full = det_sequence(diag)
     s_shift, l_shift = det_sequence(diag[1:])
-    expected = [
-        (int(s_full[n]), float(l_full[n])),            # top-left
-        (int(s_shift[n - 1]), float(l_shift[n - 1])),  # top-right
-        (-int(s_full[n - 1]), float(l_full[n - 1])),   # bottom-left
-        (-int(s_shift[n - 2]), float(l_shift[n - 2])),  # bottom-right
-    ]
-    ls = float(ls[0])
-    worst = 0.0
-    for entry, (es, el) in zip(m, expected):
-        val = entry[0]
-        if val == 0.0 and es == 0:
-            continue
-        if val == 0.0 or es == 0:
-            worst = math.inf
-            continue
-        sign = 1 if val > 0 else -1
-        if sign != es:
-            worst = math.inf
-            continue
-        worst = max(worst, abs((ls + math.log(abs(val))) - el))
-    return worst
+    m, ls = _final(diag[:, np.newaxis], _period(v, energy))
+    # top-left, top-right, bottom-left, bottom-right
+    want_s = np.array([s_full[n], s_shift[n - 1], -s_full[n - 1],
+                       -s_shift[n - 2]])
+    want_l = np.array([l_full[n], l_shift[n - 1], l_full[n - 1],
+                       l_shift[n - 2]])
+    sign, logs = slog.from_values(np.concatenate(m))
+    if not np.array_equal(sign, want_s):
+        return math.inf
+    live = sign != 0
+    return float(np.max(np.abs(ls[0] + logs[live] - want_l[live]), initial=0.0))

@@ -47,7 +47,7 @@ from qplab import (SingularEnergy, StripExceeded, complexified_growth_check,
                    cocycle_batch, cosine_potential, epsilon_gap,
                    golden_frequency, green_cramer_matrix, green_solve,
                    greens, transfer, two_cosine_potential, two_torus_frequency,
-                   zero_potential)
+                   verify_det_identity, zero_potential)
 
 from qplab.greens import _scipy_linalg
 from qplab.model import TrigPotential
@@ -492,7 +492,7 @@ def test_growth_envelope_trace(omega, theta, v):
     # after every step and closed as cocycle_batch closes its product.
     rows = _orbit_rows(omega, _as_batch(omega, theta), 0.3, 500, v)
     trace = []
-    for prod in _products(rows):
+    for prod in _products(rows, 1):
         m, ls = _unit(*prod)
         trace.append(_log_opnorm(*m, ls)[0])
     want = oracle_log_norm_trace(500, omega, theta, 0.3, v)
@@ -598,10 +598,28 @@ def test_exactly_singular_free_boxes(route, interval):
     assert err.value.log_det == -math.inf
 
 
-@pytest.mark.parametrize("energy", [math.inf, math.nan])
-def test_green_solve_rejects_non_finite_energy(energy):
+COS2 = cosine_potential(2.0)
+# Test ids are the prefix plus the value; green_solve's stay [inf] and [nan].
+NON_FINITE_ROUTES = {
+    "": lambda e: green_solve((1, 5), GOLDEN, 0.0, e, COS2),
+    "cramer-": lambda e: green_cramer_matrix((1, 5), GOLDEN, 0.0, e, COS2),
+    "det_sequence-": lambda e: det_sequence(np.array([1.0, e, 2.0])),
+    "identity-": lambda e: verify_det_identity(5, GOLDEN, 0.0, e, COS2),
+    "cocycle-energy-": lambda e: cocycle_batch(GOLDEN, [0.1, 0.2], e, 5, COS2),
+    "cocycle-phase-": lambda e: cocycle_batch(GOLDEN, [0.1, e], 0.5, 5, COS2),
+    "box_diagonal-": lambda e: box_diagonal((1, 3), GOLDEN, e, COS2),
+}
+
+
+@pytest.mark.parametrize("call,energy", [
+    pytest.param(call, e, id=f"{route}{e}")
+    for route, call in NON_FINITE_ROUTES.items()
+    for e in (math.inf, math.nan)])
+def test_green_solve_rejects_non_finite_energy(call, energy):
+    # Every route rejects a non-finite energy, phase or diagonal entry
+    # instead of returning a table of NaN.
     with pytest.raises(ValueError):
-        green_solve((1, 5), GOLDEN, 0.0, energy, cosine_potential(2.0))
+        call(energy)
 
 
 @pytest.mark.parametrize("route", [green_solve, green_cramer_matrix])
@@ -617,3 +635,31 @@ def test_routes_evaluate_the_potential_once(route, monkeypatch):
     monkeypatch.setattr(transfer, "_phase_harmonics", counted)
     route((-3, 40), GOLDEN, 0.3, 0.7, cosine_potential(5.0))
     assert calls == [()]
+
+
+def test_det_identity_evaluates_the_orbit_once(monkeypatch):
+    calls = []
+    harmonics = transfer._phase_harmonics
+
+    def counted(v, th):
+        calls.append(np.shape(th))
+        return harmonics(v, th)
+
+    monkeypatch.setattr(transfer, "_phase_harmonics", counted)
+    verify_det_identity(40, GOLDEN, 0.3, 0.7, cosine_potential(5.0))
+    assert calls == [()]
+
+
+def test_complexified_growth_sums_its_orbit_in_one_call(monkeypatch):
+    cos1, lam, energy, gap = next(_c13_inputs())
+    calls = []
+    harmonic_sum = transfer._harmonic_sum
+
+    def counted(*args):
+        calls.append(args[-1])
+        return harmonic_sum(*args)
+
+    monkeypatch.setattr(transfer, "_harmonic_sum", counted)
+    complexified_growth_check(lam, cos1, GOLDEN, energy, gap.y0, gap.epsilon,
+                              1000)
+    assert calls == [(1000,)]

@@ -80,24 +80,29 @@ class TestKernel:
         res = single_phase(golden, complex(0.2, 0.1), 0.4, 300, mathieu5)
         assert np.sum(np.abs(res.entries) ** 2) == pytest.approx(1.0, rel=1e-14)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, "1-complex"])
     def test_orbit_rows_and_phases_match_mod_one(self, dim):
         # Row j at each phase has the bits of the box diagonal at site j,
-        # for the phase as given and for its representative mod one.
+        # for the phase as given and for its representative mod one, which
+        # reduces only the real part of a complex phase.
         rng = np.random.default_rng(4)
-        if dim == 1:
-            omega, v = golden_frequency(), random_trig_potential(rng, degree=3)
-            th = rng.uniform(-2.0, 2.0, 50)
-        else:
+        if dim == 2:
             omega = two_torus_frequency()
             v = random_trig_potential(rng, degree=2, dim=2, strip_width=0.5)
             th = rng.uniform(-2.0, 2.0, (50, 2))
+        else:
+            omega, v = golden_frequency(), random_trig_potential(rng, degree=3)
+            th = rng.uniform(-2.0, 2.0, 50)
+        if dim == "1-complex":
+            th = th + 1j * rng.uniform(-0.15, 0.15, 50)
         energy = rng.uniform(-3.0, 3.0, 50)
         n = 25
         rows = np.array(list(_orbit_rows(omega, th, energy, n, v)))
         assert rows.shape == (n, 50)
         for i in range(50):
-            for theta in (th[i], th[i] % 1.0):
+            rep = (complex(th[i].real % 1.0, th[i].imag)
+                   if np.iscomplexobj(th) else th[i] % 1.0)
+            for theta in (th[i], rep):
                 want = box_diagonal((1, n), omega, theta, v) - energy[i]
                 assert np.array_equal(rows[:, i], want)
 
