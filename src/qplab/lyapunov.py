@@ -25,8 +25,10 @@ from .transfer import cocycle_batch
 SIGMA_1D = 1.0 / 3.0
 SIGMA_2D = 0.1
 _CHUNK = 1 << 15
-# Results per worker below which a batch is not split: numpy's per-step
+# Results per worker below which a batch is not split: numpy's per-block
 # overhead holds the interpreter lock, so smaller parts run slower on threads.
+# Two workers on two cores (5 cos, n = 400): 8192 results took 25 ms against
+# 20 ms on one thread, 16384 took 33 ms against 39 ms.
 _SPLIT_FLOOR = 1 << 13
 # Worker threads a phase batch may use; None means every CPU this process
 # may run on.  ``cli.run`` sets it from ``--threads`` for the run.

@@ -284,18 +284,22 @@ def _step_rotations(omega: Frequency, v: TrigPotential, first: int,
     return a * c + b * s, b * c - a * s
 
 
-def _harmonic_sum(v: TrigPotential, p, q, x, y, shape):
+def _harmonic_sum(v: TrigPotential, p, q, x, y, shape, val=None, tmp=None):
     """coupling * (c0 + sum_h p_h x_h + q_h y_h), terms added in order of h.
 
     The first axis of each argument runs over the harmonics and the other
-    axes broadcast to ``shape``: one step's row takes scalar p_h, q_h
-    against a batch of phases, a box takes a column of steps against one
-    phase, and both round the same way.
+    axes broadcast to ``shape``: a box or a block of orbit rows takes a
+    column of steps against its phases, a point takes scalar p_h, q_h, and
+    all round the same way.  The sum is written into ``val`` with ``tmp``
+    for the products, both of ``shape`` and x's dtype (allocated if not
+    given), and ``val`` is returned.
     """
-    val = np.full(shape, v._c0, dtype=x.dtype)
+    if val is None:
+        val, tmp = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
+    val.fill(v._c0)
     for ph, qh, xh, yh in zip(p, q, x, y):
-        val += ph * xh
-        val += qh * yh
+        val += np.multiply(ph, xh, out=tmp)
+        val += np.multiply(qh, yh, out=tmp)
     val *= v.coupling
     return val
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Tuple
 
 import numpy as np
@@ -30,24 +31,39 @@ _LOG2 = math.log(2.0)
 # Entries may grow by this factor (in log) between two rescales; exp(600)
 # leaves room below the float ceiling near exp(709).
 _LOG_GROWTH = 600.0
+# Results per block of orbit rows: rows are summed this many at a time.
+_BLOCK = 1 << 16
 
 
 def _orbit_rows(omega: Frequency, th: np.ndarray, energy, n: int,
                 v: TrigPotential):
     """Rows a_j = v(th + j*omega) - E for j = 1..n, one per step.
 
-    Each row is summed when the kernel asks for it, so no (n, B) table is
-    ever held; it has the bits of ``box_diagonal((1, n), omega, th_i, v)``
-    at site j, phase by phase.  ``energy`` broadcasts against it, so an
-    (E, 1) column gives (E, B) rows.  A complex ``th`` (d=1) runs along its
-    line Im z = th.imag.
+    Rows are summed in blocks of m = max(1, _BLOCK // results) consecutive
+    steps, so at most one block of m rows is held; row j has the bits of
+    ``box_diagonal((1, n), omega, th_i, v)`` at site j, phase by phase.
+    ``energy`` broadcasts against it, so an (E, 1) column gives (E, B) rows.
+    A complex ``th`` (d=1) runs along its line Im z = th.imag.  Rows are
+    views of the block buffer, so read each before asking for the next
+    block.  An ``n`` that is not a positive integer raises ValueError.
     """
-    if n < 1:
-        raise ValueError("need at least one step")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need a positive integer number of steps, got {n!r}")
     x, y = _phase_harmonics(v, th)
     p, q = _step_rotations(omega, v, 1, n)
-    return (_harmonic_sum(v, pj, qj, x, y, x.shape[1:]) - energy
-            for pj, qj in zip(p, q))
+    batch = x.shape[1:]
+    shape = np.broadcast_shapes(np.shape(energy), batch)
+    m = max(1, min(n, _BLOCK // max(1, math.prod(shape))))
+    val, tmp = np.empty((m,) + batch, x.dtype), np.empty((m,) + batch, x.dtype)
+    # Subtract in place unless the energies widen the batch.
+    rows = val if shape == batch else np.empty((m,) + shape, x.dtype)
+    lift = (slice(None),) + (np.newaxis,) * (len(shape) - len(batch))
+    col = (Ellipsis,) + (np.newaxis,) * len(batch)
+    for lo in range(0, n, m):
+        k = min(m, n - lo)
+        _harmonic_sum(v, p[lo:lo + k].T[col], q[lo:lo + k].T[col], x, y,
+                      (k,) + batch, val=val[:k], tmp=tmp[:k])
+        yield from np.subtract(val[:k][lift], energy, out=rows[:k])
 
 
 def _period(v: TrigPotential, energy, imag: float = 0.0) -> int:
@@ -170,8 +186,8 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential):
     every energy, giving (E, B) results).  Complex phases (d=1 only, else
     ValueError) run along the complexified lines Im z = thetas.imag; the
     potential raises StripExceeded when some |Im z| >= strip_width/10.  A
-    non-finite energy or phase raises ValueError.  Returns the array of log
-    spectral norms.
+    non-finite energy or phase, or an ``n`` that is not a positive integer,
+    raises ValueError.  Returns the array of log spectral norms.
     """
     energy = np.asarray(energy, dtype=float)
     if not np.isfinite(energy).all():

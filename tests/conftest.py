@@ -6,6 +6,7 @@ import pytest
 
 from qplab import (cosine_potential, golden_frequency, two_cosine_potential,
                    two_torus_frequency, zero_potential)
+from qplab.model import _phase_harmonics, _step_rotations
 from qplab.transfer import _as_batch, _final, _orbit_rows
 
 
@@ -110,6 +111,23 @@ def cocycle_product(omega, thetas, energy, n, v, period=1):
                        np.asarray(energy, dtype=float), n, v)
     m, ls = _final(rows, period)
     return as_matrices(*m), ls
+
+
+def per_step_rows(omega, th, energy, n, v):
+    """Rows a_j = v(th + j*omega) - E summed one step at a time: scalar
+    p_h, q_h of step j against the batch's harmonics, into a fresh array
+    per row.  This is how ``_orbit_rows`` summed them before it took blocks
+    of steps and ``_harmonic_sum`` took buffers, kept as the oracle for
+    their bits."""
+    x, y = _phase_harmonics(v, th)
+    p, q = _step_rotations(omega, v, 1, n)
+    for pj, qj in zip(p, q):
+        val = np.full(x.shape[1:], v._c0, dtype=x.dtype)
+        for ph, qh, xh, yh in zip(pj, qj, x, y):
+            val += ph * xh
+            val += qh * yh
+        val *= v.coupling
+        yield val - energy
 
 
 def orbit_phases(theta, omega, j):

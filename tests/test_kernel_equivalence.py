@@ -14,6 +14,10 @@ directly, within 1e-14 (1 + coefficient_bound), up to its 2^27 reach.  A
 float64 theta + j omega rounds away theta's low bits, so rows evaluated that
 way miss the reference by about 1e-11 and are no oracle for these rows.
 
+Orbit rows are summed in blocks of steps.  The per-step generator they
+replaced, ``conftest.per_step_rows``, is the oracle for the rows and for
+``cocycle_batch`` at tolerance 0, on both sides of every block boundary.
+
 Complex phases run through ``cocycle_batch`` itself; it must give the bits
 of the private route (rows, final product, period from |Im z|, closed-form
 norm) that complex lines were assembled from before, at tolerance 0.
@@ -38,6 +42,7 @@ own LU factors for the ``DET_FLOOR`` check must match the continuant route's
 within 1e-12 relative.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -56,7 +61,7 @@ from qplab.transfer import (_as_batch, _final, _log_opnorm, _orbit_rows,
                             cocycle_complex, det_sequence)
 
 from conftest import (cocycle_product, needs_long_double, orbit_phases,
-                      random_trig_potential, reference_orbit)
+                      per_step_rows, random_trig_potential, reference_orbit)
 
 
 def oracle_complex_eval(v, zs):
@@ -655,11 +660,100 @@ def test_complexified_growth_sums_its_orbit_in_one_call(monkeypatch):
     calls = []
     harmonic_sum = transfer._harmonic_sum
 
-    def counted(*args):
-        calls.append(args[-1])
-        return harmonic_sum(*args)
+    def counted(*args, **kwargs):
+        calls.append(args[5])
+        return harmonic_sum(*args, **kwargs)
 
     monkeypatch.setattr(transfer, "_harmonic_sum", counted)
     complexified_growth_check(lam, cos1, GOLDEN, energy, gap.y0, gap.epsilon,
                               1000)
     assert calls == [(1000,)]
+
+
+def _block_inputs(kind, batch, rng):
+    if kind == "d2":
+        return OMEGA2, rng.random((batch, 2)), random_trig_potential(
+            rng, degree=2, dim=2, strip_width=0.5)
+    th = rng.uniform(-2.0, 2.0, batch)
+    if kind == "d1-complex":
+        th = th + 1j * rng.uniform(-0.15, 0.15, batch)
+    return GOLDEN, th, random_trig_potential(rng, degree=3)
+
+
+def _block_energy(form, batch, rng):
+    if form == "scalar":
+        return 0.3
+    if form == "per-phase":
+        return rng.uniform(-1.0, 1.0, batch)
+    return rng.uniform(-2.0, 2.0, (3, 1))
+
+
+def assert_blocked_like_per_step(omega, thetas, energy, n, v):
+    """Rows and ``cocycle_batch`` with the bits of the per-step rows."""
+    th = _as_batch(omega, thetas)
+    energy = np.asarray(energy, dtype=float)
+    steps = 0
+    for got, want in itertools.zip_longest(
+            _orbit_rows(omega, th, energy, n, v),
+            per_step_rows(omega, th, energy, n, v)):
+        assert got is not None and want is not None
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), steps
+        steps += 1
+    assert steps == n
+    imag = float(np.max(np.abs(th.imag))) if np.iscomplexobj(th) else 0.0
+    m, ls = _final(per_step_rows(omega, th, energy, n, v),
+                   _period(v, energy, imag))
+    want = _log_opnorm(*m, ls)
+    got = cocycle_batch(omega, thetas, energy, n, v)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16384])
+@pytest.mark.parametrize("form", ["scalar", "per-phase", "column"])
+@pytest.mark.parametrize("kind", ["d1", "d2", "d1-complex"])
+def test_blocked_rows_match_per_step_rows(kind, form, batch, monkeypatch):
+    # Steps n = 1, m - 1, m, m + 1 and 2m + 3 around the block size m, at
+    # tolerance 0.  The large batch runs at its own m (4, or 1 against the
+    # column); small batches would take tens of thousands of steps through
+    # the per-step oracle there, so they run at m = 5, and
+    # test_blocked_rows_at_the_full_block crosses one full block.
+    rng = np.random.default_rng(batch + 7)
+    omega, thetas, v = _block_inputs(kind, batch, rng)
+    energy = _block_energy(form, batch, rng)
+    results = math.prod(np.broadcast_shapes(np.shape(energy), (batch,)))
+    if batch < 16384:
+        monkeypatch.setattr(transfer, "_BLOCK", 5 * results)
+    m = max(1, transfer._BLOCK // results)
+    for n in sorted({1, m - 1, m, m + 1, 2 * m + 3} - {0}):
+        assert_blocked_like_per_step(omega, thetas, energy, n, v)
+
+
+def test_blocked_rows_at_the_full_block():
+    # One phase: the first block holds all 2^16 steps, the second one more.
+    n = transfer._BLOCK + 1
+    assert_blocked_like_per_step(GOLDEN, [0.3], 0.7, n, cosine_potential(5.0))
+
+
+@pytest.mark.parametrize("batch,energy,n,calls", [
+    (16384, 0.3, 400, 100),          # m = 4
+    (1000, np.linspace(-1.0, 1.0, 3)[:, np.newaxis], 100, 5),   # m = 21
+    (1, 0.3, 2000, 1),
+    (1, 0.3, 1 << 16, 1),
+    (1, 0.3, (1 << 16) + 1, 2),
+], ids=["large", "column", "single", "single-full-block", "single-over"])
+def test_cocycle_batch_sums_its_rows_per_block(batch, energy, n, calls,
+                                               monkeypatch):
+    # ceil(n / m) evaluator calls, m = max(1, 2^16 // results per step).
+    counted_calls = []
+    harmonic_sum = transfer._harmonic_sum
+
+    def counted(*args, **kwargs):
+        counted_calls.append(args[5])
+        return harmonic_sum(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "_harmonic_sum", counted)
+    thetas = np.random.default_rng(1).random(batch)
+    cocycle_batch(GOLDEN, thetas, energy, n, cosine_potential(5.0))
+    assert len(counted_calls) == calls
+    assert sum(shape[0] for shape in counted_calls) == n

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import cocycle_product, orbit_phases
 from qplab import (SamplerSpec, check_subadditivity, cosine_potential,
-                   lyapunov_n, lyapunov_scan, upper_bound_check)
+                   deviation_measure, lyapunov_n, lyapunov_scan,
+                   upper_bound_check)
 from qplab.lyapunov import THREADS, _CHUNK, _SPLIT_FLOOR, _phi_values
 from qplab.transfer import cocycle_batch
 
@@ -286,3 +287,28 @@ class TestParallelPhases:
         with_thread_cap(4, _phi_values, golden, thetas, 0.0, 10,
                         cosine_potential(5.0))
         assert threading.active_count() == before
+
+
+NON_INTEGRAL_N_ROUTES = {
+    "cocycle_batch": lambda g, v, n: cocycle_batch(g, [0.1, 0.7], 0.0, n, v),
+    "_phi_values": lambda g, v, n: _phi_values(g, np.array([0.1, 0.7]), 0.0,
+                                               n, v),
+    "lyapunov_scan": lambda g, v, n: lyapunov_scan(g, [0.0, 1.0], n, v),
+    "lyapunov_n": lambda g, v, n: lyapunov_n(g, 0.0, n, v),
+    "deviation_measure": lambda g, v, n: deviation_measure(
+        g, 0.0, n, 0.3, v, samples=1000),
+}
+
+
+@pytest.mark.parametrize("route", list(NON_INTEGRAL_N_ROUTES))
+def test_non_integral_n_is_rejected(route, golden, mathieu5):
+    # 10.5 would step 11 times and divide by 10.5.  numpy integers give
+    # the results of Python ints.
+    call = NON_INTEGRAL_N_ROUTES[route]
+    with pytest.raises(ValueError, match="integer"):
+        call(golden, mathieu5, 10.5)
+    want, got = call(golden, mathieu5, 10), call(golden, mathieu5, np.int64(10))
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -217,6 +218,28 @@ class TestCocycle:
         assert math.isfinite(res.log_norm)
         assert res.log_norm / 50 == pytest.approx(math.log(1e300) - math.log(2.0),
                                                   abs=0.5)
+
+    def test_memory_is_bounded_by_the_kernel_buffers(self, golden, mathieu5):
+        # One batch of B = 16384 phases, n = 400 steps, on 5 cos (H = 1
+        # harmonic), in units u of B float64s:
+        #   the block of m = 2^16 // B = 4 rows and its product scratch: 2m u
+        #   the kernel's (2, B) top, prev and scratch rows, and exponents: 7 u
+        #   the phase harmonics x and y: 2H u
+        #   the step rotations p and q: 2nH float64s
+        # and up to 6 u of phase-sized temporaries while rescaling or
+        # closing the product.  A larger block shows here.
+        b, n, m, h = 16384, 400, 4, 1
+        u = 8 * b
+        bound = (2 * m + 7 + 2 * h + 6) * u + 2 * n * h * 8
+        thetas = np.random.default_rng(0).random(b)
+        cocycle_batch(golden, thetas, 0.3, n, mathieu5)
+        tracemalloc.start()
+        try:
+            cocycle_batch(golden, thetas, 0.3, n, mathieu5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestCocycleComplex:
