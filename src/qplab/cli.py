@@ -40,9 +40,9 @@ from .localization import (decay_profile, eigensystem, localization_summary,
                            window_bound_check)
 from .lowerbound import (epsilon_gap, herman_style_bound, multiscale_recursion,
                          sublevel_measure)
-from .lyapunov import (THREADS, SamplerSpec, default_sampler, lyapunov_scan,
-                       thread_cap)
+from .lyapunov import SamplerSpec, default_sampler, lyapunov_scan
 from .model import system_from_json
+from .transfer import THREADS, thread_cap
 
 COMMANDS = ("lyapunov", "ldt", "green", "pave", "localize", "lowerbound",
             "recursion")
@@ -360,7 +360,7 @@ def _energy_values(config: dict) -> List[float]:
         return [float(e) for e in config["e_values"]]
     if "e_grid" in config:
         g = config["e_grid"]
-        return list(np.linspace(g["min"], g["max"], g["points"]))
+        return list(np.linspace(g["min"], g["max"], int(g["points"])))
     return [float(config["E"])]
 
 
@@ -738,7 +738,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigInvalid as exc:
         print(f"ConfigInvalid: {exc}", file=sys.stderr)
         return 2
-    except QplabError as exc:
+    except (QplabError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     for p in outputs:

@@ -14,8 +14,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SigmaOutOfRange
-from .lyapunov import _phi_values, lyapunov_n
+from .lyapunov import lyapunov_n
 from .model import Frequency, TrigPotential
+from .transfer import cocycle_batch
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def deviation_measure(omega: Frequency, energy: float, n: int, sigma: float,
     threshold = n ** (-sigma)
     rng = np.random.default_rng(seed)
     thetas = rng.random(samples) if omega.dim == 1 else rng.random((samples, 2))
-    phi = _phi_values(omega, thetas, energy, n, v)
+    phi = cocycle_batch(omega, thetas, energy, n, v) / n
     fraction = float(np.count_nonzero(np.abs(phi - l_n) > threshold)) / samples
     return DeviationProfile(
         n=n, sigma=sigma, threshold=threshold, fraction=fraction,
@@ -104,7 +105,7 @@ def fourier_decay_check(omega: Frequency, energy: float, n: int,
     if k_max > grid // 4:
         raise ValueError(f"k_max must be at most {grid // 4}")
     thetas = np.arange(grid) / grid
-    phi = _phi_values(omega, thetas, energy, n, v)
+    phi = cocycle_batch(omega, thetas, energy, n, v) / n
     coef = np.abs(np.fft.rfft(phi)) / grid
     mags = coef[1:k_max + 1]
     floor = 1e-13 * max(1.0, float(coef[0]))

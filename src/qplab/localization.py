@@ -120,17 +120,15 @@ def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
     |xi_N| clears exp(-(delta/3) N).
     """
     lo, hi = big_n // 2, 2 * big_n
-    a, b = pair.interval
+    a, b = (int(s) for s in pair.interval)
     if not (a <= lo - 1 and b >= hi + 1):
         raise ValueError("eigenvector box must contain [N/2 - 1, 2N + 1]")
     g = green_solve((lo, hi), omega, theta, pair.energy, v)
 
-    sites = pair.sites()
     xi = pair.vector
-    idx = {s: i for s, i in zip(sites, range(len(sites)))}
-    xi_lo = abs(xi[idx[lo - 1]])
-    xi_hi = abs(xi[idx[hi + 1]])
-    win = slice(idx[lo], idx[hi] + 1)
+    xi_lo = abs(xi[lo - 1 - a])
+    xi_hi = abs(xi[hi + 1 - a])
+    win = slice(lo - a, hi + 1 - a)
     xi_win = np.abs(xi[win])
 
     with np.errstate(over="ignore"):
@@ -150,7 +148,7 @@ def window_bound_check(pair: EigenPair, big_n: int, omega: Frequency, theta,
 
     slack = bound + allowance - xi_win
     margin = float(np.min(slack))
-    peak = float(xi_win[idx[big_n] - idx[lo]])
+    peak = float(xi_win[big_n - lo])
     peak_bound = math.exp(-(delta / 3.0) * big_n)
     return WindowBoundReport(ok=bool(np.all(slack >= -1e-15)), margin=margin,
                              peak_value=peak, peak_bound=peak_bound,

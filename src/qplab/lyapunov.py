@@ -9,10 +9,7 @@ neighborhood of L_n from above; `check_subadditivity` and
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -24,27 +21,6 @@ from .transfer import cocycle_batch
 # sigma of the upper-bound check, for one and for two frequencies.
 SIGMA_1D = 1.0 / 3.0
 SIGMA_2D = 0.1
-_CHUNK = 1 << 15
-# Results per worker below which a batch is not split: numpy's per-block
-# overhead holds the interpreter lock, so smaller parts run slower on threads.
-# Two workers on two cores (5 cos, n = 400): 8192 results took 25 ms against
-# 20 ms on one thread, 16384 took 33 ms against 39 ms.
-_SPLIT_FLOOR = 1 << 13
-# Worker threads a phase batch may use; None means every CPU this process
-# may run on.  ``cli.run`` sets it from ``--threads`` for the run.
-THREADS: contextvars.ContextVar[Optional[int]] = contextvars.ContextVar(
-    "qplab_threads", default=None)
-
-
-def thread_cap() -> int:
-    """The worker cap in force: ``THREADS``, else the CPUs this process may use."""
-    cap = THREADS.get()
-    if cap is not None:
-        return cap
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -108,45 +84,6 @@ class LyapunovEstimate:
     energy: float = 0.0
 
 
-def _phi_values(omega: Frequency, thetas: np.ndarray, energy, n: int,
-                v: TrigPotential) -> np.ndarray:
-    """(1/n) log ||M_n|| over a batch, cut into equal parts along the phases.
-
-    ``energy`` is a scalar, one energy per phase, or an (E, 1) column that
-    runs every phase at every energy and gives an (E, B) table.
-
-    A batch of at least ``_SPLIT_FLOOR`` results per worker runs on a thread
-    pool of up to ``thread_cap()`` workers, each running one part at a time
-    (numpy releases the interpreter lock in its loops); smaller batches run in
-    the calling thread.  At most ``_CHUNK`` results are in flight at once.  Each
-    phase's result does not depend on the part it runs in, so the output has
-    the same bits at every thread count.  The pool is shut down before the
-    call returns.
-    """
-    total = thetas.shape[0]
-    e_arr = np.asarray(energy, dtype=float)
-    out = np.empty(np.broadcast_shapes(e_arr.shape, (total,)))
-    per_phase = max(1, e_arr.shape[0] if e_arr.ndim == 2 else 1)
-    workers = max(1, min(thread_cap(), out.size // _SPLIT_FLOOR, total))
-    step = max(1, _CHUNK // (per_phase * workers))
-    chunks = -(-total // step)
-    # Rounded up to a multiple of the workers so that they finish together.
-    parts = min(total, -(-chunks // workers) * workers)
-
-    def run_part(k):
-        lo, hi = total * k // parts, total * (k + 1) // parts
-        e_part = e_arr[lo:hi] if e_arr.ndim == 1 else e_arr
-        out[..., lo:hi] = cocycle_batch(omega, thetas[lo:hi], e_part, n, v) / n
-
-    if workers == 1:
-        for k in range(parts):
-            run_part(k)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_part, range(parts)))
-    return out
-
-
 def _std_error(phi: np.ndarray) -> float:
     """Standard error of the mean; NaN for one sample, whose spread is unknown."""
     m = phi.shape[0]
@@ -172,7 +109,7 @@ def lyapunov_scan(omega: Frequency, energies: Sequence[float], n: int,
     sampler = sampler or default_sampler(omega.dim)
     thetas = theta_samples(omega.dim, sampler, n)
     energies = np.asarray(list(energies), dtype=float)
-    phi = _phi_values(omega, thetas, energies[:, np.newaxis], n, v)
+    phi = cocycle_batch(omega, thetas, energies[:, np.newaxis], n, v) / n
     return [LyapunovEstimate(n=n, value=float(np.mean(row)),
                              samples=row.shape[0], std_error=_std_error(row),
                              quadrature=sampler.quadrature, energy=float(e))
@@ -218,7 +155,7 @@ def upper_bound_check(omega: Frequency, energy: float, n: int, v: TrigPotential,
     ref_est = lyapunov_n(omega, energy, n, v)
     probe = SamplerSpec(quadrature="grid", samples=grid)
     thetas = theta_samples(omega.dim, probe, n)
-    phi = _phi_values(omega, thetas, energy, n, v)
+    phi = cocycle_batch(omega, thetas, energy, n, v) / n
     excess = float(np.max(phi - ref_est.value))
     const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0) + abs(energy))
     reference = const * n ** (-sigma)

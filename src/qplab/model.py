@@ -180,8 +180,8 @@ class TrigPotential:
         object.__setattr__(self, "_c0", float(c0.real))
 
     def is_constant(self) -> bool:
-        return self._k_half.size == 0 or bool(np.all(self._a_half == 0.0)
-                                              and np.all(self._b_half == 0.0))
+        return self.coupling == 0.0 or bool(np.all(self._a_half == 0.0)
+                                            and np.all(self._b_half == 0.0))
 
     def with_coupling(self, coupling: float) -> "TrigPotential":
         return replace(self, coupling=float(coupling))
@@ -234,20 +234,26 @@ _HEAD_BITS = 26
 _MAX_REACH = 2 ** (53 - _HEAD_BITS)
 
 
-def _phase_harmonics(v: TrigPotential, th):
-    """cos and sin of 2 pi k_h.frac(th) for each positive harmonic k_h of v.
-
-    Both arrays have shape (H,) + the batch shape: ``th.shape`` for d=1,
-    ``th.shape[:-1]`` for d=2.  A complex ``th`` keeps its imaginary part,
-    and raises StripExceeded when some |Im z| >= strip_width/10; a
-    non-finite phase raises ValueError.
-    """
+def _checked_phases(v: TrigPotential, th):
+    """``th`` as phases of v (real ones as floats); StripExceeded when some
+    |Im z| >= strip_width/10, ValueError when some phase is not finite."""
     if np.iscomplexobj(th):
         v._check_strip(th.imag)
     else:
         th = np.asarray(th, dtype=float)
     if not np.isfinite(th).all():
         raise ValueError("phases must be finite")
+    return th
+
+
+def _phase_harmonics(v: TrigPotential, th):
+    """cos and sin of 2 pi k_h.frac(th) for each positive harmonic k_h of v.
+
+    Both arrays have shape (H,) + the batch shape: ``th.shape`` for d=1,
+    ``th.shape[:-1]`` for d=2.  A complex ``th`` keeps its imaginary part;
+    phases are checked by ``_checked_phases``.
+    """
+    th = _checked_phases(v, th)
     f = _frac(th.real) + 1j * th.imag if np.iscomplexobj(th) else _frac(th)
     if v.dim == 1:
         turns = [f * k[0] for k in v._k_half]

@@ -37,12 +37,12 @@ def two_cos():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Worker counts of the pools ``_phi_values`` starts, and the threads
+    """Worker counts of the pools ``cocycle_batch`` starts, and the threads
     that ran its parts."""
-    from qplab import lyapunov
+    from qplab import transfer
 
     record = {"workers": [], "threads": set()}
-    cocycle_batch = lyapunov.cocycle_batch
+    orbit_rows = transfer._orbit_rows
 
     class CountingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -51,11 +51,21 @@ def pools(monkeypatch):
 
     def counted(*args, **kwargs):
         record["threads"].add(threading.get_ident())
-        return cocycle_batch(*args, **kwargs)
+        return orbit_rows(*args, **kwargs)
 
-    monkeypatch.setattr(lyapunov, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(lyapunov, "cocycle_batch", counted)
+    monkeypatch.setattr(transfer, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(transfer, "_orbit_rows", counted)
     return record
+
+
+@pytest.fixture
+def one_thread():
+    """Phase batches run at a thread cap of 1, as one part where they fit."""
+    from qplab import transfer
+
+    token = transfer.THREADS.set(1)
+    yield
+    transfer.THREADS.reset(token)
 
 
 def random_trig_potential(rng, degree=3, amplitude=1.0, dim=1, strip_width=2.0):

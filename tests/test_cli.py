@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import qplab
-from qplab import cli, greens, lyapunov
+from qplab import cli, greens, lyapunov, transfer
 from qplab.cli import (_HANDLERS, _READS, COMMANDS, CONFIG_SCHEMA,
                        FLAGSHIP_CONFIGS, _plot, main, run, validate_config)
 from qplab.errors import ConfigInvalid, SingularEnergy
@@ -193,7 +193,7 @@ class TestRun:
 
     def test_threads_do_not_change_results(self, tmp_path, pools,
                                            monkeypatch):
-        monkeypatch.setattr(lyapunov, "_SPLIT_FLOOR", 16)
+        monkeypatch.setattr(transfer, "_SPLIT_FLOOR", 16)
         cfg = lyap_config(e_values=[-1.0, 0.0, 1.0, 2.0])
         run(cfg, out_dir=tmp_path / "one", threads=1)
         run(cfg, out_dir=tmp_path / "four", threads=4)
@@ -204,7 +204,7 @@ class TestRun:
     def test_threads_byte_identical_artifacts(self, tmp_path, pools,
                                               monkeypatch, command):
         # A low split floor sends these small runs through the thread pool.
-        monkeypatch.setattr(lyapunov, "_SPLIT_FLOOR", 16)
+        monkeypatch.setattr(transfer, "_SPLIT_FLOOR", 16)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(CONTRACT_CONFIGS[command]))
         for threads in ("1", "2"):
@@ -216,7 +216,7 @@ class TestRun:
     def test_manifest_records_thread_cap(self, tmp_path):
         run(lyap_config(), out_dir=tmp_path / "three", threads=3)
         run(lyap_config(), out_dir=tmp_path / "default")
-        for name, cap in (("three", 3), ("default", lyapunov.thread_cap())):
+        for name, cap in (("three", 3), ("default", transfer.thread_cap())):
             mani = json.loads((tmp_path / name / "manifest.json").read_text())
             assert mani["threads"] == cap
 
@@ -326,11 +326,20 @@ class TestRun:
 
     def test_integral_float_interval_writes_integer_sites(self, tmp_path):
         # The schema's integer admits -100.0; the box and profiles use ints.
+        # So it admits an e_grid's points 3.0, which runs as 3.
         cfg = CONTRACT_CONFIGS["localize"]
         run(cfg, out_dir=tmp_path / "int")
         run(dict(cfg, interval=[-100.0, 100.0]), out_dir=tmp_path / "float")
         found = [artifacts(tmp_path / name)[0] for name in ("int", "float")]
         assert found[1] == found[0]
+        grid = without(lyap_config(), "e_values")
+        for name, points in (("grid-int", 3), ("grid-float", 3.0)):
+            run(dict(grid, e_grid={"min": -1.0, "max": 1.0, "points": points}),
+                out_dir=tmp_path / name)
+        found = [artifacts(tmp_path / name)[0]
+                 for name in ("grid-int", "grid-float")]
+        assert found[1] == found[0]
+        assert len(found[0]["lyapunov.csv"].splitlines()) == 4
 
     def test_outputs_follow_umask(self, tmp_path):
         old = os.umask(0o027)
@@ -805,6 +814,34 @@ class TestMainEntry:
         assert eps < 0.5
         assert doc["herman"]["lambda"] == 10.0 * 100.0 * eps ** -100.0
         assert doc["herman"]["sound"] is True
+
+    def test_zero_coupling_is_constant_exit_one(self, tmp_path, capsys):
+        # lambda 0 makes v = 0, which has no epsilon gap at e1 = 0.5 or
+        # anywhere else.
+        code = self.lowerbound_main(
+            tmp_path, delta=0.1, e1_values=[0.5],
+            system=dict(BASE_SYSTEM, **{"lambda": 0.0}))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("PotentialConstant: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_error_exit_one(self, tmp_path, monkeypatch, capsys):
+        # An oversize box fails to allocate inside numpy; the run reports
+        # it on one line.  The handler raises instead of allocating.
+        def oversize(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setitem(_HANDLERS, "green", oversize)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(CONTRACT_CONFIGS["green"]))
+        code = main(["green", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "MemoryError: Unable to allocate 7.28 TiB for an array\n"
+        assert not (tmp_path / "out").exists()
 
     def test_herman_default_lambda_overflow_exit_one(self, tmp_path, capsys):
         # At coupling 1e-4 epsilon is about 7e-5, and 1000 epsilon^-100 is

@@ -743,8 +743,9 @@ def test_blocked_rows_at_the_full_block():
     (1, 0.3, (1 << 16) + 1, 2),
 ], ids=["large", "column", "single", "single-full-block", "single-over"])
 def test_cocycle_batch_sums_its_rows_per_block(batch, energy, n, calls,
-                                               monkeypatch):
-    # ceil(n / m) evaluator calls, m = max(1, 2^16 // results per step).
+                                               monkeypatch, one_thread):
+    # ceil(n / m) evaluator calls, m = max(1, 2^16 // results per step), for
+    # a batch that runs as one part.
     counted_calls = []
     harmonic_sum = transfer._harmonic_sum
 

@@ -7,7 +7,7 @@ from qplab import (SigmaOutOfRange, deviation_measure, fourier_decay_check,
                    lyapunov_n)
 from qplab.cli import _run_ldt
 from qplab.ldt import ldt_scaling_table
-from qplab.lyapunov import _phi_values
+from qplab.transfer import cocycle_batch
 
 
 class TestDeviationMeasure:
@@ -43,7 +43,7 @@ class TestDeviationMeasure:
         prof = deviation_measure(golden, 0.0, 50, 0.5, mathieu5,
                                  samples=50_000, seed=9)
         thetas = np.random.default_rng(9).random(50_000)
-        dev = (_phi_values(golden, thetas, 0.0, 50, mathieu5)
+        dev = (cocycle_batch(golden, thetas, 0.0, 50, mathieu5) / 50
                - lyapunov_n(golden, 0.0, 50, mathieu5).value)
         above = np.count_nonzero(dev > prof.threshold)
         below = np.count_nonzero(-dev > prof.threshold)
@@ -115,7 +115,7 @@ class TestFourierDecay:
         # independent oracle: direct Riemann sums for a handful of modes
         grid = 8192
         thetas = np.arange(grid) / grid
-        phi = _phi_values(golden, thetas, 0.0, 50, mathieu5)
+        phi = cocycle_batch(golden, thetas, 0.0, 50, mathieu5) / 50
         fd = fourier_decay_check(golden, 0.0, 50, mathieu5, 8)
         for k in range(1, 9):
             direct = abs(np.sum(phi * np.exp(-2j * np.pi * k * thetas)) / grid)

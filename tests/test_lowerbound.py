@@ -27,6 +27,11 @@ class TestEpsilonGap:
         with pytest.raises(PotentialConstant):
             epsilon_gap(constant, 0.05, 2.0)
 
+    def test_zero_coupling_rejected(self):
+        # v = 0 * cos is the zero function, given with its harmonics.
+        with pytest.raises(PotentialConstant):
+            epsilon_gap(cosine_potential(0.0), 0.1, 0.5)
+
     def test_gap_shrinks_with_more_targets(self):
         # A target near the top of cos has a narrower gap than the centre.
         centre = epsilon_gap(COS, 0.1, 0.0)

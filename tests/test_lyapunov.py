@@ -1,5 +1,8 @@
 import contextvars
+import functools
+import inspect
 import math
+import sys
 import threading
 
 import numpy as np
@@ -7,10 +10,9 @@ import pytest
 
 from conftest import cocycle_product, orbit_phases
 from qplab import (SamplerSpec, check_subadditivity, cosine_potential,
-                   deviation_measure, lyapunov_n, lyapunov_scan,
+                   deviation_measure, ldt, lyapunov_n, lyapunov_scan,
                    upper_bound_check)
-from qplab.lyapunov import THREADS, _CHUNK, _SPLIT_FLOOR, _phi_values
-from qplab.transfer import cocycle_batch
+from qplab.transfer import THREADS, _CHUNK, _SPLIT_FLOOR, cocycle_batch
 
 CONST_TARGET = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -255,10 +257,11 @@ class TestParallelPhases:
                                         case, size):
         omega, thetas, energy, v = parallel_case(case, size, golden, omega2,
                                                  two_cos)
-        want = cocycle_batch(omega, thetas, energy, PARALLEL_N, v) / PARALLEL_N
+        want = with_thread_cap(1, cocycle_batch, omega, thetas, energy,
+                               PARALLEL_N, v) / PARALLEL_N
         for cap in (1, 2, 3):
-            got = with_thread_cap(cap, _phi_values, omega, thetas, energy,
-                                  PARALLEL_N, v)
+            got = with_thread_cap(cap, cocycle_batch, omega, thetas, energy,
+                                  PARALLEL_N, v) / PARALLEL_N
             assert got.shape == want.shape
             assert np.array_equal(got, want), (case, size, cap)
         # Just over the floor two workers split it; a third would sit below.
@@ -274,25 +277,59 @@ class TestParallelPhases:
         energy = np.linspace(-6.0, 6.0, _SPLIT_FLOOR)[:, np.newaxis]
         thetas = np.array([0.1, 0.7])
         v = cosine_potential(5.0)
-        got = with_thread_cap(64, _phi_values, golden, thetas, energy, 10, v)
+        got = with_thread_cap(64, cocycle_batch, golden, thetas, energy, 10,
+                              v) / 10
         assert pools["workers"] == [2]
         assert len(pools["threads"]) <= 2
         assert threading.get_ident() not in pools["threads"]
-        assert np.array_equal(got, cocycle_batch(golden, thetas, energy, 10,
-                                                 v) / 10)
+        assert np.array_equal(got, with_thread_cap(1, cocycle_batch, golden,
+                                                   thetas, energy, 10, v) / 10)
+
+    def test_no_public_function_runs_on_a_pool_thread(self, golden, mathieu5,
+                                                      pools, monkeypatch):
+        # Every public function of the qplab modules is wrapped in every
+        # module that binds it, as perfbench's tracer wraps its spans, and
+        # records the thread it ran on.  Spans opened on pool threads would
+        # land on another thread's span stack.
+        modules = [m for key, m in sys.modules.items()
+                   if key == "qplab" or key.startswith("qplab.")]
+        public = {id(fn): fn for m in modules for name, fn in vars(m).items()
+                  if inspect.isfunction(fn) and not name.startswith("_")
+                  and fn.__module__ == m.__name__}
+        ran_on = []
+
+        def wrap(fn):
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                ran_on.append((fn.__qualname__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return recorded
+
+        wrappers = {key: wrap(fn) for key, fn in public.items()}
+        for m in modules:
+            for name, value in list(vars(m).items()):
+                if id(value) in public and value is public[id(value)]:
+                    monkeypatch.setattr(m, name, wrappers[id(value)])
+        with_thread_cap(2, ldt.deviation_measure, golden, 0.0, 50, 0.3,
+                        mathieu5, 2 * _SPLIT_FLOOR)
+        assert pools["workers"] == [2]
+        assert pools["threads"] - {threading.get_ident()}
+        names = {name for name, _ in ran_on}
+        assert {"deviation_measure", "lyapunov_n", "cocycle_batch"} <= names
+        assert {ident for _, ident in ran_on} == {threading.get_ident()}
 
     def test_no_thread_outlives_the_call(self, golden):
         before = threading.active_count()
         thetas = np.linspace(0.0, 1.0, 4 * _SPLIT_FLOOR, endpoint=False)
-        with_thread_cap(4, _phi_values, golden, thetas, 0.0, 10,
+        with_thread_cap(4, cocycle_batch, golden, thetas, 0.0, 10,
                         cosine_potential(5.0))
         assert threading.active_count() == before
 
 
 NON_INTEGRAL_N_ROUTES = {
     "cocycle_batch": lambda g, v, n: cocycle_batch(g, [0.1, 0.7], 0.0, n, v),
-    "_phi_values": lambda g, v, n: _phi_values(g, np.array([0.1, 0.7]), 0.0,
-                                               n, v),
+    "cocycle_batch-empty": lambda g, v, n: cocycle_batch(g, np.empty(0), 0.0,
+                                                         n, v),
     "lyapunov_scan": lambda g, v, n: lyapunov_scan(g, [0.0, 1.0], n, v),
     "lyapunov_n": lambda g, v, n: lyapunov_n(g, 0.0, n, v),
     "deviation_measure": lambda g, v, n: deviation_measure(

@@ -219,9 +219,10 @@ class TestCocycle:
         assert res.log_norm / 50 == pytest.approx(math.log(1e300) - math.log(2.0),
                                                   abs=0.5)
 
-    def test_memory_is_bounded_by_the_kernel_buffers(self, golden, mathieu5):
+    def test_memory_is_bounded_by_the_kernel_buffers(self, golden, mathieu5,
+                                                     one_thread):
         # One batch of B = 16384 phases, n = 400 steps, on 5 cos (H = 1
-        # harmonic), in units u of B float64s:
+        # harmonic), run as one part, in units u of B float64s:
         #   the block of m = 2^16 // B = 4 rows and its product scratch: 2m u
         #   the kernel's (2, B) top, prev and scratch rows, and exponents: 7 u
         #   the phase harmonics x and y: 2H u
