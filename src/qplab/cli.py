@@ -611,9 +611,9 @@ def run(config: dict, out_dir="qplab_out", seed: Optional[int] = None,
     token = THREADS.set(threads)
     try:
         cap = thread_cap()
-        started = time.time()
+        started = time.perf_counter()
         artifacts = _HANDLERS[config["command"]](config, v, freq, eff_seed)
-        wall = time.time() - started
+        wall = time.perf_counter() - started
     except ValueError as exc:
         # A value the schema admits but the library rejects, such as a
         # decreasing scale ladder or too few samples.

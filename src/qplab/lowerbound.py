@@ -21,8 +21,7 @@ from .errors import (DropExceeded, GateFailed, HypothesisUnmet,
 from .lyapunov import (LyapunovEstimate, SamplerSpec, default_sampler,
                        lyapunov_n)
 from .model import Frequency, TrigPotential
-from .transfer import (_LOG2, _log_opnorm, _orbit_rows, _period, _products,
-                       _unit, box_diagonal)
+from .transfer import _orbit_rows, box_diagonal, cocycle_batch
 
 STRICT_GATE_CONSTANT = 1000.0
 DROP_CONSTANT = 1000.0
@@ -102,9 +101,10 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
 
     Requires lambda*epsilon > 100 and checks the line hypothesis
     inf_x |lambda v(x + i y0) - E| >= lambda*epsilon on a 512-point grid
-    before running the orbit; the two-term recursion for (u, v) = M_(n)(1, 0)
-    is checked stepwise: |u| never falls behind |v| and each step multiplies
-    |u| by more than lambda*epsilon - 1.
+    before running the orbit.  The margin reads log||M_n(i y0)|| from
+    ``cocycle_batch``; the two-term recursion for (u, v) = M_(n)(1, 0) is
+    checked stepwise through r_j = u_j / u_(j-1): |u| never falls behind |v|
+    and each step multiplies |u| by more than lambda*epsilon - 1.
     """
     if v.dim != 1:
         raise ValueError("complexified growth is 1-frequency only")
@@ -122,19 +122,17 @@ def complexified_growth_check(lam: float, v: TrigPotential, omega: Frequency,
             f"inf |lambda v - E| = {inf_line:g} < lambda*epsilon = {lam_eps:g}")
 
     log_growth = math.log(lam_eps - 1.0)
-    # (u, v) = M_(n)(1, 0) is the first column of each renormalized product.
-    # The bottom row is minus the previous top row, so |v| = |prev[0]|.
-    diag = box_diagonal((1, n), omega, complex(0.0, y0), scaled)
-    rows = diag[:, np.newaxis] - energy
-    log_u = [0.0]
-    uv_ok = True
-    for top, prev, exps in _products(rows, _period(scaled, energy, y0)):
-        u, vv = abs(top[0, 0]), abs(prev[0, 0])
-        log_u.append(exps[0] * _LOG2 + np.log(u))
-        uv_ok = uv_ok and bool(u >= vv)
-    per_step_margin = float(np.min(np.diff(log_u))) - log_growth
-    m, ls = _unit(top, prev, exps)
-    margin = float(_log_opnorm(*m, ls)[0]) - n * log_growth
+    # r_j = a_j - 1/r_(j-1) from r_0 = u_0 / u_(-1) = inf.  On the line
+    # |r_j| stays above lambda*eps - 1, so it needs no rescaling.
+    rows = box_diagonal((1, n), omega, complex(0.0, y0), scaled) - energy
+    r = least = math.inf
+    for a in rows.tolist():
+        r = a - 1.0 / r
+        least = min(least, abs(r))
+    per_step_margin = math.log(least) - log_growth
+    uv_ok = least >= 1.0
+    margin = float(cocycle_batch(omega, complex(0.0, y0), energy, n,
+                                 scaled)[0]) - n * log_growth
     return ComplexGrowthReport(margin=margin, per_step_margin=per_step_margin,
                                uv_ok=uv_ok)
 

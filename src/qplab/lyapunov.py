@@ -29,7 +29,8 @@ class SamplerSpec:
 
     quadrature "grid" uses an equispaced (product) grid; "monte_carlo" draws
     stratified uniform samples.  ``samples=None`` picks the dimension default:
-    max(4096, 8n) grid points for d=1, 4096 stratified points for d=2.
+    max(4096, 8n) grid points for d=1, 4096 stratified points for d=2; fewer
+    than one sample raises ValueError when the phases are drawn.
     """
 
     quadrature: str = "grid"
@@ -38,6 +39,9 @@ class SamplerSpec:
 
     def resolve_samples(self, dim: int, n: int) -> int:
         if self.samples is not None:
+            if not self.samples >= 1:
+                raise ValueError(f"need at least one phase sample, got "
+                                 f"samples = {self.samples!r}")
             return int(self.samples)
         if dim == 1:
             return max(4096, 8 * n)
@@ -152,9 +156,9 @@ class UpperBoundReport:
 def upper_bound_check(omega: Frequency, energy: float, n: int, v: TrigPotential,
                       grid: int = 4096) -> UpperBoundReport:
     sigma = SIGMA_1D if omega.dim == 1 else SIGMA_2D
-    ref_est = lyapunov_n(omega, energy, n, v)
     probe = SamplerSpec(quadrature="grid", samples=grid)
     thetas = theta_samples(omega.dim, probe, n)
+    ref_est = lyapunov_n(omega, energy, n, v)
     phi = cocycle_batch(omega, thetas, energy, n, v) / n
     excess = float(np.max(phi - ref_est.value))
     const = 2.0 * math.log(1.0 + v.coefficient_bound(0.0) + abs(energy))

@@ -115,18 +115,16 @@ def _rescale(top, prev, exps):
     exps += e
 
 
-def _products(rows, period: int):
-    """Running products of the one-step factors [[a, 1], [-1, 0]].
+def _final(rows, period: int):
+    """The product of the one-step factors [[a, 1], [-1, 0]], closed by ``_unit``.
 
     ``rows`` yields one array a = v - E per step, over a batch.  The product
     after step j is 2**exps * [[u_j], [-u_(j-1)]]: its top row follows the
     two-term recurrence u_j = a_j u_(j-1) - u_(j-2), and its bottom row is
-    minus the previous top row.  After each step this yields (top, prev,
-    exps), with top = u_j and prev = u_(j-1) as (2, ...) arrays.  Every
-    ``period`` steps both rows are rescaled by a power of two, which is exact,
-    so the products do not depend on the period; ``_period`` picks one that
-    cannot overflow.  Complex rows give complex entries.  The buffers are
-    updated in place, so read them before asking for the next step.
+    minus the previous top row.  Every ``period`` steps both rows are
+    rescaled by a power of two, which is exact, so the product does not
+    depend on the period; ``_period`` picks one that cannot overflow.
+    Complex rows give complex entries.
     """
     rows = iter(rows)
     a = next(rows)
@@ -143,7 +141,9 @@ def _products(rows, period: int):
         top, prev = prev, top
         if j % period == 0:
             _rescale(top, prev, exps)
-        yield top, prev, exps
+    # Free the scratch and the last row block: closing sets the memory peak.
+    del tmp, a
+    return _unit(top, prev, exps)
 
 
 def _abs2(x):
@@ -191,12 +191,6 @@ def _as_batch(omega: Frequency, thetas) -> np.ndarray:
         return np.atleast_1d(th)
     th = np.asarray(th, dtype=float)
     return np.atleast_1d(th) if omega.dim == 1 else th.reshape(-1, 2)
-
-
-def _final(rows, period: int):
-    for top, prev, exps in _products(rows, period):
-        pass
-    return _unit(top, prev, exps)
 
 
 def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential):
@@ -282,12 +276,15 @@ def box_diagonal(interval: Tuple[int, int], omega: Frequency, theta,
 
     The box operator is symmetric tridiagonal with these values on its
     diagonal and ones off it.  They come from the orbit evaluator that
-    gives the cocycle rows, so site j has the bits of row j.
+    gives the cocycle rows, so site j has the bits of row j.  ``theta`` is
+    one phase (a pair for d=2); an array of phases raises ValueError.
     """
     a, b = int(interval[0]), int(interval[1])
     if b < a:
         raise ValueError("interval is empty")
     x, y = _phase_harmonics(v, theta)
+    if x.ndim != 1:
+        raise ValueError("a box takes one phase, not an array of phases")
     p, q = _step_rotations(omega, v, a, b)
     return _harmonic_sum(v, p.T, q.T, x, y, (b - a + 1,))
 

@@ -184,6 +184,17 @@ class TestRun:
         assert len(mani["config_sha256"]) == 64
         assert "lyapunov.csv" in mani["outputs"]
 
+    def test_wall_time_survives_a_clock_step(self, tmp_path, monkeypatch):
+        # The system clock steps back an hour at every reading, so it is
+        # behind once the run ends; the wall time must not go negative.
+        readings = itertools.count()
+        now = time.time()
+        monkeypatch.setattr(time, "time",
+                            lambda: now - 3600.0 * next(readings))
+        run(lyap_config(), out_dir=tmp_path)
+        mani = json.loads((tmp_path / "manifest.json").read_text())
+        assert mani["wall_time_s"] >= 0.0
+
     def test_seeded_rerun_byte_identical(self, tmp_path):
         cfg = lyap_config(quadrature="monte_carlo", samples=100)
         run(cfg, out_dir=tmp_path / "a")

@@ -47,6 +47,20 @@ class TestBoxDiagonal:
         with pytest.raises(ValueError):
             box_diagonal((3, 2), golden, 0.0, mathieu5)
 
+    @pytest.mark.parametrize("phases", [
+        [0.1, 0.2, 0.3], [0.1], [[0.1, 0.2]], [[0.1, 0.2], [0.3, 0.4]]],
+        ids=["d1-three", "d1-one", "d2-one", "d2-two"])
+    def test_phase_array_rejected(self, golden, omega2, mathieu5, two_cos,
+                                  phases):
+        # A box has one phase; an array of them would put site j at phase
+        # j.  Every box consumer reads the diagonal here.
+        omega, v = ((golden, mathieu5) if np.ndim(phases) == 1
+                    else (omega2, two_cos))
+        with pytest.raises(ValueError, match="one phase"):
+            box_diagonal((1, 3), omega, phases, v)
+        with pytest.raises(ValueError, match="one phase"):
+            green_solve((1, 5), omega, np.asarray(phases), 0.3, v)
+
 
 class TestGreenCramer:
     def test_single_site_inverse(self, golden, mathieu5):

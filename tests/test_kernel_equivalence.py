@@ -1,7 +1,7 @@
 """The shared stepping kernel against the four loops it replaced.
 
 Each oracle below is one of the hand-written stepping loops that preceded
-``transfer._products``, kept verbatim.  The kernel now runs a two-term
+``transfer._final``, kept verbatim.  The kernel now runs a two-term
 recurrence and rescales by a power of two only every few steps, so it rounds
 differently: real log norms must agree within 1e-12 relative (measured at
 most 7.8e-15) and entries, once aligned to the same log scale, within 1e-10
@@ -21,6 +21,10 @@ replaced, ``conftest.per_step_rows``, is the oracle for the rows and for
 Complex phases run through ``cocycle_batch`` itself; it must give the bits
 of the private route (rows, final product, period from |Im z|, closed-form
 norm) that complex lines were assembled from before, at tolerance 0.
+``complexified_growth_check`` reads its norm there and its per-step growth
+from the ratio recurrence r_j = a_j - 1/r_(j-1) on one ``box_diagonal``
+line, never stepping the kernel itself; the normalised (u, v) loop
+``oracle_uv_loop`` is the oracle for the per-step margin and |u| >= |v|.
 
 ``TrigPotential.eval_batch`` is the orbit evaluator's row at step 0, with
 the bits of ``box_diagonal((0, 0), ...)``, and evaluates complex points the
@@ -57,8 +61,8 @@ from qplab import (SingularEnergy, StripExceeded, complexified_growth_check,
 from qplab.greens import _scipy_linalg
 from qplab.model import TrigPotential
 from qplab.transfer import (_as_batch, _final, _log_opnorm, _orbit_rows,
-                            _period, _products, _unit, box_diagonal,
-                            cocycle_complex, det_sequence)
+                            _period, box_diagonal, cocycle_complex,
+                            det_sequence)
 
 from conftest import (cocycle_product, needs_long_double, orbit_phases,
                       per_step_rows, random_trig_potential, reference_orbit)
@@ -493,13 +497,15 @@ def test_complex_batch_errors():
     (OMEGA2, np.array([0.3, 0.8]), two_cosine_potential(50.0)),
 ], ids=["d1", "d2"])
 def test_growth_envelope_trace(omega, theta, v):
-    # The per-step trace log ||M_j||, j = 1..n: the kernel at period 1 read
-    # after every step and closed as cocycle_batch closes its product.
-    rows = _orbit_rows(omega, _as_batch(omega, theta), 0.3, 500, v)
-    trace = []
-    for prod in _products(rows, 1):
-        m, ls = _unit(*prod)
-        trace.append(_log_opnorm(*m, ls)[0])
+    # The per-step trace log ||M_j||, j = 1..n, from one kernel run at
+    # period 1 over n columns: column j holds the first j rows, then zeros.
+    # A zero row's factor [[0, 1], [-1, 0]] is a quarter-turn rotation, so
+    # it leaves the norm of M_j unchanged.
+    rows = np.concatenate(list(_orbit_rows(omega, _as_batch(omega, theta),
+                                           0.3, 500, v)))
+    prefixes = np.triu(np.broadcast_to(rows[:, np.newaxis], (500, 500)))
+    m, ls = _final(prefixes, 1)
+    trace = _log_opnorm(*m, ls)
     want = oracle_log_norm_trace(500, omega, theta, 0.3, v)
     np.testing.assert_allclose(trace, want, rtol=1e-12, atol=0.0)
 
@@ -667,7 +673,8 @@ def test_complexified_growth_sums_its_orbit_in_one_call(monkeypatch):
     monkeypatch.setattr(transfer, "_harmonic_sum", counted)
     complexified_growth_check(lam, cos1, GOLDEN, energy, gap.y0, gap.epsilon,
                               1000)
-    assert calls == [(1000,)]
+    # The box line for the ratios, then the orbit block of cocycle_batch.
+    assert calls == [(1000,), (1000, 1)]
 
 
 def _block_inputs(kind, batch, rng):

@@ -62,6 +62,24 @@ class TestLyapunovN:
                              SamplerSpec("grid", 1))
         assert all(math.isnan(e.std_error) for e in scan)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("quadrature", ["grid", "monte_carlo"])
+    def test_no_samples_rejected(self, golden, omega2, mathieu5, two_cos,
+                                 quadrature, samples):
+        # Zero samples used to average an empty batch to NaN, and a negative
+        # count died inside numpy.
+        spec = SamplerSpec(quadrature, samples)
+        with pytest.raises(ValueError, match=f"samples = {samples}"):
+            lyapunov_n(golden, 0.0, 50, mathieu5, spec)
+        with pytest.raises(ValueError, match=f"samples = {samples}"):
+            lyapunov_n(omega2, 0.0, 50, two_cos, spec)
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_upper_bound_without_a_grid_rejected(self, golden, mathieu5,
+                                                 grid):
+        with pytest.raises(ValueError, match=f"samples = {grid}"):
+            upper_bound_check(golden, 0.0, 50, mathieu5, grid=grid)
+
     def test_scan_matches_single(self, golden, mathieu5):
         scan = lyapunov_scan(golden, [0.0, 1.0], 100, mathieu5,
                              SamplerSpec("grid", 64))

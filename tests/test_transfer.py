@@ -13,7 +13,7 @@ from qplab import (StripExceeded, cocycle_batch, cosine_potential,
                    golden_frequency, slog, two_torus_frequency,
                    verify_det_identity)
 from qplab.model import TrigPotential
-from qplab.transfer import (_log_opnorm, _orbit_rows, _period, _products,
+from qplab.transfer import (_final, _log_opnorm, _orbit_rows, _period,
                             box_diagonal, cocycle_complex, det_sequence)
 
 
@@ -63,13 +63,14 @@ class TestKernel:
                 rows = rows + 1j * rng.normal(size=rows.shape)
             for period in (1, 4):
                 direct = np.broadcast_to(np.eye(2, dtype=dtype), (3, 2, 2))
-                for a, (top, prev, exps) in zip(rows, _products(rows, period)):
+                for j, a in enumerate(rows, 1):
                     step = np.zeros((3, 2, 2), dtype=dtype)
                     step[:, 0, 0], step[:, 0, 1], step[:, 1, 0] = a, 1.0, -1.0
                     direct = step @ direct
-                    entries = as_matrices(top[0], top[1], -prev[0], -prev[1])
+                    m, ls = _final(rows[:j], period)
+                    entries = as_matrices(*m)
                     for k in range(3):
-                        err = np.abs(2.0 ** exps[k] * entries[k] - direct[k])
+                        err = np.abs(np.exp(ls[k]) * entries[k] - direct[k])
                         assert np.max(err) <= 1e-13 * np.linalg.norm(direct[k])
 
     def test_returned_entries_have_unit_frobenius_norm(self, golden, mathieu5):
