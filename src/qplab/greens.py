@@ -194,9 +194,13 @@ def decay_fit(green: GreenMatrix, min_sep: int) -> DecayFit:
     Entries count when their sign is nonzero and their log finite.  All
     entries of one diagonal share x = |i - j|, so the fit is assembled from
     each diagonal's count, mean and centred sum of squares; no n x n table of
-    separations is built.
+    separations is built.  Both sums call `np.add.reduce`, the reduction
+    `np.mean` and `np.sum` run, so the bits are theirs at less cost.  Raises
+    ValueError when min_sep < 0 or the box is narrower than 4 min_sep.
     """
     n = green.size
+    if min_sep < 0:
+        raise ValueError(f"min_sep must be >= 0, got {min_sep}")
     if n < 4 * min_sep:
         raise ValueError("box too small for the requested separation")
     ok = (green.signs != 0) & np.isfinite(green.logs)
@@ -204,8 +208,9 @@ def decay_fit(green: GreenMatrix, min_sep: int) -> DecayFit:
     for off in [*range(-n + 1, -max(min_sep, 1) + 1), *range(min_sep, n)]:
         y = -np.diagonal(green.logs, off)[np.diagonal(ok, off)]
         if y.size:
-            mean = np.mean(y)
-            stats.append((abs(off), y.size, mean, np.sum((y - mean) ** 2)))
+            mean = np.add.reduce(y) / y.size
+            dev = y - mean
+            stats.append((abs(off), y.size, mean, np.add.reduce(dev * dev)))
     if len({d for d, *_ in stats}) < 2:
         return DecayFit(rate=0.0, intercept=0.0, residual=math.inf, pairs=0)
     x, cnt, mean, m2 = (np.array(col, dtype=float) for col in zip(*stats))
@@ -291,8 +296,10 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
     failing or singular one gives way to a one-site trim that passes.  By the
     resolvent identity each row is its window's row minus hops through rows
     lo - 1 and hi + 1: those edge rows reach their fixed point by ordered
-    sweeps, then one pass builds every row.  The certificate checks the
-    fitted rate against c/2; its `iterations` counts the ordered sweeps.
+    sweeps, then one pass builds every row.  Window rows are held n wide
+    and widened to [a, b] only where they are summed, so G is the one
+    big x big array.  The certificate checks the fitted rate against c/2;
+    its `iterations` counts the ordered sweeps.
     """
     a, b = int(interval[0]), int(interval[1])
     big = b - a + 1
@@ -311,10 +318,13 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
                     for lo, nxt in zip(starts, starts[1:])]
     lasts = [f - 1 for f in firsts[1:]] + [b]
 
-    # Per row: the window's row of G, and the hops to rows lo - 1 and hi + 1
-    # (row `big` stands for "no hop" and reads as zero).
-    d_signs = np.zeros((big, big), dtype=np.int8)
-    d_logs = np.full((big, big), slog.LOG_ZERO)
+    # Per row: the window's row of G, held n wide from column off[r], and
+    # the hops to rows lo - 1 and hi + 1.  Trimmed windows are padded with
+    # zeros, and off[r] <= big - n keeps the padding inside [a, b].  Row
+    # `big` stands for "no hop": an empty window, read as zero.
+    w_signs = np.zeros((big + 1, n), dtype=np.int8)
+    w_logs = np.full((big + 1, n), slog.LOG_ZERO)
+    off = np.zeros(big + 1, dtype=np.intp)
     hop = np.full((big, 2), big)
     hop_sign = np.zeros((big, 2), dtype=np.int8)
     hop_log = np.full((big, 2), slog.LOG_ZERO)
@@ -339,8 +349,10 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
             continue
         windows.append((lo, hi))
         rows, own = slice(x0 - a, x1 - a + 1), slice(x0 - lo, x1 - lo + 1)
-        d_signs[rows, lo - a:hi - a + 1] = gw.signs[own]
-        d_logs[rows, lo - a:hi - a + 1] = gw.logs[own]
+        off[rows] = first = min(lo - a, big - n)
+        cols = slice(lo - a - first, hi - a - first + 1)
+        w_signs[rows, cols] = gw.signs[own]
+        w_logs[rows, cols] = gw.logs[own]
         for side, (edge, col) in enumerate(((lo - 1, 0), (hi + 1, -1))):
             if a <= edge <= b:
                 hop[rows, side] = edge - a
@@ -354,23 +366,32 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
     if contraction >= 0.5:
         raise IterationDiverged(contraction)
 
-    # Edge rows of G, plus a zero row that the missing hops read.
+    def window_rows(rows):
+        """The window rows of `rows` at full width, zero outside the window."""
+        cols = off[rows][:, None] + np.arange(n)
+        signs = np.zeros((len(cols), big), dtype=np.int8)
+        logs = np.full((len(cols), big), slog.LOG_ZERO)
+        np.put_along_axis(signs, cols, w_signs[rows], axis=1)
+        np.put_along_axis(logs, cols, w_logs[rows], axis=1)
+        return signs, logs
+
+    # Edge rows of G, plus the zero row that the missing hops read.
     edges = np.unique(hop[hop < big])
     at = np.full(big + 1, edges.size)
     at[edges] = np.arange(edges.size)
-    e_signs = np.vstack([d_signs[edges], np.zeros((1, big), dtype=np.int8)])
-    e_logs = np.vstack([d_logs[edges], np.full((1, big), slog.LOG_ZERO)])
+    e_signs, e_logs = window_rows(np.append(edges, big))
 
     def resolvent(rows):
         """Window term plus both hops for `rows`, through the edge rows."""
         src = at[hop[rows]]
+        d_signs, d_logs = window_rows(rows)
         return slog.add(
-            np.stack([d_signs[rows], *(-hop_sign[rows, side, None]
-                                       * e_signs[src[:, side]]
-                                       for side in (0, 1))]),
-            np.stack([d_logs[rows], *(hop_log[rows, side, None]
-                                      + e_logs[src[:, side]]
-                                      for side in (0, 1))]))
+            np.stack([d_signs, *(-hop_sign[rows, side, None]
+                                 * e_signs[src[:, side]]
+                                 for side in (0, 1))]),
+            np.stack([d_logs, *(hop_log[rows, side, None]
+                                + e_logs[src[:, side]]
+                                for side in (0, 1))]))
 
     # Ordered (Gauss-Seidel) sweeps: the edge rows a window owns form one
     # block, updated in place from the newest values of the other blocks,
@@ -397,15 +418,18 @@ def pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
         raise IterationDiverged(
             contraction,
             f"no fixed point after {cap} sweeps (contraction {contraction:.3g})")
+    del old_signs, old_logs, both
 
     # Every row from the edge rows, in blocks of rows so that the stacks
     # slog.add sums stay small; it works entry by entry, so the bits are
-    # those of one pass over all rows.
+    # those of one pass over all rows.  Blocks stop at row big - 1: row
+    # `big` of `off` is the no-hop row.
     g_signs = np.empty((big, big), dtype=np.int8)
     g_logs = np.empty((big, big))
     for lo in range(0, big, _PAVE_BLOCK_ROWS):
-        rows = slice(lo, lo + _PAVE_BLOCK_ROWS)
+        rows = slice(lo, min(lo + _PAVE_BLOCK_ROWS, big))
         g_signs[rows], g_logs[rows] = resolvent(rows)
+    del e_signs, e_logs
     green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs)
     cert = _certificate(green, c, beta, n, windows, contraction, iterations)
     return PaveResult(green=green, certificate=cert)
@@ -420,8 +444,8 @@ def _certificate(green: GreenMatrix, c: float, beta: float, n: int,
     except ValueError:
         fit = DecayFit(rate=math.nan, intercept=math.nan, residual=math.inf,
                        pairs=0)
-    sup_log = float(np.max(green.logs[green.signs != 0])) \
-        if (green.signs != 0).any() else -math.inf
+    sup_log = float(np.max(green.logs, where=green.signs != 0,
+                           initial=-math.inf))
     return PavingCertificate(
         rate=fit.rate, intercept=fit.intercept, required_rate=c / 2.0,
         rate_ok=fit.rate >= c / 2.0, sup_logmag=sup_log, window_rate=c,

@@ -30,7 +30,9 @@ class SamplerSpec:
     quadrature "grid" uses an equispaced (product) grid; "monte_carlo" draws
     stratified uniform samples.  ``samples=None`` picks the dimension default:
     max(4096, 8n) grid points for d=1, 4096 stratified points for d=2; fewer
-    than one sample raises ValueError when the phases are drawn.
+    than one sample raises ValueError when the phases are drawn.  A d=2 grid
+    is square, side max(2, round(sqrt(samples))), so 1 sample gives 4 points
+    and 10 give 9; an estimate's ``samples`` is the count used.
     """
 
     quadrature: str = "grid"
@@ -53,6 +55,11 @@ def default_sampler(dim: int) -> SamplerSpec:
 
 
 def theta_samples(dim: int, sampler: SamplerSpec, n: int) -> np.ndarray:
+    """The phases ``sampler`` draws, of shape (m,) for d=1 and (m, 2) for d=2.
+
+    m is ``resolve_samples(dim, n)`` except on a d=2 grid, which rounds to
+    the square of side max(2, round(sqrt(m))): 1 gives 4 phases, 10 give 9.
+    """
     m = sampler.resolve_samples(dim, n)
     if sampler.quadrature == "grid":
         if dim == 1:

@@ -195,9 +195,10 @@ class TrigPotential:
         reduced mod 1 as for orbit rows.  Complex points give the analytic
         continuation on the strip, with complex values; they raise
         StripExceeded when some |Im z| >= strip_width/10.  A non-finite
-        point raises ValueError.
+        point raises ValueError.  Harmonics whose b_h is 0 skip their sine
+        term: at step 0 it adds an exact zero.
         """
-        x, y = _phase_harmonics(self, np.asarray(thetas))
+        x, y = _phase_harmonics(self, np.asarray(thetas), self._b_half != 0)
         return _harmonic_sum(self, self._a_half, self._b_half, x, y,
                              x.shape[1:])
 
@@ -246,12 +247,14 @@ def _checked_phases(v: TrigPotential, th):
     return th
 
 
-def _phase_harmonics(v: TrigPotential, th):
+def _phase_harmonics(v: TrigPotential, th, sines=None):
     """cos and sin of 2 pi k_h.frac(th) for each positive harmonic k_h of v.
 
     Both arrays have shape (H,) + the batch shape: ``th.shape`` for d=1,
     ``th.shape[:-1]`` for d=2.  A complex ``th`` keeps its imaginary part;
-    phases are checked by ``_checked_phases``.
+    phases are checked by ``_checked_phases``.  Given a mask ``sines`` over
+    the harmonics, the sines are a list that holds None where it is False,
+    and `_harmonic_sum` skips those terms.
     """
     th = _checked_phases(v, th)
     f = _frac(th.real) + 1j * th.imag if np.iscomplexobj(th) else _frac(th)
@@ -262,7 +265,9 @@ def _phase_harmonics(v: TrigPotential, th):
     batch = f.shape if v.dim == 1 else f.shape[:-1]
     ang = TWO_PI * np.array(turns, dtype=f.dtype).reshape(
         (len(turns),) + batch)
-    return np.cos(ang), np.sin(ang)
+    if sines is None:
+        return np.cos(ang), np.sin(ang)
+    return np.cos(ang), [np.sin(t) if s else None for t, s in zip(ang, sines)]
 
 
 def _step_rotations(omega: Frequency, v: TrigPotential, first: int,
@@ -296,16 +301,17 @@ def _harmonic_sum(v: TrigPotential, p, q, x, y, shape, val=None, tmp=None):
     The first axis of each argument runs over the harmonics and the other
     axes broadcast to ``shape``: a box or a block of orbit rows takes a
     column of steps against its phases, a point takes scalar p_h, q_h, and
-    all round the same way.  The sum is written into ``val`` with ``tmp``
-    for the products, both of ``shape`` and x's dtype (allocated if not
-    given), and ``val`` is returned.
+    all round the same way; a None y_h skips its term.  The sum is written
+    into ``val`` with ``tmp`` for the products, both of ``shape`` and x's
+    dtype (allocated if not given), and ``val`` is returned.
     """
     if val is None:
         val, tmp = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
     val.fill(v._c0)
     for ph, qh, xh, yh in zip(p, q, x, y):
         val += np.multiply(ph, xh, out=tmp)
-        val += np.multiply(qh, yh, out=tmp)
+        if yh is not None:
+            val += np.multiply(qh, yh, out=tmp)
     val *= v.coupling
     return val
 

@@ -10,7 +10,8 @@ from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    cocycle_batch, cosine_potential, decay_fit,
                    green_cramer_matrix, green_solve, greens, lyapunov_n, pave,
                    slog)
-from qplab.greens import (GreenMatrix, PaveResult, _certificate,
+from qplab.greens import (DecayFit, GreenMatrix, PaveResult,
+                          PavingCertificate, _certificate,
                           _window_admissible)
 from qplab.model import Frequency, TrigPotential
 from qplab.transfer import box_diagonal, det_sequence
@@ -254,6 +255,12 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             decay_fit(g, 4)
 
+    def test_negative_min_sep_rejected(self, golden, free):
+        # Offsets -3..-1 would count twice: 1714 pairs from 1600 entries.
+        g = green_solve((1, 40), golden, 0.0, 3.0, free)
+        with pytest.raises(ValueError, match="min_sep"):
+            decay_fit(g, -3)
+
 
 class TestPave:
     def test_degenerate_single_window(self, golden):
@@ -342,9 +349,11 @@ class TestPave:
 
     def test_memory_follows_the_matrix(self, golden):
         # Peak traced memory of a 1000-site paving, bounded from the layout:
-        # 9 bytes of window rows and 9 of assembled rows per entry, the n^2
-        # masks and copies of the certificate's fit, and one block of rows.
-        # One pass over all rows stacks three n x n terms of slog.add and
+        # 9 bytes of assembled rows per entry, the n^2 masks of the
+        # certificate's fit, and one block of rows; window rows are n wide.
+        # A big x big table of window rows added 9 bytes per entry and the
+        # certificate's masked copy of the logs about 8 more (30 in all);
+        # one pass over all rows stacks three n x n terms of slog.add and
         # takes the peak to about 104 bytes per entry.
         big = 1000
         greens._scipy_linalg()          # its import is not the run's memory
@@ -355,7 +364,7 @@ class TestPave:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * big * big
+        assert peak <= 24 * big * big
 
     def test_certificate_json_round_trip(self, golden):
         import json
@@ -553,3 +562,242 @@ class TestOrderedSweeps:
                     int(rng.integers(1, n + 1)))
             assert _window_admissible(gw, *args) == \
                 oracle_window_admissible(gw, *args)
+
+
+# ---------------------------------------------------------------------------
+# Compact window rows against the dense window table they replaced.
+#
+# The oracles below are `decay_fit`, `pave` (with its big x big table of
+# window rows) and `_certificate` (with its masked copy of the logs) as they
+# were before, kept verbatim apart from their names.  The compact rows are
+# expanded only where they are summed, and padding adds exact zeros, so
+# every bit must match.
+
+
+def oracle_decay_fit(green: GreenMatrix, min_sep: int) -> DecayFit:
+    """Least-squares slope of -log|G(i,j)| against |i - j| at separation >= min_sep.
+
+    Entries count when their sign is nonzero and their log finite.  All
+    entries of one diagonal share x = |i - j|, so the fit is assembled from
+    each diagonal's count, mean and centred sum of squares; no n x n table of
+    separations is built.
+    """
+    n = green.size
+    if n < 4 * min_sep:
+        raise ValueError("box too small for the requested separation")
+    ok = (green.signs != 0) & np.isfinite(green.logs)
+    stats = []          # (separation, count, mean, centred sum of squares)
+    for off in [*range(-n + 1, -max(min_sep, 1) + 1), *range(min_sep, n)]:
+        y = -np.diagonal(green.logs, off)[np.diagonal(ok, off)]
+        if y.size:
+            mean = np.mean(y)
+            stats.append((abs(off), y.size, mean, np.sum((y - mean) ** 2)))
+    if len({d for d, *_ in stats}) < 2:
+        return DecayFit(rate=0.0, intercept=0.0, residual=math.inf, pairs=0)
+    x, cnt, mean, m2 = (np.array(col, dtype=float) for col in zip(*stats))
+    pairs = float(np.sum(cnt))
+    x_bar = np.dot(cnt, x) / pairs
+    y_bar = np.dot(cnt, mean) / pairs
+    dx = x - x_bar
+    rate = np.dot(cnt * dx, mean - y_bar) / np.dot(cnt * dx, dx)
+    intercept = y_bar - rate * x_bar
+    sq = np.sum(m2) + np.dot(cnt, (mean - (rate * x + intercept)) ** 2)
+    return DecayFit(rate=float(rate), intercept=float(intercept),
+                    residual=math.sqrt(sq / pairs), pairs=int(pairs))
+
+
+def oracle_dense_pave(interval: Tuple[int, int], n: int, omega: Frequency,
+                      theta, energy: float, v: TrigPotential, c: float,
+                      beta: float = 0.1) -> PaveResult:
+    """Assemble G on [a, b] from size-n windows with decay rate c.
+
+    Windows start every max(1, n // 4) sites, the last ending at b; each site
+    belongs to the window with the nearest centre, which covers the site's
+    protected neighbourhood [x-m+1, x+m-1] within [a, b], m = max(1, n // 10).
+    A window needs log|G(i,j)| <= -c|i-j| + beta*n at separations >= m; a
+    failing or singular one gives way to a one-site trim that passes.  By the
+    resolvent identity each row is its window's row minus hops through rows
+    lo - 1 and hi + 1: those edge rows reach their fixed point by ordered
+    sweeps, then one pass builds every row.  The certificate checks the
+    fitted rate against c/2; its `iterations` counts the ordered sweeps.
+    """
+    a, b = int(interval[0]), int(interval[1])
+    big = b - a + 1
+    if n < 2:
+        raise ValueError("window size must be >= 2")
+    margin = max(1, n // 10)
+
+    if n >= big:
+        g = green_solve((a, b), omega, theta, energy, v)
+        cert = oracle_certificate(g, c, beta, n, [(a, b)], 0.0, 0)
+        return PaveResult(green=g, certificate=cert)
+
+    starts = [*range(a, b - n + 1, max(1, n // 4)), b - n + 1]
+    # Sites up to the midpoint of two neighbouring centres go to the left one.
+    firsts = [a] + [(lo + nxt + n - 1) // 2 + 1
+                    for lo, nxt in zip(starts, starts[1:])]
+    lasts = [f - 1 for f in firsts[1:]] + [b]
+
+    # Per row: the window's row of G, and the hops to rows lo - 1 and hi + 1
+    # (row `big` stands for "no hop" and reads as zero).
+    d_signs = np.zeros((big, big), dtype=np.int8)
+    d_logs = np.full((big, big), slog.LOG_ZERO)
+    hop = np.full((big, 2), big)
+    hop_sign = np.zeros((big, 2), dtype=np.int8)
+    hop_log = np.full((big, 2), slog.LOG_ZERO)
+    windows: List[Tuple[int, int]] = []
+    failures: List[int] = []
+    for start, x0, x1 in zip(starts, firsts, lasts):
+        need_lo, need_hi = max(a, x0 - margin + 1), min(b, x1 + margin - 1)
+        gw = None
+        for lo, hi in ((start, start + n - 1), (start + 1, start + n - 1),
+                       (start, start + n - 2), (start + 1, start + n - 2)):
+            if not (lo <= need_lo and hi >= need_hi and hi > lo):
+                continue
+            try:
+                cand = green_solve((lo, hi), omega, theta, energy, v)
+            except SingularEnergy:
+                continue
+            if _window_admissible(cand, c, beta * n, margin):
+                gw = cand
+                break
+        if gw is None:
+            failures.extend(range(x0, x1 + 1))
+            continue
+        windows.append((lo, hi))
+        rows, own = slice(x0 - a, x1 - a + 1), slice(x0 - lo, x1 - lo + 1)
+        d_signs[rows, lo - a:hi - a + 1] = gw.signs[own]
+        d_logs[rows, lo - a:hi - a + 1] = gw.logs[own]
+        for side, (edge, col) in enumerate(((lo - 1, 0), (hi + 1, -1))):
+            if a <= edge <= b:
+                hop[rows, side] = edge - a
+                hop_sign[rows, side] = gw.signs[own, col]
+                hop_log[rows, side] = gw.logs[own, col]
+    if failures:
+        raise PavingFailed(failures)
+
+    with np.errstate(over="ignore"):
+        contraction = float(np.max(np.sum(np.exp(hop_log), axis=1)))
+    if contraction >= 0.5:
+        raise IterationDiverged(contraction)
+
+    # Edge rows of G, plus a zero row that the missing hops read.
+    edges = np.unique(hop[hop < big])
+    at = np.full(big + 1, edges.size)
+    at[edges] = np.arange(edges.size)
+    e_signs = np.vstack([d_signs[edges], np.zeros((1, big), dtype=np.int8)])
+    e_logs = np.vstack([d_logs[edges], np.full((1, big), slog.LOG_ZERO)])
+
+    def resolvent(rows):
+        """Window term plus both hops for `rows`, through the edge rows."""
+        src = at[hop[rows]]
+        return slog.add(
+            np.stack([d_signs[rows], *(-hop_sign[rows, side, None]
+                                       * e_signs[src[:, side]]
+                                       for side in (0, 1))]),
+            np.stack([d_logs[rows], *(hop_log[rows, side, None]
+                                      + e_logs[src[:, side]]
+                                      for side in (0, 1))]))
+
+    # Ordered (Gauss-Seidel) sweeps: the edge rows a window owns form one
+    # block, updated in place from the newest values of the other blocks,
+    # ascending and then descending along the chain, so one sweep carries
+    # information the whole length of the chain.  A block's rows hop only to
+    # rows outside their window and never read each other, so one slog.add
+    # per block computes what one per row would, with fewer calls.
+    owner = np.searchsorted(np.asarray(firsts) - a, edges, side="right")
+    bounds = [0, *(np.flatnonzero(np.diff(owner)) + 1), edges.size]
+    blocks = [slice(i, j) for i, j in zip(bounds, bounds[1:])]
+    order = blocks + blocks[-2::-1]
+    cap = 8 * math.ceil(big / margin) + 100
+    for iterations in range(1, cap + 1):
+        old_signs, old_logs = e_signs.copy(), e_logs.copy()
+        for blk in order:
+            e_signs[blk], e_logs[blk] = resolvent(edges[blk])
+        both = (old_signs != 0) & (e_signs != 0)
+        flipped = np.any(old_signs != e_signs)
+        delta = float(np.max(np.abs(e_logs[both] - old_logs[both]),
+                             initial=0.0))
+        if not flipped and delta < 1e-12:
+            break
+    else:
+        raise IterationDiverged(
+            contraction,
+            f"no fixed point after {cap} sweeps (contraction {contraction:.3g})")
+
+    # Every row from the edge rows, in blocks of rows so that the stacks
+    # slog.add sums stay small; it works entry by entry, so the bits are
+    # those of one pass over all rows.
+    g_signs = np.empty((big, big), dtype=np.int8)
+    g_logs = np.empty((big, big))
+    for lo in range(0, big, greens._PAVE_BLOCK_ROWS):
+        rows = slice(lo, lo + greens._PAVE_BLOCK_ROWS)
+        g_signs[rows], g_logs[rows] = resolvent(rows)
+    green = GreenMatrix(interval=(a, b), signs=g_signs, logs=g_logs)
+    cert = oracle_certificate(green, c, beta, n, windows, contraction,
+                              iterations)
+    return PaveResult(green=green, certificate=cert)
+
+
+def oracle_certificate(green: GreenMatrix, c: float, beta: float, n: int,
+                       windows: List[Tuple[int, int]], contraction: float,
+                       iterations: int) -> PavingCertificate:
+    min_sep = min(max(1, n), max(1, green.size // 4))
+    try:
+        fit = oracle_decay_fit(green, min_sep)
+    except ValueError:
+        fit = DecayFit(rate=math.nan, intercept=math.nan, residual=math.inf,
+                       pairs=0)
+    sup_log = float(np.max(green.logs[green.signs != 0])) \
+        if (green.signs != 0).any() else -math.inf
+    return PavingCertificate(
+        rate=fit.rate, intercept=fit.intercept, required_rate=c / 2.0,
+        rate_ok=fit.rate >= c / 2.0, sup_logmag=sup_log, window_rate=c,
+        beta=beta, windows=windows, contraction=contraction,
+        iterations=iterations)
+
+
+class TestCompactWindowRows:
+    @pytest.mark.parametrize("interval, n", [
+        ((1, 1000), 50), ((1, 300), 2), ((1, 300), 3), ((1, 300), 7),
+        ((1, 300), 12), ((5, 400), 50), ((1, 40), 50)])
+    def test_matches_dense_oracle(self, golden, c10_rate, interval, n):
+        c = c10_rate if interval == (1, 1000) else 1.0
+        res = pave(interval, n, golden, 0.0, 13.0, C10, c=c)
+        ref = oracle_dense_pave(interval, n, golden, 0.0, 13.0, C10, c=c)
+        assert np.array_equal(res.green.signs, ref.green.signs)
+        assert np.array_equal(res.green.logs, ref.green.logs)
+        assert res.certificate.to_json() == ref.certificate.to_json()
+
+    @pytest.mark.parametrize("n, energy", [(7, -4.4), (20, -4.675)])
+    def test_trimmed_windows_match_dense_oracle(self, golden, n, energy):
+        # Below the spectrum of 3 cos some windows pass only when trimmed,
+        # the last one among them, whose compact row starts at big - n.
+        v = cosine_potential(3.0)
+        res = pave((1, 120), n, golden, 0.0, energy, v, c=1.5)
+        ref = oracle_dense_pave((1, 120), n, golden, 0.0, energy, v, c=1.5)
+        lo, hi = res.certificate.windows[-1]
+        assert (lo, hi) == (120 - n + 2, 120)
+        assert np.array_equal(res.green.signs, ref.green.signs)
+        assert np.array_equal(res.green.logs, ref.green.logs)
+        assert res.certificate.to_json() == ref.certificate.to_json()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_decay_fit_matches_oracle(self, golden, mathieu5, order):
+        rng = np.random.default_rng(7)
+        for n, min_sep in ((40, 0), (40, 10), (161, 1), (161, 12)):
+            idx = np.arange(n)
+            sep = np.abs(idx[:, None] - idx[None, :])
+            logs = np.asarray(-(0.7 * sep + 3.0 + rng.normal(size=(n, n))),
+                              order=order)
+            signs = np.asarray(rng.choice(np.array([-1, 1], dtype=np.int8),
+                                          (n, n)), order=order)
+            zero = rng.random((n, n)) < 0.05
+            signs[zero], logs[zero] = 0, -math.inf
+            logs[rng.random((n, n)) < 0.02] = -math.inf
+            g = GreenMatrix((1, n), signs, logs)
+            assert decay_fit(g, min_sep) == oracle_decay_fit(g, min_sep)
+        box = green_solve((-150, 150), golden, 0.2, 0.5, mathieu5)
+        g = GreenMatrix(box.interval, np.asarray(box.signs, order=order),
+                        np.asarray(box.logs, order=order))
+        assert decay_fit(g, 20) == oracle_decay_fit(g, 20)

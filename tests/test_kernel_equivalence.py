@@ -59,7 +59,7 @@ from qplab import (SingularEnergy, StripExceeded, complexified_growth_check,
                    verify_det_identity, zero_potential)
 
 from qplab.greens import _scipy_linalg
-from qplab.model import TrigPotential
+from qplab.model import TrigPotential, _harmonic_sum, _phase_harmonics
 from qplab.transfer import (_as_batch, _final, _log_opnorm, _orbit_rows,
                             _period, box_diagonal, cocycle_complex,
                             det_sequence)
@@ -401,6 +401,24 @@ def test_eval_batch_is_the_orbit_row_at_step_0():
         thetas = rng.random(20) if v.dim == 1 else rng.random((20, 2))
         want = [box_diagonal((0, 0), omega, th, v)[0] for th in thetas]
         assert np.array_equal(v.eval_batch(thetas), want)
+
+
+def test_eval_batch_skips_only_zero_sine_terms():
+    """Harmonics 1 and 4 have b = 0 and skip their sine at step 0; the
+    values keep the bits of the sum over every term, as orbit rows take it."""
+    v = TrigPotential(dim=1, coeffs={0: 0.25, 1: 0.5, -1: 0.5, 2: 0.3j,
+                                     -2: -0.3j, 3: 0.2 - 0.1j, -3: 0.2 + 0.1j,
+                                     4: 0.4, -4: 0.4},
+                      strip_width=1.5, coupling=3.0)
+    assert list(v._b_half == 0) == [True, False, False, True]
+    rng = np.random.default_rng(7)
+    for z in (rng.random(300), rng.random(300) + 0.1j, rng.random((3, 50))):
+        every = _harmonic_sum(v, v._a_half, v._b_half,
+                              *_phase_harmonics(v, z), z.shape)
+        assert np.array_equal(v.eval_batch(z), every)
+    thetas = rng.random(20)
+    assert np.array_equal(v.eval_batch(thetas), [
+        box_diagonal((0, 0), GOLDEN, th, v)[0] for th in thetas])
 
 
 @needs_long_double

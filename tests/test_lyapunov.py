@@ -12,6 +12,7 @@ from conftest import cocycle_product, orbit_phases
 from qplab import (SamplerSpec, check_subadditivity, cosine_potential,
                    deviation_measure, ldt, lyapunov_n, lyapunov_scan,
                    upper_bound_check)
+from qplab.lyapunov import theta_samples
 from qplab.transfer import THREADS, _CHUNK, _SPLIT_FLOOR, cocycle_batch
 
 CONST_TARGET = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -61,6 +62,13 @@ class TestLyapunovN:
         scan = lyapunov_scan(golden, [0.0, 1.0], 50, mathieu5,
                              SamplerSpec("grid", 1))
         assert all(math.isnan(e.std_error) for e in scan)
+
+    @pytest.mark.parametrize("asked, used", [(1, 4), (10, 9), (16, 16)])
+    def test_two_frequency_grid_rounds_to_a_square(self, omega2, two_cos,
+                                                   asked, used):
+        spec = SamplerSpec("grid", asked)
+        assert theta_samples(2, spec, 10).shape == (used, 2)
+        assert lyapunov_n(omega2, 0.0, 10, two_cos, spec).samples == used
 
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("quadrature", ["grid", "monte_carlo"])
