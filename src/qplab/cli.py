@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -29,7 +30,6 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence)
 
-import jsonschema
 import numpy as np
 
 from . import __version__, numfmt
@@ -132,10 +132,6 @@ CONFIG_SCHEMA = {
          "then": {"required": ["schedule"]}},
     ],
 }
-
-# Built once.  The schema is a constant that the test suite checks against its
-# metaschema; checking it here would cost every run about 30 ms.
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 FLAGSHIP_CONFIGS: Dict[str, dict] = {
     # Almost-Mathieu localization scan at coupling 5 on a +-500 box.
@@ -323,11 +319,110 @@ def _read_frame(reader) -> bytes:
     return data
 
 
+# ---------------------------------------------------------------------------
+# config checking: the keywords CONFIG_SCHEMA uses, with the messages, order
+# and choice of error of jsonschema 4.26 (Draft 2020-12)
+
+def _listed(types):
+    return [types] if isinstance(types, str) else types
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    # bool is never a number; 3.0 is an integer.
+    "number": lambda x: (isinstance(x, numbers.Number)
+                         and not isinstance(x, bool)),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _is(x, types) -> bool:
+    return any(_TYPES[t](x) for t in _listed(types))
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: True is not 1, but 1.0 is 1."""
+    return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
+
+
+def _extras(allowed, x, schema) -> List[str]:
+    if allowed is not False:
+        raise NotImplementedError("additionalProperties other than false")
+    if not isinstance(x, dict):
+        return []
+    extras = sorted(x.keys() - schema.get("properties", {}).keys(), key=str)
+    if not extras:
+        return []
+    return ["Additional properties are not allowed (%s %s unexpected)" % (
+        ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")]
+
+
+# keyword: (its value, instance, schema) -> the messages of its errors
+_CHECKS = {
+    "type": lambda t, x, s: [] if _is(x, t) else [
+        f"{x!r} is not of type {', '.join(map(repr, _listed(t)))}"],
+    "enum": lambda e, x, s: [] if any(_equal(v, x) for v in e) else [
+        f"{x!r} is not one of {e!r}"],
+    "const": lambda c, x, s: [] if _equal(x, c) else [f"{c!r} was expected"],
+    "required": lambda r, x, s: [f"{k!r} is a required property" for k in r
+                                 if k not in x] if isinstance(x, dict) else [],
+    "additionalProperties": _extras,
+    "minItems": lambda m, x, s: [f"{x!r} " + (
+        "should be non-empty" if m == 1 else "is too short")]
+        if isinstance(x, list) and len(x) < m else [],
+    "maxItems": lambda m, x, s: [f"{x!r} " + (
+        "is expected to be empty" if m == 0 else "is too long")]
+        if isinstance(x, list) and len(x) > m else [],
+    "minimum": lambda m, x, s: [f"{x!r} is less than the minimum of {m!r}"]
+        if _is(x, "number") and x < m else [],
+    "exclusiveMinimum": lambda m, x, s: [
+        f"{x!r} is less than or equal to the minimum of {m!r}"]
+        if _is(x, "number") and x <= m else [],
+}
+
+# keyword: (its value, instance, schema) -> the (instance, schema, path
+# steps) it descends into
+_DESCENTS = {
+    "properties": lambda p, x, s: [(x[k], sub, (k,)) for k, sub in p.items()
+                                   if k in x] if isinstance(x, dict) else [],
+    "items": lambda sub, x, s: [(v, sub, (i,)) for i, v in enumerate(x)]
+        if isinstance(x, list) else [],
+    "allOf": lambda subs, x, s: [(x, sub, ()) for sub in subs],
+    # `then` applies where the instance is valid under `if`.
+    "if": lambda sub, x, s: [(x, s["then"], ())]
+        if "then" in s and next(_walk(sub, x), None) is None else [],
+    "then": lambda sub, x, s: [],
+}
+
+
+def _walk(schema: dict, x, path: tuple = ()) -> Iterator[tuple]:
+    """(path, message, whether x has the type of the schema that holds the
+    keyword) for every error of ``x``, in jsonschema's order: keywords and
+    properties in schema order.  A keyword not implemented here raises."""
+    for keyword, value in schema.items():
+        if keyword in _DESCENTS:
+            for sub_x, sub, steps in _DESCENTS[keyword](value, x, schema):
+                yield from _walk(sub, sub_x, path + steps)
+        elif keyword in _CHECKS:
+            typed = "type" in schema and _is(x, schema["type"])
+            for message in _CHECKS[keyword](value, x, schema):
+                yield path, message, typed
+        else:
+            raise NotImplementedError(f"schema keyword {keyword!r}")
+
+
 def validate_config(config: dict) -> None:
-    # The error jsonschema.validate would raise: the best match of all errors.
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    # The error jsonschema.validate would raise, by best_match's relevance:
+    # the shallowest, then the latest path, then one whose instance misses
+    # its schema's type; the first of equals.
+    error = max(_walk(CONFIG_SCHEMA, config), default=None,
+                key=lambda e: (-len(e[0]), e[0], not e[2]))
     if error is not None:
-        raise ConfigInvalid(error.message, tuple(error.absolute_path)) from error
+        raise ConfigInvalid(error[1], error[0])
     command = config["command"]
     unread = sorted(config.keys() - _COMMON.keys() - _READS[command])
     if unread:

@@ -348,7 +348,13 @@ def potential_from_json(doc: Mapping) -> TrigPotential:
     for row in doc.get("coeffs", []):
         if len(row) != dim + 2:
             raise ValueError(f"coefficient row {row!r} must have {dim + 2} entries")
+        if not all(float(x).is_integer() for x in row[:dim]):
+            raise ValueError(f"coefficient row {row!r} has a wave index that "
+                             "is not an integer")
         k = tuple(int(x) for x in row[:dim])
+        if k in coeffs:
+            raise ValueError(f"wave vector {list(k)} is given in more than "
+                             "one coefficient row")
         coeffs[k] = complex(float(row[dim]), float(row[dim + 1]))
     return TrigPotential(dim=dim, coeffs=coeffs,
                          strip_width=float(doc.get("rho", 1.0)),

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import qplab
 from qplab import cli, greens, lyapunov, transfer
@@ -59,6 +61,63 @@ LDT = {"schema_version": 1, "command": "ldt", "system": dict(BASE_SYSTEM),
 LOCALIZE_CHECK = {"schema_version": 1, "command": "localize",
                   "system": dict(BASE_SYSTEM), "interval": [-20, 20],
                   "window_check": {"N": 10, "delta": 0.5}}
+
+
+# The values a config mutation puts in place of another.
+PUT_VALUES = [True, "x", 3.0, 1.5, -1, 0, [], {}, None, [1, 2, 3]]
+
+
+def locations(node, path=()):
+    """The path of every value in ``node``, ``node`` itself first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from locations(value, path + (key,))
+
+
+def mutate(cfg, path, kind, value):
+    """``cfg`` with the value at ``path`` deleted, an unknown key added to
+    the nearest object at or above it, or ``value`` put in its place.
+    Deleting the root, or adding where no object holds the path, puts."""
+    if kind == "add":
+        while path and not isinstance(value_at(cfg, path), dict):
+            path = path[:-1]
+        if isinstance(value_at(cfg, path), dict):
+            # z before a: two additions to one object come out of order.
+            node = value_at(cfg, path)
+            node["z_unknown" if "z_unknown" not in node else "a_unknown"] = 1
+            return cfg
+    if kind == "delete" and path:
+        del value_at(cfg, path[:-1])[path[-1]]
+        return cfg
+    value = json.loads(json.dumps(value))   # a later mutation may add to it
+    if not path:
+        return value
+    value_at(cfg, path[:-1])[path[-1]] = value
+    return cfg
+
+
+def assert_walker_agrees(cfg):
+    """Every error the walker finds, and the one validate_config reports,
+    are jsonschema's, message and path."""
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    assert [(p, m) for p, m, _ in cli._walk(CONFIG_SCHEMA, cfg)] == [
+        (tuple(e.absolute_path), e.message) for e in validator.iter_errors(cfg)]
+    expected = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    if expected is None:
+        validate_config(cfg)
+        return
+    with pytest.raises(ConfigInvalid) as got:
+        validate_config(cfg)
+    want = ConfigInvalid(expected.message, tuple(expected.absolute_path))
+    assert (str(got.value), got.value.path) == (str(want), want.path)
+
+
+def value_at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
 
 
 def child_env():
@@ -140,6 +199,54 @@ class TestValidation:
                              tuple(expected.value.absolute_path))
         assert str(got.value) == str(want)
         assert got.value.path == want.path
+
+    @seed(28)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.data())
+    def test_walker_agrees_with_jsonschema(self, data):
+        # Up to three mutations of a seed config: delete a key, add an
+        # unknown key, or put another value anywhere.
+        cfg = json.loads(json.dumps(data.draw(st.sampled_from(
+            [*CONTRACT_CONFIGS.values(), *FLAGSHIP_CONFIGS.values()]))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            cfg = mutate(cfg, data.draw(st.sampled_from(list(locations(cfg)))),
+                         data.draw(st.sampled_from(["delete", "add", "put"])),
+                         data.draw(st.sampled_from(PUT_VALUES)))
+        assert_walker_agrees(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        lyap_config(schema_version=True),
+        lyap_config(system=dict(BASE_SYSTEM, dim=True)),
+        lyap_config(system=dict(BASE_SYSTEM, dim=1.0)),
+        lyap_config(system=dict(BASE_SYSTEM, dim=2.0, omega=[0.1, 0.2, 0.3])),
+        lyap_config(n=3.0, samples=1.5, seed=False),
+        lyap_config(zeta=1, alpha=2, Beta=3),
+        dict(GREEN_1D, theta="x", interval=[1, 2, 3]),
+        {"schema_version": 1, "command": "lowerbound",
+         "system": dict(BASE_SYSTEM, rho=0), "herman": 1,
+         "sublevel_deltas": [0.1, -0.5, 0]},
+    ])
+    def test_walker_agrees_on_type_and_equality_edges(self, cfg):
+        # bool is no integer and True is not 1; 1.0 is 1; extras sort.
+        assert_walker_agrees(cfg)
+
+    def test_walker_rejects_unknown_keywords(self):
+        with pytest.raises(NotImplementedError, match="'pattern'"):
+            list(cli._walk({"type": "string", "pattern": "^a"}, "b"))
+        with pytest.raises(NotImplementedError):
+            list(cli._walk({"additionalProperties": True}, {"a": 1}))
+
+    def test_import_and_validate_skip_jsonschema(self):
+        code = ("import json, sys\n"
+                "import qplab.cli\n"
+                "qplab.cli.validate_config(json.loads(sys.argv[1]))\n"
+                "print('jsonschema' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code,
+                               json.dumps(lyap_config())],
+                              capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_import_and_validate_skip_scipy(self):
         code = ("import json, sys\n"
@@ -763,6 +870,30 @@ class TestMainEntry:
         assert code == 2
         assert err.startswith("ConfigInvalid: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("system, message", [
+        (dict(BASE_SYSTEM, coeffs=[[1.5, 0.5, 0.0], [-1.5, 0.5, 0.0]]),
+         "coefficient row [1.5, 0.5, 0.0] has a wave index that is not an "
+         "integer"),
+        (dict(BASE_SYSTEM, coeffs=[[1, 0.5, 0.0], [1, 0.5, 0.0],
+                                   [-1, 0.5, 0.0], [-1, 0.5, 0.0]]),
+         "wave vector [1] is given in more than one coefficient row"),
+        (dict(BASE_SYSTEM, coeffs=[[-1.0, 0.5, 0.0], [1.0, 0.5, 0.0]]), None),
+    ], ids=["fractional", "repeated", "integral-float"])
+    def test_wave_index_rows(self, tmp_path, capsys, system, message):
+        # Rows the schema admits: system_from_json rejects the first two.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(lyap_config(system=system)))
+        code = main(["lyapunov", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0, err
+            return
+        assert code == 2
+        assert err == (f"ConfigInvalid: {message} "
+                       "(at config path 'system')\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
