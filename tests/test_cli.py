@@ -76,6 +76,12 @@ def locations(node, path=()):
         yield from locations(value, path + (key,))
 
 
+def value_at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
 def mutate(cfg, path, kind, value):
     """``cfg`` with the value at ``path`` deleted, an unknown key added to
     the nearest object at or above it, or ``value`` put in its place.
@@ -112,12 +118,6 @@ def assert_walker_agrees(cfg):
         validate_config(cfg)
     want = ConfigInvalid(expected.message, tuple(expected.absolute_path))
     assert (str(got.value), got.value.path) == (str(want), want.path)
-
-
-def value_at(cfg, path):
-    for key in path:
-        cfg = cfg[key]
-    return cfg
 
 
 def child_env():
@@ -237,28 +237,25 @@ class TestValidation:
             list(cli._walk({"additionalProperties": True}, {"a": 1}))
 
     def test_import_and_validate_skip_jsonschema(self):
-        code = ("import json, sys\n"
-                "import qplab.cli\n"
-                "qplab.cli.validate_config(json.loads(sys.argv[1]))\n"
-                "print('jsonschema' in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", code,
-                               json.dumps(lyap_config())],
-                              capture_output=True, text=True,
-                              env=child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert "jsonschema" not in modules_after_validate()
 
     def test_import_and_validate_skip_scipy(self):
-        code = ("import json, sys\n"
-                "import qplab.cli\n"
-                "qplab.cli.validate_config(json.loads(sys.argv[1]))\n"
-                "print([m for m in sys.modules if m.startswith('scipy')])\n")
-        proc = subprocess.run([sys.executable, "-c", code,
-                               json.dumps(lyap_config())],
-                              capture_output=True, text=True,
-                              env=child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert [m for m in modules_after_validate()
+                if m.startswith("scipy")] == []
+
+
+def modules_after_validate():
+    """The modules a fresh interpreter holds once it has imported qplab.cli
+    and validated a config."""
+    code = ("import json, sys\n"
+            "import qplab.cli\n"
+            "qplab.cli.validate_config(json.loads(sys.argv[1]))\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           json.dumps(lyap_config())],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def fail_green_csv_after_three_rows(monkeypatch):
