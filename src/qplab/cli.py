@@ -121,14 +121,18 @@ CONFIG_SCHEMA = {
         "lambda": {"type": "number", "exclusiveMinimum": 0},
         "gate_constant": {"type": "number"},
     },
-    # Keys a command cannot run without.
+    # Keys a command cannot run without.  Each `if` requires `command`, since
+    # `properties` holds where the key is absent.
     "allOf": [
-        {"if": {"properties": {"command": {"enum": ["green", "pave",
+        {"if": {"required": ["command"],
+                "properties": {"command": {"enum": ["green", "pave",
                                                     "localize"]}}},
          "then": {"required": ["interval"]}},
-        {"if": {"properties": {"command": {"const": "pave"}}},
+        {"if": {"required": ["command"],
+                "properties": {"command": {"const": "pave"}}},
          "then": {"required": ["window"]}},
-        {"if": {"properties": {"command": {"const": "recursion"}}},
+        {"if": {"required": ["command"],
+                "properties": {"command": {"const": "recursion"}}},
          "then": {"required": ["schedule"]}},
     ],
 }
@@ -160,7 +164,6 @@ FLAGSHIP_CONFIGS: Dict[str, dict] = {
                    "dio": {"A": 4.0, "c": 0.01}},
         "lambda": 50.0,
         "schedule": [200, 400, 800, 1600],
-        "sigma": 0.1,
         "samples": 200,
         "E": 0.0,
         "seed": 0,
@@ -630,9 +633,7 @@ def _run_recursion(config, v, freq, seed) -> dict:
         lam, v, freq, schedule, samples=int(config.get("samples", 200)),
         seed=seed, energy=float(config.get("E", 0.0)),
         gate_constant=float(config.get("gate_constant", 1.0)))
-    # sigma drives no step of the ladder; ladder.json records it as given.
-    return {"ladder.json": {**ladder.to_json(),
-                            "sigma": float(config.get("sigma", 0.1))},
+    return {"ladder.json": ladder.to_json(),
             **_plot([(r.n, r.l_value) for r in ladder.rows], "ladder",
                     header="# half_log_lambda = "
                            + numfmt.num(ladder.half_log_coupling))}
@@ -659,8 +660,7 @@ _READS = {
                  "top_profiles", "window_check"},
     "lowerbound": {"delta", "e1_values", "herman", "lambda",
                    "sublevel_deltas", "samples"},
-    "recursion": {"lambda", "schedule", "sigma", "samples", "E",
-                  "gate_constant"},
+    "recursion": {"lambda", "schedule", "samples", "E", "gate_constant"},
 }
 
 
@@ -797,8 +797,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "green": "CSV columns: n1,n2,sign,log_mag (plus green_fit.json with min_sep)",
         "pave": "CSV columns: n1,n2,sign,log_mag; certificate JSON: rate, "
                 "intercept, windows_used (the strided window cover), "
-                "failures, contraction (largest summed hop weight of a "
-                "row), iterations (ordered edge-row sweeps)",
+                "contraction (largest summed hop weight of a row), "
+                "iterations (ordered edge-row sweeps)",
         "localize": "JSON summary: box, lambda, pct_localized, median_rate; "
                     f"profile CSV columns: {_PROFILE_COLUMNS}",
         "lowerbound": "JSON: epsilon_gap {y0, epsilon}, herman bounds, "

@@ -125,8 +125,8 @@ def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
     leading continuant before i and the trailing continuant after j, so the
     entry is their product over the full determinant with the checkerboard
     sign from Cramer's rule.  One leading and one trailing continuant
-    sequence serve every entry of the upper triangle, i <= j; the box is
-    symmetric, so the lower triangle mirrors it.
+    sequence serve every entry: the box is symmetric, so entry (i, j) is
+    read at (min(i, j), max(i, j)).
     """
     a, b = int(interval[0]), int(interval[1])
     n = b - a + 1
@@ -134,18 +134,13 @@ def green_cramer_matrix(interval: Tuple[int, int], omega: Frequency, theta,
     lead_s, lead_l = det_sequence(diag)
     trail_s, trail_l = det_sequence(diag[::-1])
     _check_det((a, b), int(lead_s[n]), float(lead_l[n]))
-    i = np.arange(1, n + 1)
-    lg_i = lead_l[i - 1]
-    sg_i = lead_s[i - 1].astype(np.int64)
-    tg_j = trail_l[n - i]
-    ts_j = trail_s[n - i].astype(np.int64)
-    checker = np.where(((i[:, None] + i[None, :]) % 2) == 0, 1, -1)
-    signs = checker * sg_i[:, None] * ts_j[None, :] * int(lead_s[n])
-    logs = lg_i[:, None] + tg_j[None, :] - float(lead_l[n])
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    signs = np.where(upper, signs, signs.T).astype(np.int8)
-    logs = np.where(upper, logs, logs.T)
-    logs = np.where(signs == 0, -math.inf, logs)
+    i = np.arange(n)
+    lo, hi = np.minimum.outer(i, i), np.maximum.outer(i, i)
+    checker = np.where((lo + hi) % 2 == 0, 1, -1)
+    signs = (checker * lead_s[lo] * trail_s[n - 1 - hi]
+             * int(lead_s[n])).astype(np.int8)
+    logs = lead_l[lo] + trail_l[n - 1 - hi] - float(lead_l[n])
+    logs[signs == 0] = -math.inf
     return GreenMatrix(interval=(a, b), signs=signs, logs=logs)
 
 
@@ -252,8 +247,6 @@ class PavingCertificate:
             "window_rate": self.window_rate,
             "beta": self.beta,
             "windows_used": [list(w) for w in self.windows],
-            # pave raises PavingFailed rather than certify a failed site.
-            "failures": [],
             "contraction": self.contraction,
             "iterations": self.iterations,
         }
@@ -267,20 +260,10 @@ class PaveResult:
 
 def _window_admissible(gw: GreenMatrix, c: float, budget: float,
                        sep_min: int) -> bool:
-    """log|G(i,j)| + c|i-j| <= budget at every separation |i-j| >= sep_min.
-
-    Adding c|i-j| is monotone, so only each separation's largest log counts.
-    The upper triangle and, through the transpose, the lower one are laid
-    into -inf padding of width 2n and read back in rows of width 2n + 1,
-    which shifts row i left by i: column k then holds separation k.
-    """
-    n = gw.size
-    pad = np.full((2, n + 1, 2 * n), -np.inf)
-    pad[0, :n, :n], pad[1, :n, :n] = gw.logs, gw.logs.T
-    skew = pad.reshape(2, -1)[:, :n * (2 * n + 1)].reshape(2, n, 2 * n + 1)
-    by_sep = skew[:, :, :n].max(axis=(0, 1))
-    worst = np.max(by_sep[sep_min:] + c * np.arange(sep_min, n),
-                   initial=-np.inf)
+    """log|G(i,j)| + c|i-j| <= budget at every separation |i-j| >= sep_min."""
+    idx = np.arange(gw.size)
+    sep = np.abs(np.subtract.outer(idx, idx))
+    worst = np.max(gw.logs + c * sep, where=sep >= sep_min, initial=-np.inf)
     return bool(worst - budget <= 0.0)
 
 

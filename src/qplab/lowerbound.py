@@ -320,7 +320,6 @@ class ScaleLadder:
     half_log_coupling: float
     half_log_ok: bool
     half_log_margin: float
-    telescope_ok: bool
 
     def to_json(self) -> dict:
         return {
@@ -329,7 +328,6 @@ class ScaleLadder:
             "half_log_lambda": self.half_log_coupling,
             "half_log_ok": self.half_log_ok,
             "half_log_margin": self.half_log_margin,
-            "telescope_ok": self.telescope_ok,
             "note": SCHEDULE_NOTE,
             "ladder": [
                 {
@@ -418,17 +416,6 @@ def multiscale_recursion(lam: float, v0: TrigPotential, omega: Frequency,
     max_se = max(r.std_error for r in rows)
     min_l = min(r.l_value for r in rows)
     half_log_ok = min_l > half + 3.0 * max_se
-    # Telescoped product: with the literal constant the factors are far below
-    # one at desk scales, so the check is reported rather than load-bearing.
-    product = 1.0
-    telescope_ok = True
-    first = rows[0].l_value
-    for r_prev, r in zip(rows, rows[1:]):
-        product *= 1.0 - 2.0 * DROP_CONSTANT / math.sqrt(math.log(r_prev.n))
-        slack = 3.0 * math.sqrt(r.std_error ** 2 + rows[0].std_error ** 2)
-        if not r.l_value > product * first - slack:
-            telescope_ok = False
     return ScaleLadder(rows=tuple(rows), coupling=lam,
                        log_norm_bound=log1v, half_log_coupling=half,
-                       half_log_ok=half_log_ok, half_log_margin=min_l - half,
-                       telescope_ok=telescope_ok)
+                       half_log_ok=half_log_ok, half_log_margin=min_l - half)

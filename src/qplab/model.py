@@ -57,9 +57,6 @@ class Frequency:
     def dim(self) -> int:
         return len(self.components)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=float)
-
 
 def golden_frequency() -> Frequency:
     return Frequency((GOLDEN_MEAN,), 2.0, 0.2)
@@ -111,6 +108,8 @@ def verify_diophantine(freq: Frequency, horizon: int):
 def _canon_key(k, dim: int) -> KVec:
     if dim == 1 and isinstance(k, (int, np.integer)):
         return (int(k),)
+    if not all(float(ki).is_integer() for ki in k):
+        raise ValueError(f"coefficient index {k!r} is not integral")
     t = tuple(int(ki) for ki in k)
     if len(t) != dim:
         raise ValueError(f"coefficient index {k!r} has wrong dimension")
@@ -146,7 +145,11 @@ class TrigPotential:
             raise ValueError("strip width must be positive")
         canon = {}
         for k, c in self.coeffs.items():
-            canon[_canon_key(k, self.dim)] = complex(c)
+            key = _canon_key(k, self.dim)
+            if key in canon:
+                raise ValueError(f"wave vector {list(key)} is given more "
+                                 "than once")
+            canon[key] = complex(c)
         zero = (0,) * self.dim
         c0 = canon.get(zero, 0.0 + 0.0j)
         if abs(c0.imag) > 1e-12 * (1.0 + abs(c0)):
@@ -286,7 +289,7 @@ def _step_rotations(omega: Frequency, v: TrigPotential, first: int,
     if reach >= _MAX_REACH:
         raise ValueError(f"orbit reach j |k|_1 = {reach} is not below 2^27, "
                          "where the phase rotation stays exact")
-    w = omega.as_array()
+    w = np.asarray(omega.components, dtype=float)
     head = np.rint(w * 2.0 ** _HEAD_BITS) / 2.0 ** _HEAD_BITS
     j = np.arange(first, last + 1, dtype=float)[:, np.newaxis]
     ang = TWO_PI * (_frac(j * (k @ head)) + j * (k @ (w - head)))

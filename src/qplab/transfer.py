@@ -210,12 +210,13 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential):
     Returns the array of log spectral norms.
 
     The batch is cut into equal parts along the phases, with at most
-    ``_CHUNK`` results in flight at once, and each part runs with its own
-    rescale period.  With at least ``_SPLIT_FLOOR`` results per worker the
-    parts run on a pool of up to ``thread_cap()`` threads (numpy releases
-    the interpreter lock in its loops), shut down before the call returns;
-    smaller batches run in the calling thread.  A phase's result does not
-    depend on its part, so the output has the same bits at every cap.
+    ``_CHUNK`` results in flight at once, and every part runs with the
+    rescale period of the whole batch.  With at least ``_SPLIT_FLOOR``
+    results per worker the parts run on a pool of up to ``thread_cap()``
+    threads (numpy releases the interpreter lock in its loops), shut down
+    before the call returns; smaller batches run in the calling thread.  A
+    phase's result does not depend on its part, so the output has the same
+    bits at every cap.
     """
     energy = np.asarray(energy, dtype=float)
     if not np.isfinite(energy).all():
@@ -231,14 +232,14 @@ def cocycle_batch(omega: Frequency, thetas, energy, n: int, v: TrigPotential):
     chunks = -(-total // step)
     # Rounded up to a multiple of the workers so that they finish together.
     parts = min(total, -(-chunks // workers) * workers)
+    imag = (float(np.max(np.abs(th.imag), initial=0.0))
+            if np.iscomplexobj(th) else 0.0)
+    period = _period(v, energy, imag)
 
     def run_part(k):
         lo, hi = total * k // parts, total * (k + 1) // parts
-        part = th[lo:hi]
         e_part = energy[..., lo:hi] if energy.shape[-1:] == (total,) else energy
-        imag = float(np.max(np.abs(part.imag))) if np.iscomplexobj(part) else 0.0
-        m, ls = _final(_orbit_rows(omega, part, e_part, n, v),
-                       _period(v, e_part, imag))
+        m, ls = _final(_orbit_rows(omega, th[lo:hi], e_part, n, v), period)
         out[..., lo:hi] = _log_opnorm(*m, ls)
 
     if workers == 1:

@@ -96,7 +96,7 @@ def dense_box(interval, omega, theta, energy, v):
     a, b = interval
     n = b - a + 1
     m = np.zeros((n, n))
-    w = omega.as_array()
+    w = np.asarray(omega.components, dtype=float)
     for i, j in enumerate(range(a, b + 1)):
         th = (np.asarray(theta) + j * w) % 1.0
         m[i, i] = float(v.eval_batch(th if omega.dim == 2 else th[0])) - energy
@@ -142,7 +142,7 @@ def per_step_rows(omega, th, energy, n, v):
 
 def orbit_phases(theta, omega, j):
     """Torus points frac(theta + j*omega) for integer (array) j."""
-    w = omega.as_array()
+    w = np.asarray(omega.components, dtype=float)
     th = np.asarray(theta, dtype=float)
     j = np.asarray(j, dtype=float)
     x = th + j * w[0] if omega.dim == 1 else th + j[..., np.newaxis] * w
@@ -169,7 +169,7 @@ def reference_orbit(v, omega, theta, j):
     two_pi = 2 * np.arccos(ld(-1))
     th = np.asarray(theta)
     jj = np.asarray(j, dtype=ld)[..., np.newaxis]
-    w = omega.as_array()
+    w = np.asarray(omega.components, dtype=float)
     head = np.round(w * 2.0 ** 32) / 2.0 ** 32
     jh = jj * head.astype(ld)
     jw = (jh - np.floor(jh)) + jj * (w - head).astype(ld)

@@ -151,6 +151,16 @@ class TestValidation:
         with pytest.raises(ConfigInvalid):
             validate_config(cfg)
 
+    def test_missing_command_blames_command(self):
+        # Without `command`, no command's required keys apply.
+        cfg = {"schema_version": 1, "system": {}}
+        with pytest.raises(ConfigInvalid,
+                           match="^'command' is a required property$"):
+            validate_config(cfg)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        assert expected.value.message == "'command' is a required property"
+
     def test_bad_schema_version(self):
         with pytest.raises(ConfigInvalid):
             validate_config(lyap_config(schema_version=99))
@@ -425,19 +435,17 @@ class TestRun:
         assert doc["half_log_ok"]
         assert len(doc["ladder"]) == 2
 
-    def test_recursion_ladder_records_sigma(self, tmp_path):
-        # sigma drives no step of the ladder: ladder.json records the
-        # config's value, or 0.1 when the config leaves it out.
-        cfg = dict(FLAGSHIP_CONFIGS["recursion"], schedule=[100, 200],
-                   samples=60)
-        run(dict(cfg, sigma=0.25), out_dir=tmp_path / "given")
-        run(without(cfg, "sigma"), out_dir=tmp_path / "default")
-        given, default = (
-            json.loads((tmp_path / d / "ladder.json").read_text())
-            for d in ("given", "default"))
-        assert given.pop("sigma") == 0.25
-        assert default.pop("sigma") == 0.1
-        assert given == default
+    def test_recursion_sigma_unread_exit_two(self, tmp_path, capsys):
+        # sigma drives no step of the ladder, so recursion does not read it.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(FLAGSHIP_CONFIGS["recursion"],
+                                        sigma=0.1)))
+        code = main(["recursion", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'sigma' is not read by command 'recursion'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_interval_writes_integer_sites(self, tmp_path):
         # The schema's integer admits -100.0; the box and profiles use ints.

@@ -11,7 +11,7 @@ from qplab import (IterationDiverged, PavingFailed, SingularEnergy,
                    green_cramer_matrix, green_solve, greens, lyapunov_n, pave,
                    slog)
 from qplab.greens import (DecayFit, GreenMatrix, PaveResult,
-                          PavingCertificate, _certificate,
+                          PavingCertificate, _certificate, _check_det,
                           _window_admissible)
 from qplab.model import Frequency, TrigPotential
 from qplab.transfer import box_diagonal, det_sequence
@@ -63,7 +63,59 @@ class TestBoxDiagonal:
             green_solve((1, 5), omega, np.asarray(phases), 0.3, v)
 
 
+def oracle_green_cramer_matrix(interval: Tuple[int, int], omega: Frequency,
+                               theta, energy: float,
+                               v: TrigPotential) -> GreenMatrix:
+    """`green_cramer_matrix` as it was before it read entry (i, j) at
+    (min(i, j), max(i, j)): the upper triangle, mirrored by `np.where`."""
+    a, b = int(interval[0]), int(interval[1])
+    n = b - a + 1
+    diag = box_diagonal((a, b), omega, theta, v) - energy
+    lead_s, lead_l = det_sequence(diag)
+    trail_s, trail_l = det_sequence(diag[::-1])
+    _check_det((a, b), int(lead_s[n]), float(lead_l[n]))
+    i = np.arange(1, n + 1)
+    lg_i = lead_l[i - 1]
+    sg_i = lead_s[i - 1].astype(np.int64)
+    tg_j = trail_l[n - i]
+    ts_j = trail_s[n - i].astype(np.int64)
+    checker = np.where(((i[:, None] + i[None, :]) % 2) == 0, 1, -1)
+    signs = checker * sg_i[:, None] * ts_j[None, :] * int(lead_s[n])
+    logs = lg_i[:, None] + tg_j[None, :] - float(lead_l[n])
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    signs = np.where(upper, signs, signs.T).astype(np.int8)
+    logs = np.where(upper, logs, logs.T)
+    logs = np.where(signs == 0, -math.inf, logs)
+    return GreenMatrix(interval=(a, b), signs=signs, logs=logs)
+
+
 class TestGreenCramer:
+    def test_same_bits_as_mirrored_triangle(self, golden, free):
+        rng = np.random.default_rng(29)
+        boxes = [((1, 2 * m), golden, 0.0, 0.0, free) for m in (1, 2, 5)]
+        for _ in range(200):
+            v = random_trig_potential(rng, degree=3,
+                                      amplitude=float(rng.uniform(0.3, 20.0)))
+            a = int(rng.integers(-50, 50))
+            size = int(rng.integers(1, 120))
+            boxes.append(((a, a + size - 1), golden, rng.random(),
+                          rng.uniform(-10.0, 10.0), v))
+        zeros = 0
+        for box in boxes:
+            try:
+                want = oracle_green_cramer_matrix(*box)
+            except SingularEnergy:
+                with pytest.raises(SingularEnergy):
+                    green_cramer_matrix(*box)
+                continue
+            got = green_cramer_matrix(*box)
+            assert got.signs.dtype == want.signs.dtype
+            assert np.array_equal(got.signs, want.signs)
+            assert np.array_equal(got.logs, want.logs)
+            zeros += int(np.count_nonzero(want.signs == 0))
+        # The free boxes at E = 0 have vanishing minors.
+        assert zeros > 0
+
     def test_single_site_inverse(self, golden, mathieu5):
         g = green_cramer_matrix((4, 4), golden, 0.3, 1.5, mathieu5)
         ph = (0.3 + 4 * golden.components[0]) % 1.0
@@ -373,18 +425,20 @@ class TestPave:
         res = pave((1, 150), 50, golden, 0.0, 13.0, v, c=1.0)
         doc = json.loads(json.dumps(res.certificate.to_json()))
         assert doc["rate_ok"]
-        assert doc["failures"] == []
+        # pave raises PavingFailed rather than certify a failed site.
+        assert "failures" not in doc
         assert doc["windows_used"]
 
 
 # ---------------------------------------------------------------------------
 # Ordered edge-row sweeps against the Jacobi sweeps they replaced.
 #
-# The oracles below are `_window_admissible` (with its n x n separation table)
-# and `pave` (with its Jacobi loop) as they were before, kept verbatim.  Both
-# pavers stop once a sweep moves no log-magnitude by 1e-12 and flips no sign,
-# but reach that point along different paths, so assembled logs must agree
-# within 1e-12 (measured at most 1.1e-13) and signs exactly.
+# The oracles below are `_window_admissible` (with its n x n separation table,
+# and with its skewed -inf padding) and `pave` (with its Jacobi loop) as they
+# were before, kept verbatim.  Both pavers stop once a sweep moves no
+# log-magnitude by 1e-12 and flips no sign, but reach that point along
+# different paths, so assembled logs must agree within 1e-12 (measured at
+# most 1.1e-13) and signs exactly.
 
 
 def oracle_window_admissible(gw: GreenMatrix, c: float, budget: float,
@@ -397,6 +451,18 @@ def oracle_window_admissible(gw: GreenMatrix, c: float, budget: float,
         return True
     worst = np.max(gw.logs[mask] + c * sep[mask]) - budget
     return bool(worst <= 0.0)
+
+
+def skewed_window_admissible(gw: GreenMatrix, c: float, budget: float,
+                             sep_min: int) -> bool:
+    n = gw.size
+    pad = np.full((2, n + 1, 2 * n), -np.inf)
+    pad[0, :n, :n], pad[1, :n, :n] = gw.logs, gw.logs.T
+    skew = pad.reshape(2, -1)[:, :n * (2 * n + 1)].reshape(2, n, 2 * n + 1)
+    by_sep = skew[:, :, :n].max(axis=(0, 1))
+    worst = np.max(by_sep[sep_min:] + c * np.arange(sep_min, n),
+                   initial=-np.inf)
+    return bool(worst - budget <= 0.0)
 
 
 def oracle_pave(interval: Tuple[int, int], n: int, omega: Frequency, theta,
@@ -549,6 +615,8 @@ class TestOrderedSweeps:
                     want = oracle_window_admissible(gw, rate, 0.1 * n, margin)
                     assert _window_admissible(gw, rate, 0.1 * n,
                                               margin) == want
+                    assert skewed_window_admissible(gw, rate, 0.1 * n,
+                                                    margin) == want
                     seen.add(want)
         assert seen == {True, False}
         # Unsymmetric random logs, with -inf entries and empty separations.
@@ -561,7 +629,24 @@ class TestOrderedSweeps:
             args = (rng.uniform(0.0, 2.0), 5.0 * rng.normal(),
                     int(rng.integers(1, n + 1)))
             assert _window_admissible(gw, *args) == \
-                oracle_window_admissible(gw, *args)
+                oracle_window_admissible(gw, *args) == \
+                skewed_window_admissible(gw, *args)
+        # Random boxes at 4 rates x 5 separations x 4 budgets.
+        seen = set()
+        for _ in range(200):
+            v = random_trig_potential(rng, degree=3,
+                                      amplitude=float(rng.uniform(0.3, 20.0)))
+            n = int(rng.integers(2, 40))
+            gw = green_solve((1, n), golden, rng.random(),
+                             rng.uniform(-10.0, 10.0), v)
+            for rate in (0.0, 0.5, 1.0, 3.0):
+                for sep in (1, 2, n // 4 + 1, n - 1, n):
+                    for budget in (-5.0, 0.0, 0.1 * n, 10.0):
+                        want = skewed_window_admissible(gw, rate, budget, sep)
+                        assert _window_admissible(gw, rate, budget,
+                                                  sep) == want
+                        seen.add(want)
+        assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def oracle_cocycle_batch(omega, thetas, energy, n, v):
 def oracle_log_norm_trace(n, omega, theta, energy, v):
     th = np.asarray([theta], dtype=float) if omega.dim == 1 else \
         np.asarray(theta, dtype=float).reshape(1, 2)
-    w = omega.as_array()
+    w = np.asarray(omega.components, dtype=float)
     m00, m01 = np.ones(1), np.zeros(1)
     m10, m11 = np.zeros(1), np.ones(1)
     ls = np.zeros(1)

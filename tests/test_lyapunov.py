@@ -314,14 +314,17 @@ class TestParallelPhases:
     def test_no_public_function_runs_on_a_pool_thread(self, golden, mathieu5,
                                                       pools, monkeypatch):
         # Every public function of the qplab modules is wrapped in every
-        # module that binds it, as perfbench's tracer wraps its spans, and
-        # records the thread it ran on.  Spans opened on pool threads would
-        # land on another thread's span stack.
+        # module that binds it, and every public method in its class, as
+        # perfbench's tracer wraps its spans, and records the thread it ran
+        # on.  Spans opened on pool threads would land on another thread's
+        # span stack.
         modules = [m for key, m in sys.modules.items()
                    if key == "qplab" or key.startswith("qplab.")]
         public = {id(fn): fn for m in modules for name, fn in vars(m).items()
                   if inspect.isfunction(fn) and not name.startswith("_")
                   and fn.__module__ == m.__name__}
+        classes = {cls for m in modules for cls in vars(m).values()
+                   if inspect.isclass(cls) and cls.__module__ == m.__name__}
         ran_on = []
 
         def wrap(fn):
@@ -336,12 +339,17 @@ class TestParallelPhases:
             for name, value in list(vars(m).items()):
                 if id(value) in public and value is public[id(value)]:
                     monkeypatch.setattr(m, name, wrappers[id(value)])
+        for cls in classes:
+            for name, fn in list(vars(cls).items()):
+                if inspect.isfunction(fn) and not name.startswith("_"):
+                    monkeypatch.setattr(cls, name, wrap(fn))
         with_thread_cap(2, ldt.deviation_measure, golden, 0.0, 50, 0.3,
                         mathieu5, 2 * _SPLIT_FLOOR)
         assert pools["workers"] == [2]
         assert pools["threads"] - {threading.get_ident()}
         names = {name for name, _ in ran_on}
-        assert {"deviation_measure", "lyapunov_n", "cocycle_batch"} <= names
+        assert {"deviation_measure", "lyapunov_n", "cocycle_batch",
+                "TrigPotential.coefficient_bound"} <= names
         assert {ident for _, ident in ran_on} == {threading.get_ident()}
 
     def test_no_thread_outlives_the_call(self, golden):

@@ -139,6 +139,29 @@ class TestEvalPotential:
         with pytest.raises(ValueError):
             TrigPotential(dim=1, coeffs={(1,): 0.5 + 0.1j, (-1,): 0.5 + 0.1j})
 
+    @pytest.mark.parametrize("coeffs", [
+        {(1.5,): 0.5, (-1.5,): 0.5},
+        {(1, 0.5): 0.5, (-1, -0.5): 0.5},
+        {(float("nan"),): 0.5},
+    ])
+    def test_non_integral_wave_index_rejected(self, coeffs):
+        dim = len(next(iter(coeffs)))
+        with pytest.raises(ValueError, match="not integral"):
+            TrigPotential(dim=dim, coeffs=coeffs)
+
+    def test_integral_float_wave_index_accepted(self):
+        v = TrigPotential(dim=1, coeffs={(1.0,): 0.5, (-1.0,): 0.5})
+        assert v.coeffs == cosine_potential().coeffs
+
+    @pytest.mark.parametrize("coeffs", [
+        {1: 0.5, (1,): 0.25, (-1,): 0.5},
+        {np.int64(1): 0.5, (1.0,): 0.5, (-1,): 0.5},
+    ])
+    def test_merged_wave_indices_rejected(self, coeffs):
+        with pytest.raises(ValueError, match=r"wave vector \[1\] is given "
+                                             "more than once"):
+            TrigPotential(dim=1, coeffs=coeffs)
+
     def test_overflowing_coefficients_rejected(self):
         # 2 * 1e308 is not a double: the halves would hold inf and every
         # value would be NaN.  Rejected before any overflow warning.
